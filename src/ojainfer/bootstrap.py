@@ -1,23 +1,23 @@
 """Online multiplier-bootstrap baseline for the variance comparison.
 
-All b replicas share one ordered pass over the data; replica j applies the
-streaming update with its sample weighted by an i.i.d. mean-1 multiplier:
+Replica j is one kernel pass over the data, in order, with sample i
+weighted by an i.i.d. mean-1 multiplier:
 
     u_j <- normalize(u_j + eta * W_{i,j} * x_i (x_i . u_j)).
 
 The multipliers are the only replica-to-replica randomness, each replica
 owning a derived stream, so permuting replica seeds permutes the outputs.
-Time grows linearly in b; space is b state vectors.
+Replicas run one after another: time is linear in b, space is n + b*d.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, SeedSpec, _check_unit
+from .oja import oja_kernel
 from .varest import batch_variance
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
@@ -46,16 +46,17 @@ class BootstrapConfig:
             raise ValueError(f"eta must be positive (got {self.eta})")
 
 
-def _drawer(law: str, rng: np.random.Generator):
+def _multipliers(law: str, rng: np.random.Generator, n: int) -> np.ndarray | None:
+    """One replica's n multipliers; None for the constant law (all ones)."""
     if law == "exponential":
-        return rng.standard_exponential
+        return rng.standard_exponential(n)
     if law == "normal":
-        return lambda: 1.0 + rng.standard_normal()
-    return lambda: 1.0
+        return 1.0 + rng.standard_normal(n)
+    return None
 
 
 def bootstrap_run(data: Dataset, config: BootstrapConfig, u0: np.ndarray) -> np.ndarray:
-    """Run b weighted replicas over one shared pass; returns (b, d) rows.
+    """Run b weighted replicas over the data; returns (b, d) rows.
 
     All replicas start from the same ``u0`` and see the samples in the same
     order; only their multipliers differ.
@@ -63,22 +64,14 @@ def bootstrap_run(data: Dataset, config: BootstrapConfig, u0: np.ndarray) -> np.
     u0 = _check_unit(u0, "u0")
     if u0.shape[0] != data.d:
         raise ValueError(f"u0 has d={u0.shape[0]}, data has d={data.d}")
-    eta = config.eta
-    b = config.b
-    replicas = [u0.copy() for _ in range(b)]
-    draws = [_drawer(config.law, config.seed.child(j).rng()) for j in range(b)]
-    for i in range(data.n):
-        x = data.samples[i]
-        for j in range(b):
-            u = replicas[j]
-            w = draws[j]()
-            s = x @ u
-            u += (eta * w * s) * x
-            nrm = math.sqrt(u @ u)
-            if nrm == 0.0 or not math.isfinite(nrm):
-                raise ValueError(f"replica {j} degenerated at sample {i}")
-            u *= 1.0 / nrm
-    return np.asarray(replicas)
+    replicas = np.empty((config.b, data.d))
+    for j in range(config.b):
+        weights = _multipliers(config.law, config.seed.child(j).rng(), data.n)
+        try:
+            replicas[j] = oja_kernel(data.samples, config.eta, u0, weights)[0][0]
+        except ValueError as exc:
+            raise ValueError(f"replica {j}: {exc}") from exc
+    return replicas
 
 
 def bootstrap_variance(replicas, vtilde: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import experiments
-from ._parallel import default_threads
 from .asymvar import build_r0_v, ck_diagnostic, empirical_hajek_covariance, estimate_mtilde, with_rn
 from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
 from .core import DegenerateGapError, SeedSpec, eigendecompose, sample_covariance
@@ -54,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: $OJA_INFER_SEED or 0)")
-    parser.add_argument("--threads", type=int, default=default_threads(),
-                        help="worker cap for parallel trials (results are identical for any value)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -204,13 +201,13 @@ def _compute_vtilde(args, data, gap, seed: SeedSpec):
     return oja_run(data, eta_n, u0).estimate, eta_n
 
 
-def _cmd_varest(args, seed: SeedSpec, threads) -> dict:
+def _cmd_varest(args, seed: SeedSpec) -> dict:
     data, digest = _load_dataset(args)
     gap = _resolve_gap(args, data)
     m1 = 3 if args.preset == "paper-experiments" and args.m1 is None else args.m1
     vtilde, eta_n = _compute_vtilde(args, data, gap, seed)
     cfg = VarEstConfig(delta=args.delta, m1=m1, m2=args.m2, alpha=args.alpha, seed=seed.child(2))
-    result = ojavarest(data, args.delta, vtilde, gap, cfg, threads=threads)
+    result = ojavarest(data, args.delta, vtilde, gap, cfg)
     if args.format == "csv":
         rows = result.csv_rows()
         write_results(rows, "csv", args.out)
@@ -253,7 +250,7 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
             "law": args.law, "gap": gap, "alpha": args.alpha}
 
 
-def _cmd_coverage(args, seed: SeedSpec, threads) -> dict:
+def _cmd_coverage(args, seed: SeedSpec) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     tracked = tuple(int(c) for c in args.tracked.split(","))
     m1 = 3 if args.preset == "paper-experiments" and args.m1 is None else args.m1
@@ -261,7 +258,7 @@ def _cmd_coverage(args, seed: SeedSpec, threads) -> dict:
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=methods,
         level=args.level, delta=args.delta, seed=seed, varest_config=vcfg,
-        ci_scale=args.ci_scale, tracked=tracked, threads=threads,
+        ci_scale=args.ci_scale, tracked=tracked,
     )
     write_results(outcome.table_rows(tracked), "csv", args.out)
     records_path = str(args.out) + ".records.csv"
@@ -326,14 +323,14 @@ def cli_dispatch(argv: list[str]) -> int:
     handlers = {
         "synth": lambda: _cmd_synth(args, seed),
         "oja": lambda: _cmd_oja(args, seed),
-        "varest": lambda: _cmd_varest(args, seed, args.threads),
+        "varest": lambda: _cmd_varest(args, seed),
         "bootstrap": lambda: _cmd_bootstrap(args, seed),
-        "coverage": lambda: _cmd_coverage(args, seed, args.threads),
+        "coverage": lambda: _cmd_coverage(args, seed),
         "bench": lambda: _cmd_bench(args, seed),
         "oracle": lambda: _cmd_oracle(args, seed),
         "asymvar": lambda: _cmd_asymvar(args, seed),
     }
-    config_echo = {k: v for k, v in vars(args).items() if k not in ("quiet", "threads")}
+    config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
     try:
         if getattr(args, "input", None):
             digest = content_hash_file(args.input)

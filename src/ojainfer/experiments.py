@@ -1,8 +1,8 @@
 """Desk-scale experiment drivers: coverage sweeps, timing bench, limit checks.
 
 Each trial owns a derived random stream keyed by its index, and aggregation
-runs in trial order, so results are reproducible for any worker count. Wall
-clocks are measured around compute only and never feed back into results.
+runs in trial order, so results are reproducible. Wall clocks are measured
+around compute only and never feed back into results.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
 from .core import Dataset, EigenSystem, SeedSpec, sin2
 from .inference import ConfidenceBand, CoverageReport, build_ci, evaluate_coverage
 from .io import ExperimentRecord
-from .oja import gaussian_unit, learning_rate, oja_run
+from .oja import gaussian_unit, learning_rate, oja_kernel, oja_run
 from .synth import SynthSpec, build_sigma, sample
 from .varest import VarEstConfig, ojavarest
 from .core import psd_sqrt
@@ -60,66 +59,6 @@ class CoverageOutcome:
         return rows
 
 
-def _trial_bands(
-    trial: int,
-    spec: SynthSpec,
-    root: np.ndarray,
-    eigen: EigenSystem,
-    n: int,
-    methods: tuple[str, ...],
-    level: float,
-    delta: float,
-    varest_config: VarEstConfig,
-    ci_scale: str,
-    seed: SeedSpec,
-    tracked: tuple[int, ...],
-) -> tuple[dict[str, ConfidenceBand], list[ExperimentRecord]]:
-    st = seed.child(trial)
-    gap = eigen.require_gap()
-    data = sample(spec, root, n, rng=st.child(0).rng())
-    eta_n = learning_rate(n, gap, varest_config.alpha)
-
-    t0 = time.perf_counter()
-    u0 = gaussian_unit(st.child(1).rng(), spec.d)
-    vtilde = oja_run(data, eta_n, u0).estimate
-    vtilde_ms = (time.perf_counter() - t0) * 1e3
-    accuracy = sin2(vtilde, eigen.leading)
-
-    bands: dict[str, ConfidenceBand] = {}
-    records: list[ExperimentRecord] = []
-    for method_spec in methods:
-        name, b = parse_method(method_spec)
-        t1 = time.perf_counter()
-        if name == "ojavarest":
-            cfg = VarEstConfig(delta=varest_config.delta, m1=varest_config.m1,
-                               m2=varest_config.m2, alpha=varest_config.alpha,
-                               seed=st.child(2))
-            result = ojavarest(data, delta, vtilde, gap, cfg)
-            band = build_ci(vtilde, result.batch_scale_sigma2(), level,
-                            scale_mode=ci_scale, eta_b=result.eta_b, eta_n=eta_n,
-                            gap=gap, sigma_source="ojavarest")
-        else:
-            bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=st.child(3, b))
-            u0_boot = gaussian_unit(st.child(4).rng(), spec.d)
-            replicas = bootstrap_run(data, bcfg, u0_boot)
-            sigma2 = bootstrap_variance(replicas, vtilde)
-            band = build_ci(vtilde, sigma2, level, scale_mode="batch",
-                            sigma_source="bootstrap")
-        estimate_ms = (time.perf_counter() - t1) * 1e3
-        bands[method_spec] = band
-        aligned = band.center if float(band.center @ eigen.leading) >= 0 else -band.center
-        hits = tuple(
-            int(abs(eigen.leading[c - 1] - aligned[c - 1]) <= band.half_width[c - 1])
-            for c in tracked
-        )
-        records.append(ExperimentRecord(
-            trial=trial, method=method_spec, n=n, d=spec.d, beta=spec.beta, b=b,
-            tracked=tracked, hits=hits, sin2_error=accuracy,
-            vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
-        ))
-    return bands, records
-
-
 def run_coverage_experiment(
     n: int,
     d: int,
@@ -132,7 +71,6 @@ def run_coverage_experiment(
     varest_config: VarEstConfig | None = None,
     ci_scale: str = "full",
     tracked: tuple[int, ...] = (1, 2),
-    threads: int | None = None,
 ) -> CoverageOutcome:
     """Repeated-trial coverage of per-coordinate intervals on synthetic data.
 
@@ -155,24 +93,56 @@ def run_coverage_experiment(
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
     vcfg = varest_config if varest_config is not None else VarEstConfig.paper_experiments()
-
-    def worker(trial: int):
-        return _trial_bands(trial, spec, root, eigen, n, tuple(methods), level,
-                            delta, vcfg, ci_scale, seed, tuple(tracked))
-
-    outcomes = parallel_map(worker, range(trials), threads)
+    tracked = tuple(tracked)
+    gap = eigen.require_gap()
+    eta_n = learning_rate(n, gap, vcfg.alpha)
+    bands: dict[str, list[ConfidenceBand]] = {m: [] for m in methods}
+    records: list[ExperimentRecord] = []
+    for trial in range(trials):
+        st = seed.child(trial)
+        data = sample(spec, root, n, rng=st.child(0).rng())
+        t0 = time.perf_counter()
+        u0 = gaussian_unit(st.child(1).rng(), d)
+        vtilde = oja_run(data, eta_n, u0).estimate
+        vtilde_ms = (time.perf_counter() - t0) * 1e3
+        accuracy = sin2(vtilde, eigen.leading)
+        for method_spec in methods:
+            name, b = parse_method(method_spec)
+            t1 = time.perf_counter()
+            if name == "ojavarest":
+                cfg = VarEstConfig(delta=vcfg.delta, m1=vcfg.m1, m2=vcfg.m2,
+                                   alpha=vcfg.alpha, seed=st.child(2))
+                result = ojavarest(data, delta, vtilde, gap, cfg)
+                band = build_ci(vtilde, result.batch_scale_sigma2(), level,
+                                scale_mode=ci_scale, eta_b=result.eta_b, eta_n=eta_n,
+                                gap=gap, sigma_source="ojavarest")
+            else:
+                bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=st.child(3, b))
+                u0_boot = gaussian_unit(st.child(4).rng(), d)
+                replicas = bootstrap_run(data, bcfg, u0_boot)
+                sigma2 = bootstrap_variance(replicas, vtilde)
+                band = build_ci(vtilde, sigma2, level, scale_mode="batch",
+                                sigma_source="bootstrap")
+            estimate_ms = (time.perf_counter() - t1) * 1e3
+            bands[method_spec].append(band)
+            aligned = band.center if float(band.center @ eigen.leading) >= 0 else -band.center
+            hits = tuple(
+                int(abs(eigen.leading[c - 1] - aligned[c - 1]) <= band.half_width[c - 1])
+                for c in tracked
+            )
+            records.append(ExperimentRecord(
+                trial=trial, method=method_spec, n=n, d=d, beta=beta, b=b,
+                tracked=tracked, hits=hits, sin2_error=accuracy,
+                vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
+            ))
     config = {
         "n": n, "d": d, "beta": beta, "trials": trials, "level": level,
         "delta": delta, "methods": list(methods), "ci_scale": ci_scale,
         "m1": vcfg.m1, "m2": vcfg.m2, "alpha": vcfg.alpha,
         "seed": seed.master, "tracked": list(tracked),
     }
-    reports: dict[str, CoverageReport] = {}
-    for method_spec in methods:
-        bands = [out[0][method_spec] for out in outcomes]
-        reports[method_spec] = evaluate_coverage(bands, eigen.leading,
-                                                 config={**config, "method": method_spec})
-    records = [rec for out in outcomes for rec in out[1]]
+    reports = {m: evaluate_coverage(bands[m], eigen.leading, config={**config, "method": m})
+               for m in methods}
     return CoverageOutcome(reports=reports, records=records,
                            truth=eigen.leading.copy(), config=config)
 
@@ -249,6 +219,11 @@ def run_bench(
     return records
 
 
+# Trials advanced together by residual_trials, as the states of one kernel
+# call; bounds its buffers to twice this many (n, d) datasets.
+_TRIAL_CHUNK = 128
+
+
 def residual_trials(
     spec: SynthSpec,
     root: np.ndarray,
@@ -257,7 +232,6 @@ def residual_trials(
     trials: int,
     seed: SeedSpec = SeedSpec(0),
     alpha: float = 2.0,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Draw (trials, d) residuals of fresh streaming runs against the truth.
 
@@ -267,13 +241,11 @@ def residual_trials(
     gap = eigen.require_gap()
     eta_n = learning_rate(n, gap, alpha)
     v1 = eigen.leading
-
-    def worker(trial: int) -> np.ndarray:
-        st = seed.child(trial)
-        data = sample(spec, root, n, rng=st.child(0).rng())
-        u0 = gaussian_unit(st.child(1).rng(), spec.d)
-        v = oja_run(data, eta_n, u0).estimate
-        return v - float(v1 @ v) * v1
-
-    rows = parallel_map(worker, range(trials), threads)
-    return np.asarray(rows)
+    rows = np.empty((trials, spec.d))
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        streams = [seed.child(t) for t in range(lo, min(lo + _TRIAL_CHUNK, trials))]
+        data = np.stack([sample(spec, root, n, rng=st.child(0).rng()).samples for st in streams])
+        starts = np.array([gaussian_unit(st.child(1).rng(), spec.d) for st in streams])
+        v, _ = oja_kernel(data, eta_n, starts)
+        rows[lo : lo + len(streams)] = v - (v @ v1)[:, None] * v1
+    return rows

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .core import Dataset, SeedSpec, _check_unit
-from .oja import gaussian_unit, learning_rate, oja_run
+from .oja import gaussian_unit, learning_rate, oja_kernel
 
 log = logging.getLogger(__name__)
 
@@ -162,7 +161,6 @@ def median_of_means(values) -> float:
 
 def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
               config: VarEstConfig | None = None,
-              threads: int | None = None,
               keep_batch_estimates: bool = False) -> VarEstResult:
     """Estimate per-coordinate residual variances by batched subsampling.
 
@@ -180,9 +178,9 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
         Eigengap lambda_1 - lambda_2 used for the step size and rescaling.
     config : VarEstConfig
         Schedule overrides, step multiplier and random seed.
-    threads : int, optional
-        Worker cap for the independent batch runs; results are identical for
-        any value.
+
+    The m1 * m2 batch runs advance together, as the states of one
+    :func:`oja_kernel` call.
     """
     if gap <= 0.0:
         raise ValueError(f"gap must be positive (got {gap})")
@@ -195,19 +193,11 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
     if unused:
         log.info("schedule uses %d of %d samples (%d trailing dropped)", used, data.n, unused)
 
-    samples = data.samples
-
-    def run_batch(index: int) -> np.ndarray:
-        # Fresh random start per batch unless a fixed one was forced.
-        if cfg.init is not None:
-            u0 = cfg.init
-        else:
-            u0 = gaussian_unit(cfg.seed.child(index).rng(), data.d)
-        block = samples[index * batch : (index + 1) * batch]
-        return oja_run(block, eta_b, u0).estimate
-
-    estimates = parallel_map(run_batch, range(m1 * m2), threads)
-    stacked = np.asarray(estimates)
+    runs = m1 * m2
+    # Fresh random start per batch unless a fixed one was forced.
+    starts = [cfg.init] * runs if cfg.init is not None else [
+        gaussian_unit(cfg.seed.child(i).rng(), data.d) for i in range(runs)]
+    stacked, _ = oja_kernel(data.samples[:used].reshape(runs, batch, data.d), eta_b, starts)
     sigma2 = np.empty((m1, data.d))
     for ell in range(m1):
         sigma2[ell] = batch_variance(stacked[ell * m2 : (ell + 1) * m2], vt)

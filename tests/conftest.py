@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ojainfer import SeedSpec, build_r0_v, build_sigma, estimate_mtilde, psd_sqrt
 from ojainfer.experiments import residual_trials
@@ -59,3 +60,10 @@ def residuals5(synth5):
 def random_unit(rng, d):
     g = rng.standard_normal(d)
     return g / np.linalg.norm(g)
+
+
+# Property tests draw the same examples on every run, so a rerun of the suite
+# reproduces its result; no deadline, because example wall times on a shared
+# machine say nothing about correctness.
+settings.register_profile("ojainfer", derandomize=True, deadline=None, database=None)
+settings.load_profile("ojainfer")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ojainfer import BootstrapConfig, Dataset, SeedSpec, bootstrap_run, bootstrap_variance, oja_run
+from ojainfer.bootstrap import _multipliers
 from ojainfer.synth import sample
 
 from conftest import random_unit
@@ -48,6 +49,16 @@ class TestBootstrapRun:
         cfg = BootstrapConfig(b=1, law="exponential", eta=0.01, seed=SeedSpec(142))
         with pytest.raises(ValueError):
             bootstrap_run(data, cfg, random_unit(SeedSpec(143).rng(), 4))
+
+    @pytest.mark.parametrize("law", ["exponential", "normal"])
+    def test_vector_draw_equals_scalar_draws(self, law):
+        # Replicas draw their n multipliers as one vector; the values must be
+        # the sequence of n scalar draws that the per-sample loop consumed.
+        vector = _multipliers(law, SeedSpec(148).rng(), 257)
+        rng = SeedSpec(148).rng()
+        draw = rng.standard_exponential if law == "exponential" else lambda: 1.0 + rng.standard_normal()
+        np.testing.assert_array_equal(vector, [draw() for _ in range(257)])
+        assert _multipliers("constant", rng, 257) is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
