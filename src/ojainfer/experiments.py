@@ -102,7 +102,7 @@ def run_coverage_experiment(
         st = seed.child(trial)
         data = sample(spec, root, n, rng=st.child(0).rng())
         t0 = time.perf_counter()
-        u0 = gaussian_unit(st.child(1).rng(), d)
+        u0 = gaussian_unit(st.child(1).rng(), spec.d)
         vtilde = oja_run(data, eta_n, u0).estimate
         vtilde_ms = (time.perf_counter() - t0) * 1e3
         accuracy = sin2(vtilde, eigen.leading)
@@ -118,7 +118,7 @@ def run_coverage_experiment(
                                 gap=gap, sigma_source="ojavarest")
             else:
                 bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=st.child(3, b))
-                u0_boot = gaussian_unit(st.child(4).rng(), d)
+                u0_boot = gaussian_unit(st.child(4).rng(), spec.d)
                 replicas = bootstrap_run(data, bcfg, u0_boot)
                 sigma2 = bootstrap_variance(replicas, vtilde)
                 band = build_ci(vtilde, sigma2, level, scale_mode="batch",
@@ -131,7 +131,7 @@ def run_coverage_experiment(
                 for c in tracked
             )
             records.append(ExperimentRecord(
-                trial=trial, method=method_spec, n=n, d=d, beta=beta, b=b,
+                trial=trial, method=method_spec, n=n, d=spec.d, beta=spec.beta, b=b,
                 tracked=tracked, hits=hits, sin2_error=accuracy,
                 vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
             ))
@@ -196,7 +196,7 @@ def run_bench(
         name, b = parse_method(method_spec)
         st = seed.child(10 + idx)
         t0 = time.perf_counter()
-        u0 = gaussian_unit(st.child(1).rng(), d)
+        u0 = gaussian_unit(st.child(1).rng(), spec.d)
         vtilde = oja_run(data, eta_n, u0).estimate
         t1 = time.perf_counter()
         if name == "ojavarest":

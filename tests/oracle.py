@@ -1,7 +1,7 @@
 """Reference per-sample streaming update: the oracle for the blocked kernel.
 
-This is the loop every streaming pass ran before passes went through
-``ojainfer.oja.oja_kernel``: one update and one normalisation per sample.
+One update and one normalisation per sample, with no blocking; the tests
+compare ``ojainfer.oja.oja_kernel`` and every pass built on it against it.
 """
 
 import math

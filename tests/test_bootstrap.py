@@ -53,7 +53,7 @@ class TestBootstrapRun:
     @pytest.mark.parametrize("law", ["exponential", "normal"])
     def test_vector_draw_equals_scalar_draws(self, law):
         # Replicas draw their n multipliers as one vector; the values must be
-        # the sequence of n scalar draws that the per-sample loop consumed.
+        # the sequence of n scalar draws from the same generator.
         vector = _multipliers(law, SeedSpec(148).rng(), 257)
         rng = SeedSpec(148).rng()
         draw = rng.standard_exponential if law == "exponential" else lambda: 1.0 + rng.standard_normal()
