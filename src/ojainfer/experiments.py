@@ -219,8 +219,7 @@ def run_bench(
     return records
 
 
-# Trials advanced together by residual_trials, as the states of one kernel
-# call; bounds its buffers to twice this many (n, d) datasets.
+# Trials per kernel call in residual_trials; its buffers hold twice this many datasets.
 _TRIAL_CHUNK = 128
 
 

@@ -76,7 +76,7 @@ def gaussian_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 # Largest eta * sum |w_i| ||x_i||^2 of a block: the update's coefficients, and their
-# rounding errors, grow by up to exp of it. A block over it goes one sample at a time.
+# rounding errors, grow by up to exp of it. A block over it is split into parts.
 _BLOCK_BOUND = 4.0
 # Blocks per segment, the unit read from a stream and factored in one go.
 _SEGMENT_BLOCKS = 32
@@ -85,10 +85,8 @@ _SEGMENT_BLOCKS = 32
 def _block_size(d: int, states: int) -> int:
     """Samples per block for ``states`` states of dimension d advanced together.
 
-    States share a block's numpy calls while its factor costs O(k) per sample:
-    measured, the best k fell like states^(-1/3) (32 for one state, 8 for
-    27), and to 1 once states exceed 16 * d.
-    """
+    Measured on this kernel, the best k fell like states^(-1/3) (32 for one
+    state, 8 for 27), and to 1 once states exceed 16 * d."""
     if states > 16 * d:
         return 1
     k = int(32.0 / states ** (1.0 / 3.0) + 1e-9)
@@ -126,12 +124,17 @@ def _advance(U: np.ndarray, X: np.ndarray, ew, start: int) -> None:
         if k > 1:
             G = np.matmul(X, X.swapaxes(-1, -2))
             N = G * (np.tri(k, k, -1) * (ew if scalar else ew[..., None]))
-            # A NaN load fails the bound too, so a non-finite sample goes alone.
-            fits = (np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)).sum(-1).max(0) <= _BLOCK_BOUND
-            sizes = np.where(fits, k, 1)
-            N[:, ~fits] = 0.0
-            T = np.zeros_like(N)
-            T[..., range(k), range(k)] = 1.0
+            # Each block takes the largest of k, k/2, ... whose parts fit the bound; NaN fits none.
+            load = np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)
+            for size in [k >> h for h in range(k.bit_length()) if k % (k >> h) == 0]:
+                fit = load.reshape(K, nb, -1, size).sum(-1).max(axis=(0, 2)) <= _BLOCK_BOUND
+                sizes[(sizes == 1) & fit] = size
+                if sizes.min() > 1:
+                    break
+            for j in np.flatnonzero(sizes < k):
+                part = np.arange(k) // sizes[j]
+                N[:, j, part[:, None] != part[None, :]] = 0.0
+            T = np.zeros_like(N) + np.eye(k)
             for i in range(1, k):
                 T[..., i : i + 1, :i] = np.matmul(N[..., i : i + 1, :i], T[..., :i, :i])
         M = T * (ew if scalar else ew[..., None, :])
@@ -156,11 +159,9 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     ``blocks`` is a (K, n, d) array, state i reading ``blocks[i]`` in order,
     or for one state an (n, d) array (not copied) or an iterable of rows (read
     once, O(k) rows at a time). ``weights`` are (K, n) multipliers for an
-    array, None for all 1. Samples go k at a time (see :func:`_block_size`).
-    Returns the final (K, d) unit rows, equal to the per-sample loop up to
-    rounding, and the samples each state read. A zero or non-finite iterate
-    raises ValueError naming the samples.
-    """
+    array, None for all 1. Returns the final (K, d) unit rows, equal to the
+    per-sample loop up to rounding, and the samples each state read. A zero
+    or non-finite iterate raises ValueError naming the samples."""
     U = np.array(U0, dtype=np.float64, ndmin=2)[:, :, None]
     K, d, _ = U.shape
     w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(K, -1)

@@ -73,6 +73,22 @@ def test_many_states_match_oracle(law):
         assert np.max(np.abs(out[i] - ref)) <= TOL
 
 
+def test_block_over_the_bound_is_halved():
+    # Samples 32..63 load 0.25 each except sample 40 (load 1): their block
+    # (8.75) and its halves (4.75) exceed the bound, its quarters do not.
+    # Sample 40 zeroes the iterate, and the error names its quarter.
+    e1, e2 = np.eye(2)
+    x = np.tile(e2, (64, 1))
+    x[40] = e1
+    w = np.ones(64)
+    w[40] = -4.0
+    assert _block_size(2, 1) == 32
+    with pytest.raises(ValueError, match=r"degenerated in samples 40\.\.47 "):
+        oja_kernel(x, 0.25, e1, w)
+    with pytest.raises(ValueError, match="at sample 40 "):
+        oja_loop(x, 0.25, e1, w)
+
+
 def test_block_size_is_derived():
     assert _block_size(200, 1) == 32
     assert _block_size(200, 27) == 8
