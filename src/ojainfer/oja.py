@@ -86,7 +86,8 @@ def _block_size(d: int, states: int) -> int:
     """Samples per block for ``states`` states of dimension d advanced together.
 
     Measured on this kernel, the best k fell like states^(-1/3) (32 for one
-    state, 8 for 27), and to 1 once states exceed 16 * d."""
+    state, 8 for 27), and to 1 once states exceed 16 * d.
+    """
     if states > 16 * d:
         return 1
     k = int(32.0 / states ** (1.0 / 3.0) + 1e-9)
@@ -161,7 +162,8 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     once, O(k) rows at a time). ``weights`` are (K, n) multipliers for an
     array, None for all 1. Returns the final (K, d) unit rows, equal to the
     per-sample loop up to rounding, and the samples each state read. A zero
-    or non-finite iterate raises ValueError naming the samples."""
+    or non-finite iterate raises ValueError naming the samples.
+    """
     U = np.array(U0, dtype=np.float64, ndmin=2)[:, :, None]
     K, d, _ = U.shape
     w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(K, -1)
@@ -249,9 +251,7 @@ def oja_boosted(data: Dataset, delta: float, config: OjaConfig) -> OjaResult:
     eta = learning_rate(batch, gap, config.alpha)
     starts = np.array([_initial_vector(config, data.d, config.seed.child(j)) for j in range(q)])
     finals, _ = oja_kernel(data.samples[: q * batch].reshape(q, batch, data.d), eta, starts)
-    best = 0
-    if q > 1:
-        best = int(np.argmin([np.median([sin2(u, v) for v in np.delete(finals, i, axis=0)])
-                              for i, u in enumerate(finals)]))
+    best = 0 if q == 1 else int(np.argmin([np.median([sin2(u, v) for v in np.delete(finals, i, axis=0)])
+                                           for i, u in enumerate(finals)]))
     return OjaResult(estimate=finals[best], eta_used=float(eta), samples_consumed=batch,
                      init_vector=starts[best])
