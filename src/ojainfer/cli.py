@@ -143,11 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(args):
-    data = read_csv(args.input, center=args.center)
-    return data, content_hash_file(args.input)
-
-
 def _resolve_gap(args, data) -> float:
     if args.gap is not None:
         if args.gap <= 0:
@@ -176,7 +171,7 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_oja(args, seed: SeedSpec) -> dict:
-    data, digest = _load_dataset(args)
+    data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
     eta = learning_rate(data.n, gap, args.alpha)
     u0 = gaussian_unit(seed.rng(), data.d)
@@ -188,8 +183,7 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
         "alpha": args.alpha,
         "samples_consumed": result.samples_consumed,
     })
-    return {"input": args.input, "input_sha256": digest, "gap": gap,
-            "alpha": args.alpha, "center": args.center}
+    return {"gap": gap, "alpha": args.alpha, "center": args.center}
 
 
 def _compute_vtilde(args, data, gap, seed: SeedSpec):
@@ -202,7 +196,7 @@ def _compute_vtilde(args, data, gap, seed: SeedSpec):
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
-    data, digest = _load_dataset(args)
+    data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
     m1 = 3 if args.preset == "paper-experiments" and args.m1 is None else args.m1
     vtilde, eta_n = _compute_vtilde(args, data, gap, seed)
@@ -224,13 +218,12 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
                 "upper": band.upper().tolist(),
             }
         _write_json(args.out, payload)
-    return {"input": args.input, "input_sha256": digest, "gap": gap,
-            "delta": args.delta, "m1": m1, "m2": args.m2, "alpha": args.alpha,
+    return {"gap": gap, "delta": args.delta, "m1": m1, "m2": args.m2, "alpha": args.alpha,
             "boosted": args.boosted, "ci_scale": args.ci_scale, "samples_unused": result.samples_unused}
 
 
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
-    data, digest = _load_dataset(args)
+    data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
     eta = learning_rate(data.n, gap, args.alpha)
     u0_t = gaussian_unit(seed.child(1).rng(), data.d)
@@ -246,8 +239,7 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
         _write_json(args.out, {"sigma2": sigma2.tolist(), "b": args.b,
                                "law": args.law, "eta": eta, "gap": gap,
                                "vtilde": vtilde.tolist()})
-    return {"input": args.input, "input_sha256": digest, "b": args.b,
-            "law": args.law, "gap": gap, "alpha": args.alpha}
+    return {"b": args.b, "law": args.law, "gap": gap, "alpha": args.alpha}
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
@@ -333,7 +325,7 @@ def cli_dispatch(argv: list[str]) -> int:
     config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
     try:
         if getattr(args, "input", None):
-            digest = content_hash_file(args.input)
+            digest = config_echo["input_sha256"] = content_hash_file(args.input)
         else:
             digest = content_hash_config(config_echo)
         manifest = RunManifest(subcommand=args.subcommand, config=config_echo,

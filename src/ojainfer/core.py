@@ -137,12 +137,17 @@ class EigenSystem:
 
     def require_gap(self) -> float:
         """Return the eigengap, raising if it is degenerate."""
-        if self.gap <= GAP_FLOOR:
-            raise DegenerateGapError(
-                f"eigengap {self.gap:.3e} is degenerate; a strictly positive "
-                "separation between the top two eigenvalues is required"
-            )
-        return self.gap
+        return require_gap(self.gap)
+
+
+def require_gap(gap: float) -> float:
+    """Return ``gap``, raising DegenerateGapError at or below ``GAP_FLOOR``."""
+    if gap <= GAP_FLOOR:
+        raise DegenerateGapError(
+            f"eigengap {gap:.3e} is degenerate; a strictly positive "
+            "separation between the top two eigenvalues is required"
+        )
+    return gap
 
 
 def _check_unit(v: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:

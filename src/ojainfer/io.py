@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .core import Dataset
-
-__version__ = "0.1.0"
 
 
 def _fmt(value) -> str:
@@ -41,33 +40,27 @@ def read_csv(path, center: bool = False) -> Dataset:
 
     A header row is detected automatically: if any cell of the first row is
     not parseable as a number, the row is skipped. Ragged rows, non-numeric
-    cells past the header, and empty files are rejected. With ``center=True``
-    every column is shifted to mean zero, matching the estimators' mean-zero
-    data model.
+    cells past the header (a ``#`` row included), and files without a numeric
+    row are rejected; blank lines are ignored. With ``center=True`` every
+    column is shifted to mean zero, matching the estimators' mean-zero data
+    model.
     """
-    rows: list[list[float]] = []
-    width: int | None = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader):
-            if not cells:
-                continue
-            try:
-                parsed = [float(c) for c in cells]
-            except ValueError:
-                if lineno == 0:
-                    continue
-                raise ValueError(f"{path}: non-numeric cell in row {lineno + 1}")
-            if width is None:
-                width = len(parsed)
-            elif len(parsed) != width:
-                raise ValueError(
-                    f"{path}: ragged row {lineno + 1} (expected {width} cells, got {len(parsed)})"
-                )
-            rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: no numeric rows found")
-    arr = np.asarray(rows, dtype=np.float64)
+        rows = csv.reader(fh)
+        first = next(rows, [])
+        try:
+            list(map(float, first))
+            skip = 0
+        except ValueError:
+            skip = 1
+        # loadtxt would only warn on a file without a data row.
+        if (skip or not first) and not any(rows):
+            raise ValueError(f"{path}: no numeric rows found")
+    try:
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64, skiprows=skip,
+                         comments=None, quotechar='"', encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if center:
         arr = arr - arr.mean(axis=0, keepdims=True)
     return Dataset(arr, provenance="file")
@@ -75,10 +68,7 @@ def read_csv(path, center: bool = False) -> Dataset:
 
 def write_csv(data: Dataset, path) -> None:
     """Write a Dataset as headerless numeric CSV, exact round trip."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in data.samples:
-            writer.writerow([_fmt(v) for v in row])
+    np.savetxt(path, data.samples, fmt="%.17g", delimiter=",")
 
 
 def _record_dict(record) -> dict:

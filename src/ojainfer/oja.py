@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Dataset, SeedSpec, _check_unit, eigendecompose, sample_covariance, sin2
+from .core import Dataset, SeedSpec, _check_unit, require_gap, sample_covariance, sin2
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,15 @@ def _advance(U: np.ndarray, X: np.ndarray, ew, start: int) -> None:
         XT, Ut = X.swapaxes(-1, -2), U.transpose(0, 2, 1)
         parts = [(j, lo, lo + size) for j, size in enumerate(sizes) for lo in range(0, k, size)]
         norms = np.empty((len(parts), K, 1, 1))
+        # A part of one sample for one state takes the per-sample update on vectors.
+        u, rows, ewd = U[0, :, 0], X[0], np.diagonal(M, axis1=-2, axis2=-1)[0]
         for (j, lo, hi), nrm in zip(parts, norms):
+            if hi - lo == 1 and K == 1:
+                x = rows[j, lo]
+                u += (ewd[j, lo] * (x @ u)) * x
+                nrm[0, 0, 0] = s = math.sqrt(u @ u)
+                u /= s
+                continue
             c = np.matmul(M[:, j, lo:hi, lo:hi], np.matmul(X[:, j, lo:hi], U))
             U += np.matmul(XT[:, j, :, lo:hi], c)
             U /= np.sqrt(np.matmul(Ut, U), out=nrm)
@@ -212,10 +220,10 @@ def oja_run(data, eta: float, u0: np.ndarray) -> OjaResult:
 
 
 def estimate_gap(data: Dataset, limit: int = 4096) -> float:
-    """Plug-in eigengap from the covariance of the first min(n, limit) rows."""
+    """Plug-in eigengap, from the eigenvalues alone, of the first min(n, limit) rows."""
     head = Dataset(data.samples[: min(data.n, limit)], provenance=data.provenance)
-    eig = eigendecompose(sample_covariance(head))
-    return eig.require_gap()
+    vals = np.linalg.eigvalsh(sample_covariance(head))
+    return require_gap(float(vals[-1] - vals[-2]) if data.d >= 2 else 0.0)
 
 
 def _resolve_gap(data: Dataset, config: OjaConfig) -> float:

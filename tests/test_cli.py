@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ojainfer import cli
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import read_csv, read_results_csv
 
@@ -110,6 +111,18 @@ class TestBootstrapCommand:
                     "--format", "csv", "--out", out]) == 0
         rows = read_results_csv(out)
         assert [r["coordinate"] for r in rows] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("argv", [["oja"], ["varest", "--m1", "2", "--m2", "2"], ["bootstrap", "--b", "2"]])
+def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
+    calls = []
+    hash_file = cli.content_hash_file
+    monkeypatch.setattr(cli, "content_hash_file", lambda path: calls.append(path) or hash_file(path))
+    out = tmp_path / "out.json"
+    assert run(["--quiet", *argv, "--input", small_csv, "--out", out]) == 0
+    assert calls == [str(small_csv)]
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert manifest["content_hash"] == manifest["config"]["input_sha256"] == hash_file(small_csv)
 
 
 class TestCoverageCommand:

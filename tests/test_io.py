@@ -1,8 +1,12 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ojainfer import Dataset, SeedSpec
 from ojainfer.io import (
@@ -15,6 +19,8 @@ from ojainfer.io import (
     write_csv,
     write_results,
 )
+
+from oracle import write_csv_cells
 
 
 class TestReadCsv:
@@ -51,6 +57,29 @@ class TestReadCsv:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    @pytest.mark.parametrize("text", ["a,b\r\n1,2\r\n3,4\r\n", "1,2\n\n3,4\n\n", '1,"2"\n3,4\n'])
+    def test_crlf_blank_lines_and_quoted_numbers_accepted(self, tmp_path, text):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(text.encode())
+        np.testing.assert_array_equal(read_csv(path).samples, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "alpha,beta\n", "alpha,beta\n\n"])
+    def test_no_data_rejected_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no numeric rows"):
+                read_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,2\n3,4,5\n", "1,2\n3,x\n", "a,b\n1,2\n3,\n",
+                                      "1,2\n#3,4\n", '1,2\n3,"x"\n'])
+    def test_errors_name_the_path(self, tmp_path, text):
+        path = tmp_path / "named.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="named.csv"):
+            read_csv(path)
+
     def test_centering(self, tmp_path):
         path = tmp_path / "center.csv"
         path.write_text("1,10\n3,20\n")
@@ -70,6 +99,28 @@ class TestReadCsv:
         second = tmp_path / "again.csv"
         write_csv(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1.7976931348623157e308]),
+    st.integers(-10**15, 10**15).map(float),
+)
+
+
+class TestWriteCsv:
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=CELLS))
+    @example(arr=np.array([[-0.0]]))
+    @example(arr=np.array([[1e300], [5e-324], [3.0]]))
+    @example(arr=np.array([[-1e-300, 2.0, -7.0, 0.1]]))
+    def test_bytes_match_per_cell_writer(self, tmp_path_factory, arr):
+        folder = tmp_path_factory.mktemp("cells")
+        write_csv(Dataset(arr), folder / "fast.csv")
+        write_csv_cells(arr, folder / "cells.csv")
+        assert (folder / "fast.csv").read_bytes() == (folder / "cells.csv").read_bytes()
+        back = read_csv(folder / "fast.csv").samples
+        assert back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()
 
 
 class TestWriteResults:

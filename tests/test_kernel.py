@@ -89,6 +89,19 @@ def test_block_over_the_bound_is_halved():
         oja_loop(x, 0.25, e1, w)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_all_single_sample_parts(weighted):
+    # Unit rows, eta = 5 and multipliers >= 1 load every sample over the
+    # bound, so every block is split down to single samples.
+    x, u0, _ = draw_case(171, 1, 300, 6, "constant")
+    x = x[0] / np.linalg.norm(x[0], axis=1, keepdims=True)
+    w = 1.0 + SeedSpec(172).rng().standard_exponential(300) if weighted else None
+    out, _ = oja_kernel(x, 5.0, u0, w)
+    assert np.max(np.abs(out[0] - oja_loop(x, 5.0, u0[0], w))) <= TOL
+    if not weighted:
+        np.testing.assert_array_equal(out, oja_kernel(iter(x.tolist()), 5.0, u0)[0])
+
+
 def test_block_size_is_derived():
     assert _block_size(200, 1) == 32
     assert _block_size(200, 27) == 8

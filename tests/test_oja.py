@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ojainfer import Dataset, OjaConfig, SeedSpec, learning_rate, oja_boosted, oja_run, sin2
+from ojainfer import (
+    Dataset, DegenerateGapError, OjaConfig, SeedSpec, eigendecompose, learning_rate, oja_boosted,
+    oja_run, sample_covariance, sin2,
+)
 from ojainfer.hoeffding import matrix_product
 from ojainfer.oja import estimate_gap, gaussian_unit
 
@@ -125,6 +128,17 @@ class TestEstimateGap:
         scales = np.sqrt(np.array([4.0, 1.0, 1.0]))
         data = Dataset(rng.standard_normal((6000, 3)) * scales)
         assert estimate_gap(data) == pytest.approx(3.0, rel=0.25)
+
+    @pytest.mark.parametrize("n, d", [(6000, 3), (5000, 40), (300, 2)])
+    def test_equals_full_decomposition(self, n, d):
+        data = Dataset(SeedSpec(60).rng().standard_normal((n, d)) * np.linspace(2.0, 1.0, d))
+        full = eigendecompose(sample_covariance(Dataset(data.samples[:4096]))).gap
+        assert estimate_gap(data) == pytest.approx(full, rel=1e-12)
+
+    def test_degenerate_gap_rejected(self):
+        data = Dataset(np.tile(np.eye(3), (10, 1)))
+        with pytest.raises(DegenerateGapError, match="eigengap .* is degenerate"):
+            estimate_gap(data)
 
 
 class TestOjaBoosted:
