@@ -7,6 +7,8 @@ aggregation, and ships a multiplier-bootstrap baseline, exact small-instance
 decomposition oracles, and a desk-scale experiment harness.
 """
 
+__version__ = "0.1.0"
+
 from .core import (
     Dataset,
     DegenerateGapError,
@@ -32,8 +34,6 @@ from .asymvar import (
 )
 from .hoeffding import DecompositionReport, hajek_projection, hoeffding_term, matrix_product, residual_decomposition
 from .inference import ConfidenceBand, CoverageReport, build_ci, evaluate_coverage, normal_quantile
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "DegenerateGapError", "EigenSystem", "SeedSpec",

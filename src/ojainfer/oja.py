@@ -142,15 +142,7 @@ def _advance(U: np.ndarray, X: np.ndarray, ew, start: int) -> None:
         XT, Ut = X.swapaxes(-1, -2), U.transpose(0, 2, 1)
         parts = [(j, lo, lo + size) for j, size in enumerate(sizes) for lo in range(0, k, size)]
         norms = np.empty((len(parts), K, 1, 1))
-        # A part of one sample for one state takes the per-sample update on vectors.
-        u, rows, ewd = U[0, :, 0], X[0], np.diagonal(M, axis1=-2, axis2=-1)[0]
         for (j, lo, hi), nrm in zip(parts, norms):
-            if hi - lo == 1 and K == 1:
-                x = rows[j, lo]
-                u += (ewd[j, lo] * (x @ u)) * x
-                nrm[0, 0, 0] = s = math.sqrt(u @ u)
-                u /= s
-                continue
             c = np.matmul(M[:, j, lo:hi, lo:hi], np.matmul(X[:, j, lo:hi], U))
             U += np.matmul(XT[:, j, :, lo:hi], c)
             U /= np.sqrt(np.matmul(Ut, U), out=nrm)

@@ -42,20 +42,22 @@ class TestReadCsv:
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n3,4,5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ragged.csv"):
             read_csv(path)
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,x\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.csv"):
             read_csv(path)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(ValueError):
-            read_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no numeric rows"):
+                read_csv(path)
 
     @pytest.mark.parametrize("text", ["a,b\r\n1,2\r\n3,4\r\n", "1,2\n\n3,4\n\n", '1,"2"\n3,4\n'])
     def test_crlf_blank_lines_and_quoted_numbers_accepted(self, tmp_path, text):
@@ -63,7 +65,7 @@ class TestReadCsv:
         path.write_bytes(text.encode())
         np.testing.assert_array_equal(read_csv(path).samples, [[1.0, 2.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("text", ["", "\n\n", "alpha,beta\n", "alpha,beta\n\n"])
+    @pytest.mark.parametrize("text", ["\n\n", "alpha,beta\n", "alpha,beta\n\n"])
     def test_no_data_rejected_without_warning(self, tmp_path, text):
         path = tmp_path / "empty.csv"
         path.write_text(text)
@@ -72,8 +74,7 @@ class TestReadCsv:
             with pytest.raises(ValueError, match="no numeric rows"):
                 read_csv(path)
 
-    @pytest.mark.parametrize("text", ["1,2\n3,4,5\n", "1,2\n3,x\n", "a,b\n1,2\n3,\n",
-                                      "1,2\n#3,4\n", '1,2\n3,"x"\n'])
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,\n", "1,2\n#3,4\n", '1,2\n3,"x"\n'])
     def test_errors_name_the_path(self, tmp_path, text):
         path = tmp_path / "named.csv"
         path.write_text(text)
