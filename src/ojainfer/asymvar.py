@@ -33,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EigenSystem, SeedSpec
-from .hoeffding import hajek_projection
+from .hoeffding import order1_contraction
 
 DENOM_FLOOR = 1e-12
 POWER_ITERS = 50
 _CHUNK = 65536
+_BLOCK_ELEMS = 65536
 
 
 def _sigma_matrix(eigen: EigenSystem) -> np.ndarray:
@@ -129,25 +130,34 @@ class AsymptoticVariance:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _operator_norms(x_or_a: np.ndarray, sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Operator norm of A_i - Sigma for each draw, by batched power iteration."""
+def _operator_norms(x_or_a: np.ndarray, sigma: np.ndarray, eigen: EigenSystem,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Operator norm of A_i - Sigma for each draw, by batched power iteration.
+
+    Row draws iterate in Sigma's eigenbasis, where z Sigma is lam * z, on
+    (d, rows) blocks of about ``_BLOCK_ELEMS`` entries that stay in cache.
+    """
     if x_or_a.ndim == 3:
         vals = np.linalg.eigvalsh(x_or_a - sigma[None, :, :])
         return np.max(np.abs(vals), axis=1)
-    x = x_or_a
-    m, d = x.shape
+    m, d = x_or_a.shape
     z = rng.standard_normal((m, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    y = z
-    for _ in range(POWER_ITERS):
-        s = np.einsum("ij,ij->i", x, z)
-        y = x * s[:, None] - z @ sigma
-        nrm = np.linalg.norm(y, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        z = y / nrm
-    s = np.einsum("ij,ij->i", x, z)
-    y = x * s[:, None] - z @ sigma
-    return np.linalg.norm(y, axis=1)
+    q, lam = eigen.eigenvectors, eigen.eigenvalues[:, None]
+    step = max(1, _BLOCK_ELEMS // d)
+    out = np.empty(m)
+    for lo in range(0, m, step):
+        x = q.T @ x_or_a[lo:lo + step].T
+        zb = q.T @ z[lo:lo + step].T
+        zb /= np.sqrt(np.einsum("ij,ij->j", zb, zb))
+        y = np.empty_like(zb)
+        for _ in range(POWER_ITERS + 1):    # the last pass gives the norms
+            np.multiply(x, np.einsum("ij,ij->j", x, zb), out=y)
+            zb *= lam
+            y -= zb
+            nrm = np.sqrt(np.einsum("ij,ij->j", y, y))
+            np.divide(y, np.where(nrm == 0.0, 1.0, nrm), out=zb)
+        out[lo:lo + step] = nrm
+    return out
 
 
 def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec) -> MomentEstimates:
@@ -203,7 +213,7 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
         outer = w[:, :, None] * w[:, None, :]
         sum_w += outer.sum(axis=0)
         sum_w2 += (outer**2).sum(axis=0)
-        q = _operator_norms(draw, sigma, rng)
+        q = _operator_norms(draw, sigma, eigen, rng)
         sum_q2 += float((q**2).sum())
         sum_q4 += float((q**4).sum())
         done += m
@@ -301,20 +311,6 @@ class EmpiricalCovariance:
         }
 
 
-def _hajek_vector(x: np.ndarray, eigen: EigenSystem, eta: float, sigma_v1: np.ndarray) -> np.ndarray:
-    """Order-1 fluctuation vector for one trial of n sample rows (sign +1)."""
-    lam = eigen.eigenvalues
-    v1 = eigen.leading
-    vp = eigen.tail_basis
-    n = x.shape[0]
-    t = x @ v1
-    g = (x * t[:, None] - sigma_v1) @ vp
-    ratios = (1.0 + eta * lam[1:]) / (1.0 + eta * lam[0])
-    expo = np.arange(n - 1, -1, -1.0)
-    ysum = ((ratios[None, :] ** expo[:, None]) * g).sum(axis=0)
-    return (eta / (1.0 + eta * lam[0])) * (vp @ ysum)
-
-
 def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,
                                trials: int, seed: SeedSpec) -> EmpiricalCovariance:
     """Monte-Carlo covariance of the order-1 fluctuation term over fresh data.
@@ -327,17 +323,17 @@ def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,
     if trials < 1:
         raise ValueError(f"need trials >= 1 (got {trials})")
     d = eigen.d
-    sigma = _sigma_matrix(eigen)
-    sigma_v1 = sigma @ eigen.leading
+    v1 = eigen.leading
+    vp = eigen.tail_basis
+    sigma_v1 = _sigma_matrix(eigen) @ v1
+    contract = order1_contraction(eigen, eta, n)
     sum_m = np.zeros((d, d))
     sum_m2 = np.zeros((d, d))
     for t in range(trials):
         rng = seed.child(t).rng()
         draw = _draw(sampler, rng, n, d)
-        if draw.ndim == 2:
-            psi = _hajek_vector(draw, eigen, eta, sigma_v1)
-        else:
-            psi = hajek_projection(draw, sigma, eigen, eta, eigen.leading)
+        a_v1 = draw * (draw @ v1)[:, None] if draw.ndim == 2 else draw @ v1
+        psi = contract((a_v1 - sigma_v1) @ vp)
         outer = np.outer(psi, psi)
         sum_m += outer
         sum_m2 += outer**2

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -127,18 +128,25 @@ def hajek_projection(samples, sigma: np.ndarray, eigen: EigenSystem, eta: float,
     arr = _as_matrix_stack(samples, sigma.shape[0])
     n = arr.shape[0]
     u0 = _check_unit(u0, "u0")
-    lam = eigen.eigenvalues
     v1 = eigen.leading
     vp = eigen.tail_basis
     if n == 0:
         return np.zeros(sigma.shape[0])
     g = (arr @ v1 - sigma @ v1) @ vp            # rows: Vp^T (A_j - Sigma) v1
+    return _sign(float(v1 @ u0)) * order1_contraction(eigen, eta, n)(g)
+
+
+def order1_contraction(eigen: EigenSystem, eta: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Map rows g_j = Vp^T (A_j - Sigma) v1, j = 1..n, to the unsigned order-1 term.
+
+    The (n, d-1) table of the weights L^(n-j) of :func:`hajek_projection` is
+    built once, so every trial of length n shares it.
+    """
+    lam = eigen.eigenvalues
     ratios = (1.0 + eta * lam[1:]) / (1.0 + eta * lam[0])
-    expo = np.arange(n - 1, -1, -1.0)           # sample j=1 carries power n-1
-    weights = ratios[None, :] ** expo[:, None]
-    ysum = (weights * g).sum(axis=0)
-    scale = eta * _sign(float(v1 @ u0)) / (1.0 + eta * lam[0])
-    return scale * (vp @ ysum)
+    weights = ratios ** np.arange(n - 1, -1, -1.0)[:, None]   # sample j=1 carries power n-1
+    scale = eta / (1.0 + eta * lam[0])
+    return lambda g: scale * (eigen.tail_basis @ np.einsum("ik,ik->k", weights, g))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Per-coordinate confidence intervals, coverage evaluation, and limit checks.
 
-No statistics dependency: the normal quantile is obtained by bisecting the
-complementary error function, and the normality statistic is a plain
+The normal CDF and quantile come from the standard library's
+``statistics.NormalDist``, and the normality statistic is a plain
 Anderson-Darling computation on standardized values.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -23,26 +24,19 @@ AD_CRITICAL = {0.15: 0.576, 0.10: 0.656, 0.05: 0.787, 0.025: 0.918, 0.01: 1.035}
 
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    """Standard normal CDF."""
+    return NormalDist().cdf(z)
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, bisected to 1e-10.
+    """Inverse standard normal CDF.
 
     Example: ``normal_quantile(0.975)`` is 1.959964... for a two-sided 95%
     interval.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1) (got {p})")
-    lo, hi = -13.0, 13.0
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2.0
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)

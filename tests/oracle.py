@@ -4,7 +4,10 @@
 normalisation per sample, with no blocking; the tests compare
 ``ojainfer.oja.oja_kernel`` and every pass built on it against it.
 ``write_csv_cells`` is the per-cell CSV writer that ``ojainfer.io.write_csv``
-must match byte for byte.
+must match byte for byte. ``operator_norms_rows`` is the power iteration on
+(m, d) rows in the original basis, and ``hajek_vector`` the order-1 term of
+one trial with its weight table built in place; ``ojainfer.asymvar`` must
+match both.
 """
 
 import csv
@@ -35,3 +38,33 @@ def write_csv_cells(samples, path):
         writer = csv.writer(fh, lineterminator="\n")
         for row in samples:
             writer.writerow([_fmt(v) for v in row])
+
+
+def operator_norms_rows(x, sigma, rng, iters=50):
+    """Power-iterate each row's x x^T - Sigma from one normal start vector."""
+    m, d = x.shape
+    z = rng.standard_normal((m, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    for _ in range(iters):
+        s = np.einsum("ij,ij->i", x, z)
+        y = x * s[:, None] - z @ sigma
+        nrm = np.linalg.norm(y, axis=1, keepdims=True)
+        nrm[nrm == 0.0] = 1.0
+        z = y / nrm
+    s = np.einsum("ij,ij->i", x, z)
+    y = x * s[:, None] - z @ sigma
+    return np.linalg.norm(y, axis=1)
+
+
+def hajek_vector(x, eigen, eta, sigma_v1):
+    """Order-1 fluctuation vector for one trial of n sample rows (sign +1)."""
+    lam = eigen.eigenvalues
+    v1 = eigen.leading
+    vp = eigen.tail_basis
+    n = x.shape[0]
+    t = x @ v1
+    g = (x * t[:, None] - sigma_v1) @ vp
+    ratios = (1.0 + eta * lam[1:]) / (1.0 + eta * lam[0])
+    expo = np.arange(n - 1, -1, -1.0)
+    ysum = ((ratios[None, :] ** expo[:, None]) * g).sum(axis=0)
+    return (eta / (1.0 + eta * lam[0])) * (vp @ ysum)

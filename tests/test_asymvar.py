@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ojainfer import (
     DegenerateGapError,
@@ -13,8 +15,14 @@ from ojainfer import (
     hajek_projection,
     learning_rate,
 )
+from ojainfer import asymvar
+from ojainfer.asymvar import _BLOCK_ELEMS, _CHUNK, _operator_norms, _sigma_matrix
 from ojainfer.asymvar import ck_diagnostic, contraction_factors, with_rn
+from ojainfer.core import EigenSystem
+from ojainfer.hoeffding import order1_contraction
 from ojainfer.synth import vector_sampler
+
+from oracle import hajek_vector, operator_norms_rows
 
 
 def constant_matrix_sampler(sigma):
@@ -229,3 +237,89 @@ class TestCkDiagnostic:
     def test_positivity_guards(self):
         with pytest.raises(ValueError):
             ck_diagnostic(np.array([1.0]), eta=0.0, gap=1.0, m2=1.0)
+
+
+def random_eigen(rng, d, null=False):
+    """Eigensystem of a random PSD matrix, or of zero with a random basis."""
+    a = rng.standard_normal((d, d))
+    eigen = eigendecompose(a @ a.T / d)
+    if null:
+        return EigenSystem(np.zeros(d), eigen.eigenvectors)
+    return eigen
+
+
+ROW_COUNTS = ("one", "below", "equal", "blocks_and_part")
+
+
+class TestOperatorNormsAgainstOracle:
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 60), rows=st.sampled_from(ROW_COUNTS),
+           part=st.floats(0.0, 1.0), zero_row=st.booleans(), null=st.booleans())
+    @example(seed=1, d=2, rows="one", part=0.0, zero_row=True, null=True)
+    @example(seed=2, d=60, rows="blocks_and_part", part=0.5, zero_row=True, null=True)
+    @settings(max_examples=40)
+    def test_rows_match_oracle(self, seed, d, rows, part, zero_row, null):
+        # The block holds _BLOCK_ELEMS // d rows; m runs below, at and across
+        # it. A zero row against a zero Sigma makes a zero iterate, which the
+        # nrm == 0 guard must carry through as in the oracle.
+        step = _BLOCK_ELEMS // d
+        m = {"one": 1, "below": step - 1, "equal": step,
+             "blocks_and_part": 2 * step + 1 + int(part * (step - 2))}[rows]
+        rng = SeedSpec(seed).rng()
+        eigen = random_eigen(rng, d, null)
+        sigma = _sigma_matrix(eigen)
+        x = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0, size=d)
+        if zero_row:
+            x[rng.integers(m)] = 0.0
+        got = _operator_norms(x, sigma, eigen, SeedSpec(seed, (1,)).rng())
+        ref = operator_norms_rows(x, sigma, SeedSpec(seed, (1,)).rng())
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_zero_row_against_zero_sigma_is_zero(self):
+        eigen = random_eigen(SeedSpec(3).rng(), 4, null=True)
+        x = np.zeros((3, 4))
+        x[1] = [1.0, -2.0, 0.5, 3.0]
+        got = _operator_norms(x, np.zeros((4, 4)), eigen, SeedSpec(4).rng())
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(float(x[1] @ x[1]), rel=1e-12)
+
+    def test_stream_pinned_to_oracle(self, synth3, monkeypatch):
+        # Two chunks: the second chunk's draws follow the first chunk's power
+        # iteration start vectors, so any change in what the iteration takes
+        # from the stream would move mtilde, mc_stderr and vstat.
+        spec, sigma, eigen, root = synth3
+        mc = _CHUNK + 777
+        fast = estimate_mtilde(vector_sampler(spec, root), eigen, mc, SeedSpec(21))
+        monkeypatch.setattr(asymvar, "_operator_norms",
+                            lambda draw, sig, eig, rng: operator_norms_rows(draw, sig, rng))
+        ref = estimate_mtilde(vector_sampler(spec, root), eigen, mc, SeedSpec(21))
+        np.testing.assert_array_equal(fast.mtilde, ref.mtilde)
+        np.testing.assert_array_equal(fast.mc_stderr, ref.mc_stderr)
+        assert fast.vstat == ref.vstat
+        assert fast.m2 == pytest.approx(ref.m2, rel=1e-12)
+        assert fast.m4 == pytest.approx(ref.m4, rel=1e-12)
+
+
+class TestOrderOneAgainstOracle:
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 60), n=st.integers(1, 300),
+           eta=st.floats(1e-4, 0.2))
+    @settings(max_examples=40)
+    def test_contraction_matches_oracle(self, seed, d, n, eta):
+        rng = SeedSpec(seed).rng()
+        eigen = random_eigen(rng, d)
+        v1, vp = eigen.leading, eigen.tail_basis
+        sigma_v1 = _sigma_matrix(eigen) @ v1
+        x = rng.standard_normal((n, d))
+        got = order1_contraction(eigen, eta, n)((x * (x @ v1)[:, None] - sigma_v1) @ vp)
+        ref = hajek_vector(x, eigen, eta, sigma_v1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_covariance_matches_per_trial_oracle(self, synth5):
+        spec, sigma, eigen, root = synth5
+        n, eta, trials = 200, 0.003, 30
+        sampler = vector_sampler(spec, root)
+        emp = empirical_hajek_covariance(sampler, eigen, n, eta, trials, SeedSpec(17))
+        sigma_v1 = _sigma_matrix(eigen) @ eigen.leading
+        psis = [hajek_vector(sampler(SeedSpec(17).child(t).rng(), n), eigen, eta, sigma_v1)
+                for t in range(trials)]
+        ref = np.mean([np.outer(p, p) for p in psis], axis=0)
+        assert np.max(np.abs(emp.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
