@@ -210,9 +210,9 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
             diff = draw - sigma[None, :, :]
             w = (diff @ v1) @ vp
             sum_asq += np.einsum("nij,njk->ik", diff, diff)
-        outer = w[:, :, None] * w[:, None, :]
-        sum_w += outer.sum(axis=0)
-        sum_w2 += (outer**2).sum(axis=0)
+        w2 = w * w
+        sum_w += w.T @ w                              # sum of w w^T, O(d^2) memory
+        sum_w2 += w2.T @ w2                           # sum of (w w^T)**2, entrywise
         q = _operator_norms(draw, sigma, eigen, rng)
         sum_q2 += float((q**2).sum())
         sum_q4 += float((q**4).sum())

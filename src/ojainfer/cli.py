@@ -195,12 +195,19 @@ def _compute_vtilde(args, data, gap, seed: SeedSpec):
     return oja_run(data, eta_n, u0).estimate, eta_n
 
 
+def _preset_m1(args) -> int | None:
+    """--m1, else the paper preset's group count when that preset is chosen."""
+    if args.preset == "paper-experiments" and args.m1 is None:
+        return VarEstConfig.paper_experiments().m1
+    return args.m1
+
+
 def _cmd_varest(args, seed: SeedSpec) -> dict:
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
-    m1 = 3 if args.preset == "paper-experiments" and args.m1 is None else args.m1
+    m1 = _preset_m1(args)
     vtilde, eta_n = _compute_vtilde(args, data, gap, seed)
-    cfg = VarEstConfig(delta=args.delta, m1=m1, m2=args.m2, alpha=args.alpha, seed=seed.child(2))
+    cfg = VarEstConfig(m1=m1, m2=args.m2, alpha=args.alpha, seed=seed.child(2))
     result = ojavarest(data, args.delta, vtilde, gap, cfg)
     if args.format == "csv":
         rows = result.csv_rows()
@@ -209,8 +216,7 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
         payload = result.to_dict()
         if args.level is not None:
             band = build_ci(vtilde, result.batch_scale_sigma2(), args.level,
-                            scale_mode=args.ci_scale, eta_b=result.eta_b,
-                            eta_n=eta_n, gap=gap)
+                            scale_mode=args.ci_scale, eta_b=result.eta_b, eta_n=eta_n)
             payload["ci"] = {
                 "level": args.level,
                 "scale_mode": args.ci_scale,
@@ -245,8 +251,7 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     tracked = tuple(int(c) for c in args.tracked.split(","))
-    m1 = 3 if args.preset == "paper-experiments" and args.m1 is None else args.m1
-    vcfg = VarEstConfig(delta=args.delta, m1=m1, m2=args.m2)
+    vcfg = VarEstConfig(m1=_preset_m1(args), m2=args.m2)
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=methods,
         level=args.level, delta=args.delta, seed=seed, varest_config=vcfg,

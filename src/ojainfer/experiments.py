@@ -8,18 +8,16 @@ around compute only and never feed back into results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
-from .core import Dataset, EigenSystem, SeedSpec, sin2
-from .inference import ConfidenceBand, CoverageReport, build_ci, evaluate_coverage
-from .io import ExperimentRecord
+from .core import Dataset, EigenSystem, SeedSpec, psd_sqrt, sin2
+from .inference import ConfidenceBand, CoverageReport, band_hits, build_ci
 from .oja import gaussian_unit, learning_rate, oja_kernel, oja_run
 from .synth import SynthSpec, build_sigma, sample
 from .varest import VarEstConfig, ojavarest
-from .core import psd_sqrt
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -29,13 +27,78 @@ def parse_method(spec: str) -> tuple[str, int | None]:
     if spec == "ojavarest":
         return "ojavarest", None
     if spec.startswith("bootstrap:"):
-        b = int(spec.split(":", 1)[1])
+        try:
+            b = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"method {spec!r}: the replica count is not an integer") from None
         if b < 1:
-            raise ValueError(f"bootstrap replica count must be >= 1 (got {b})")
+            raise ValueError(f"method {spec!r}: bootstrap replica count must be >= 1 (got {b})")
         return "bootstrap", b
     if spec == "bootstrap":
         return "bootstrap", 20
     raise ValueError(f"unknown method {spec!r}; expected 'ojavarest' or 'bootstrap:<b>'")
+
+
+def _method_band(method: str, data: Dataset, vtilde: np.ndarray, gap: float, eta_n: float,
+                 delta: float, vcfg: VarEstConfig, stream: SeedSpec, level: float,
+                 ci_scale: str) -> ConfidenceBand:
+    """One method's interval around ``vtilde``, its randomness keyed by ``stream``.
+
+    ``ci_scale`` sizes the ojavarest interval; a bootstrap interval uses the
+    replica spread as-is.
+    """
+    name, b = parse_method(method)
+    if name == "ojavarest":
+        result = ojavarest(data, delta, vtilde, gap, replace(vcfg, seed=stream.child(2)))
+        return build_ci(vtilde, result.batch_scale_sigma2(), level, scale_mode=ci_scale,
+                        eta_b=result.eta_b, eta_n=eta_n)
+    bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=stream.child(3, b))
+    replicas = bootstrap_run(data, bcfg, gaussian_unit(stream.child(4).rng(), data.d))
+    return build_ci(vtilde, bootstrap_variance(replicas, vtilde), level, scale_mode="batch")
+
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    """One trial of one method in a coverage or timing experiment.
+
+    ``hits`` follows ``tracked``: hits[i] is 1 when the interval for
+    coordinate tracked[i] (1-based) contained the truth.
+    """
+
+    trial: int
+    method: str
+    n: int
+    d: int
+    beta: float
+    b: int | None
+    tracked: tuple[int, ...]
+    hits: tuple[int, ...]
+    sin2_error: float
+    vtilde_ms: float
+    estimate_ms: float
+
+    def __post_init__(self) -> None:
+        parse_method(self.method)
+        if self.vtilde_ms < 0.0 or self.estimate_ms < 0.0:
+            raise ValueError("wall-clock fields must be nonnegative")
+        if len(self.hits) != len(self.tracked):
+            raise ValueError("hits must align with tracked coordinates")
+
+    def to_row(self) -> dict:
+        row = {
+            "trial": self.trial,
+            "method": self.method,
+            "n": self.n,
+            "d": self.d,
+            "beta": self.beta,
+            "b": self.b,
+        }
+        for coord, hit in zip(self.tracked, self.hits):
+            row[f"hit_c{coord}"] = int(hit)
+        row["sin2_error"] = self.sin2_error
+        row["vtilde_ms"] = self.vtilde_ms
+        row["estimate_ms"] = self.estimate_ms
+        return row
 
 
 @dataclass(frozen=True)
@@ -87,16 +150,20 @@ def run_coverage_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    for m in methods:
-        parse_method(m)
+    replica_counts = {m: parse_method(m)[1] for m in methods}
+    if len(replica_counts) < len(methods):
+        raise ValueError(f"methods repeat: {list(methods)}")
+    tracked = tuple(tracked)
+    for c in tracked:
+        if not 1 <= c <= d:
+            raise ValueError(f"tracked coordinate {c} is outside 1..{d}")
     spec = SynthSpec(d=d, beta=beta, seed=seed)
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
     vcfg = varest_config if varest_config is not None else VarEstConfig.paper_experiments()
-    tracked = tuple(tracked)
     gap = eigen.require_gap()
     eta_n = learning_rate(n, gap, vcfg.alpha)
-    bands: dict[str, list[ConfidenceBand]] = {m: [] for m in methods}
+    hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
     records: list[ExperimentRecord] = []
     for trial in range(trials):
         st = seed.child(trial)
@@ -107,32 +174,16 @@ def run_coverage_experiment(
         vtilde_ms = (time.perf_counter() - t0) * 1e3
         accuracy = sin2(vtilde, eigen.leading)
         for method_spec in methods:
-            name, b = parse_method(method_spec)
             t1 = time.perf_counter()
-            if name == "ojavarest":
-                cfg = VarEstConfig(delta=vcfg.delta, m1=vcfg.m1, m2=vcfg.m2,
-                                   alpha=vcfg.alpha, seed=st.child(2))
-                result = ojavarest(data, delta, vtilde, gap, cfg)
-                band = build_ci(vtilde, result.batch_scale_sigma2(), level,
-                                scale_mode=ci_scale, eta_b=result.eta_b, eta_n=eta_n,
-                                gap=gap, sigma_source="ojavarest")
-            else:
-                bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=st.child(3, b))
-                u0_boot = gaussian_unit(st.child(4).rng(), spec.d)
-                replicas = bootstrap_run(data, bcfg, u0_boot)
-                sigma2 = bootstrap_variance(replicas, vtilde)
-                band = build_ci(vtilde, sigma2, level, scale_mode="batch",
-                                sigma_source="bootstrap")
+            band = _method_band(method_spec, data, vtilde, gap, eta_n, delta, vcfg, st,
+                                level, ci_scale)
             estimate_ms = (time.perf_counter() - t1) * 1e3
-            bands[method_spec].append(band)
-            aligned = band.center if float(band.center @ eigen.leading) >= 0 else -band.center
-            hits = tuple(
-                int(abs(eigen.leading[c - 1] - aligned[c - 1]) <= band.half_width[c - 1])
-                for c in tracked
-            )
+            trial_hits = band_hits(band, eigen.leading)
+            hits[method_spec] += trial_hits
             records.append(ExperimentRecord(
-                trial=trial, method=method_spec, n=n, d=spec.d, beta=spec.beta, b=b,
-                tracked=tracked, hits=hits, sin2_error=accuracy,
+                trial=trial, method=method_spec, n=n, d=spec.d, beta=spec.beta,
+                b=replica_counts[method_spec], tracked=tracked,
+                hits=tuple(int(trial_hits[c - 1]) for c in tracked), sin2_error=accuracy,
                 vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
             ))
     config = {
@@ -141,7 +192,7 @@ def run_coverage_experiment(
         "m1": vcfg.m1, "m2": vcfg.m2, "alpha": vcfg.alpha,
         "seed": seed.master, "tracked": list(tracked),
     }
-    reports = {m: evaluate_coverage(bands[m], eigen.leading, config={**config, "method": m})
+    reports = {m: CoverageReport(trials=trials, hits=hits[m], config={**config, "method": m})
                for m in methods}
     return CoverageOutcome(reports=reports, records=records,
                            truth=eigen.leading.copy(), config=config)
@@ -193,22 +244,12 @@ def run_bench(
 
     records: list[BenchRecord] = []
     for idx, method_spec in enumerate(methods):
-        name, b = parse_method(method_spec)
         st = seed.child(10 + idx)
         t0 = time.perf_counter()
         u0 = gaussian_unit(st.child(1).rng(), spec.d)
         vtilde = oja_run(data, eta_n, u0).estimate
         t1 = time.perf_counter()
-        if name == "ojavarest":
-            cfg = VarEstConfig(delta=vcfg.delta, m1=vcfg.m1, m2=vcfg.m2,
-                               alpha=vcfg.alpha, seed=st.child(2))
-            result = ojavarest(data, delta, vtilde, gap, cfg)
-            del result
-        else:
-            bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=st.child(3))
-            u0_boot = gaussian_unit(st.child(4).rng(), d)
-            replicas = bootstrap_run(data, bcfg, u0_boot)
-            bootstrap_variance(replicas, vtilde)
+        _method_band(method_spec, data, vtilde, gap, eta_n, delta, vcfg, st, 0.95, "full")
         t2 = time.perf_counter()
         records.append(BenchRecord(
             method=method_spec, n=n, d=d,

@@ -16,8 +16,6 @@ import numpy as np
 
 from .core import sign_align, _check_unit
 
-SIGMA_SOURCES = ("ojavarest", "bootstrap")
-
 # Anderson-Darling critical values for normality with estimated mean and
 # variance (statistic modified by (1 + 0.75/n + 2.25/n^2)).
 AD_CRITICAL = {0.15: 0.576, 0.10: 0.656, 0.05: 0.787, 0.025: 0.918, 0.01: 1.035}
@@ -46,8 +44,6 @@ class ConfidenceBand:
     center: np.ndarray
     half_width: np.ndarray
     level: float
-    scale_mode: str = "batch"
-    sigma_source: str = "ojavarest"
 
     def __post_init__(self) -> None:
         center = _check_unit(self.center, "center")
@@ -58,8 +54,6 @@ class ConfidenceBand:
             raise ValueError("half widths must be nonnegative")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1) (got {self.level})")
-        if self.sigma_source not in SIGMA_SOURCES:
-            raise ValueError(f"sigma_source must be one of {SIGMA_SOURCES}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_width", hw)
 
@@ -72,8 +66,7 @@ class ConfidenceBand:
 
 def build_ci(vtilde: np.ndarray, sigma2: np.ndarray, level: float,
              scale_mode: str = "batch", eta_b: float | None = None,
-             eta_n: float | None = None, gap: float | None = None,
-             sigma_source: str = "ojavarest") -> ConfidenceBand:
+             eta_n: float | None = None) -> ConfidenceBand:
     """Per-coordinate interval vtilde_k +/- z * sqrt(s_k).
 
     ``sigma2`` is the batch-scale variance estimate. With
@@ -93,11 +86,8 @@ def build_ci(vtilde: np.ndarray, sigma2: np.ndarray, level: float,
         scaled = sigma2 * (eta_n / eta_b)
     else:
         raise ValueError(f"unknown scale mode {scale_mode!r}")
-    if gap is not None and gap <= 0.0:
-        raise ValueError(f"gap must be positive when supplied (got {gap})")
     z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    return ConfidenceBand(center=vtilde, half_width=z * np.sqrt(scaled),
-                          level=level, scale_mode=scale_mode, sigma_source=sigma_source)
+    return ConfidenceBand(center=vtilde, half_width=z * np.sqrt(scaled), level=level)
 
 
 @dataclass(frozen=True)
@@ -130,22 +120,25 @@ class CoverageReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def evaluate_coverage(bands: list[ConfidenceBand], truth: np.ndarray,
-                      config: dict | None = None) -> CoverageReport:
-    """Count, per coordinate, how often each band contains the truth.
+def band_hits(band: ConfidenceBand, truth: np.ndarray) -> np.ndarray:
+    """(d,) ints: 1 where the band's interval contains the truth coordinate.
 
-    Every band's center is sign-aligned to the truth before testing, since
-    the estimators only identify the leading direction up to sign.
+    The band's center is sign-aligned to the truth before testing, since the
+    estimators only identify the leading direction up to sign.
     """
     truth = _check_unit(truth, "truth")
+    if band.center.shape != truth.shape:
+        raise ValueError("band dimension does not match the truth vector")
+    center = sign_align(truth, band.center)
+    return (np.abs(truth - center) <= band.half_width).astype(np.int64)
+
+
+def evaluate_coverage(bands: list[ConfidenceBand], truth: np.ndarray,
+                      config: dict | None = None) -> CoverageReport:
+    """Count, per coordinate, how often the bands contain the truth (sum of :func:`band_hits`)."""
     if not bands:
         raise ValueError("need at least one confidence band")
-    hits = np.zeros(truth.shape[0], dtype=np.int64)
-    for band in bands:
-        if band.center.shape != truth.shape:
-            raise ValueError("band dimension does not match the truth vector")
-        center = sign_align(truth, band.center)
-        hits += (np.abs(truth - center) <= band.half_width).astype(np.int64)
+    hits = sum(band_hits(band, truth) for band in bands)
     return CoverageReport(trials=len(bands), hits=hits, config=config)
 
 

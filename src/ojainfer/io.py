@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -179,49 +179,3 @@ class RunManifest:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         target.write_text(json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8")
         return target
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One trial of one method in a coverage or timing experiment.
-
-    ``hits`` follows ``tracked``: hits[i] is 1 when the interval for
-    coordinate tracked[i] (1-based) contained the truth.
-    """
-
-    trial: int
-    method: str
-    n: int
-    d: int
-    beta: float
-    b: int | None
-    tracked: tuple[int, ...]
-    hits: tuple[int, ...]
-    sin2_error: float
-    vtilde_ms: float
-    estimate_ms: float
-
-    def __post_init__(self) -> None:
-        base = self.method.split(":")[0]
-        if base not in ("ojavarest", "bootstrap"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.vtilde_ms < 0.0 or self.estimate_ms < 0.0:
-            raise ValueError("wall-clock fields must be nonnegative")
-        if len(self.hits) != len(self.tracked):
-            raise ValueError("hits must align with tracked coordinates")
-
-    def to_row(self) -> dict:
-        row = {
-            "trial": self.trial,
-            "method": self.method,
-            "n": self.n,
-            "d": self.d,
-            "beta": self.beta,
-            "b": self.b,
-        }
-        for coord, hit in zip(self.tracked, self.hits):
-            row[f"hit_c{coord}"] = int(hit)
-        row["sin2_error"] = self.sin2_error
-        row["vtilde_ms"] = self.vtilde_ms
-        row["estimate_ms"] = self.estimate_ms
-        return row

@@ -27,14 +27,13 @@ class OjaConfig:
     """Knobs for a streaming run.
 
     ``gap`` is the separation lambda_1 - lambda_2 driving the learning rate;
-    pass None to have it estimated from a prefix of the data. ``init`` is an
-    explicit unit starting vector; None draws a random one from ``seed``.
+    pass None to have it estimated from a prefix of the data. Starting
+    vectors are drawn from ``seed``.
     """
 
     alpha: float = 2.0
     gap: float | None = None
     seed: SeedSpec = SeedSpec(0)
-    init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.alpha <= 1.0:
@@ -222,12 +221,6 @@ def _resolve_gap(data: Dataset, config: OjaConfig) -> float:
     return config.gap if config.gap is not None else estimate_gap(data)
 
 
-def _initial_vector(config: OjaConfig, d: int, seed: SeedSpec) -> np.ndarray:
-    if config.init is not None:
-        return _check_unit(config.init, "init")
-    return gaussian_unit(seed.rng(), d)
-
-
 def oja_boosted(data: Dataset, delta: float, config: OjaConfig) -> OjaResult:
     """High-probability variant: batch the stream and pick a central candidate.
 
@@ -249,7 +242,7 @@ def oja_boosted(data: Dataset, delta: float, config: OjaConfig) -> OjaResult:
         )
     gap = _resolve_gap(data, config)
     eta = learning_rate(batch, gap, config.alpha)
-    starts = np.array([_initial_vector(config, data.d, config.seed.child(j)) for j in range(q)])
+    starts = np.array([gaussian_unit(config.seed.child(j).rng(), data.d) for j in range(q)])
     finals, _ = oja_kernel(data.samples[: q * batch].reshape(q, batch, data.d), eta, starts)
     best = 0 if q == 1 else int(np.argmin([np.median([sin2(u, v) for v in np.delete(finals, i, axis=0)])
                                            for i, u in enumerate(finals)]))

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Dataset, EigenSystem, SeedSpec, eigendecompose, psd_sqrt
+from .core import Dataset, EigenSystem, SeedSpec, eigendecompose
 
 HALF_WIDTH = math.sqrt(3.0)
 
@@ -106,12 +106,6 @@ def sample(spec: SynthSpec, sigma_root: np.ndarray, n: int, rng: np.random.Gener
     """Materialize n i.i.d. samples X = Sigma^{1/2} Z as a Dataset."""
     blocks = list(sample_stream(spec, sigma_root, n, rng))
     return Dataset(np.vstack(blocks), provenance="synthetic")
-
-
-def default_instance(spec: SynthSpec) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
-    """Convenience bundle: (sigma, eigen, sigma_root) for a spec."""
-    sigma, eigen = build_sigma(spec)
-    return sigma, eigen, psd_sqrt(sigma)
 
 
 def vector_sampler(spec: SynthSpec, sigma_root: np.ndarray):

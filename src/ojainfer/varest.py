@@ -32,20 +32,17 @@ class VarEstConfig:
     """Schedule and randomness for one estimator run.
 
     ``m1``/``m2`` override the default schedule (None means use the formula:
-    m1 = ceil(8 ln(d/delta)), m2 = max(2, ceil(ln n))).
+    m1 = ceil(8 ln(d/delta)), m2 = max(2, ceil(ln n)), with the delta given
+    to :func:`ojavarest`).
     """
 
-    delta: float = 0.05
     m1: int | None = None
     m2: int | None = None
-    gap: float | None = None
     alpha: float = 2.0
     seed: SeedSpec = SeedSpec(0)
     init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1) (got {self.delta})")
         for name in ("m1", "m2"):
             val = getattr(self, name)
             if val is not None and val < 1:
@@ -54,10 +51,9 @@ class VarEstConfig:
             object.__setattr__(self, "init", _check_unit(self.init, "init"))
 
     @classmethod
-    def paper_experiments(cls, seed: SeedSpec = SeedSpec(0), delta: float = 0.05,
-                          alpha: float = 2.0) -> "VarEstConfig":
+    def paper_experiments(cls, seed: SeedSpec = SeedSpec(0), alpha: float = 2.0) -> "VarEstConfig":
         """Preset with m1 = 3 groups, as used in the reference experiments."""
-        return cls(delta=delta, m1=3, m2=None, alpha=alpha, seed=seed)
+        return cls(m1=3, alpha=alpha, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
     """
     if gap <= 0.0:
         raise ValueError(f"gap must be positive (got {gap})")
-    cfg = config if config is not None else VarEstConfig(delta=delta)
+    cfg = config if config is not None else VarEstConfig()
     vt = _check_unit(vtilde, "vtilde")
     m1, m2, batch = plan_schedule(data.n, data.d, delta, cfg.m1, cfg.m2)
     eta_b = learning_rate(batch, gap, cfg.alpha)

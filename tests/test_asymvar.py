@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +92,42 @@ class TestEstimateMtilde:
             MomentEstimates(m2=1.0, m4=2.0, vstat=1.0,
                             mtilde=np.array([[1.0, 0.5], [0.2, 1.0]]),
                             mc_samples=100, mc_stderr=np.zeros((2, 2)))
+
+
+class TestMtildeSums:
+    def test_matches_per_draw_outer_products(self, synth5):
+        spec, sigma, eigen, root = synth5
+        sampler, draws = vector_sampler(spec, root), []
+
+        def keep(rng, m):
+            draws.append(sampler(rng, m))
+            return draws[-1]
+
+        mc = 3000
+        mom = estimate_mtilde(keep, eigen, mc, SeedSpec(23))
+        v1, vp = eigen.leading, eigen.tail_basis
+        sigma_v1 = _sigma_matrix(eigen) @ v1
+        s1, s2 = 0.0, 0.0
+        for x in np.vstack(draws):
+            w = vp.T @ (x * (x @ v1) - sigma_v1)
+            outer = np.outer(w, w)
+            s1, s2 = s1 + outer, s2 + outer**2
+        mt = (s1 / mc + (s1 / mc).T) / 2.0
+        se = np.sqrt(np.maximum(s2 / mc - (s1 / mc) ** 2, 0.0) / mc)
+        assert np.max(np.abs(mom.mtilde - mt)) <= 1e-12 * np.max(np.abs(mt))
+        assert np.max(np.abs(mom.mc_stderr - se)) <= 1e-12 * np.max(np.abs(se))
+        np.testing.assert_array_equal(mom.mtilde, mom.mtilde.T)
+
+    def test_memory_stays_quadratic_in_d(self, synth50):
+        # Per-draw (d-1, d-1) products would take 4096 * 49 * 49 * 8 B = 79 MB each.
+        spec, sigma, eigen, root = synth50
+        tracemalloc.start()
+        try:
+            estimate_mtilde(vector_sampler(spec, root), eigen, 4096, SeedSpec(24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 def make_moments(mtilde):

@@ -145,6 +145,21 @@ class TestCoverageCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("coord", ["0", "7"])
+    def test_tracked_outside_range_is_validation_error(self, tmp_path, capsys, coord):
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "1",
+                    "--methods", "ojavarest", "--tracked", f"1,{coord}", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert f"tracked coordinate {coord} is outside 1..6" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_bad_method_is_validation_error(self, tmp_path, capsys):
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "1",
+                    "--methods", "bootstrap:x", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "'bootstrap:x'" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_timing_rows(self, tmp_path):
         out = tmp_path / "timing.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ojainfer import (
     Dataset,
@@ -38,6 +40,19 @@ class TestSeedSpec:
     def test_bad_master(self):
         with pytest.raises(ValueError):
             SeedSpec(-1)
+
+    @given(master=st.integers(0, 2**64 - 1), stream=st.lists(st.integers(0, 2**32), max_size=3))
+    def test_equal_keys_equal_streams(self, master, stream):
+        a = SeedSpec(master, tuple(stream)).rng().random(4)
+        b = SeedSpec(master).child(*stream).rng().random(4)
+        np.testing.assert_array_equal(a, b)
+
+    @given(master=st.integers(0, 2**64 - 1), stream=st.lists(st.integers(0, 2**32), max_size=3),
+           labels=st.lists(st.integers(0, 2**32), min_size=2, max_size=2, unique=True))
+    def test_distinct_children_differ(self, master, stream, labels):
+        parent = SeedSpec(master, tuple(stream))
+        a, b = (parent.child(label).rng().random(4) for label in labels)
+        assert not np.array_equal(a, b)
 
 
 class TestDataset:

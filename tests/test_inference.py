@@ -7,6 +7,7 @@ from ojainfer import ConfidenceBand, SeedSpec, build_ci, evaluate_coverage, norm
 from ojainfer.inference import (
     AD_CRITICAL,
     anderson_darling,
+    band_hits,
     check_clt,
     check_entrywise_bound,
     normal_cdf,
@@ -108,6 +109,20 @@ class TestEvaluateCoverage:
         a = evaluate_coverage(bands, truth)
         b = evaluate_coverage(wider, truth)
         assert np.all(b.rates >= a.rates)
+
+    def test_report_sums_band_hits(self):
+        rng = SeedSpec(180).rng()
+        truth = random_unit(rng, 6)
+        bands = [ConfidenceBand(random_unit(rng, 6), rng.uniform(0.0, 0.6, 6), 0.95)
+                 for _ in range(30)]
+        report = evaluate_coverage(bands, truth)
+        per_band = [band_hits(band, truth) for band in bands]
+        assert all(h.shape == (6,) and set(h.tolist()) <= {0, 1} for h in per_band)
+        np.testing.assert_array_equal(report.hits, np.sum(per_band, axis=0))
+
+    def test_band_hits_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            band_hits(ConfidenceBand(np.array([1.0, 0.0]), np.zeros(2), 0.95), np.array([1.0, 0.0, 0.0]))
 
     def test_report_serializes(self):
         truth = np.array([1.0, 0.0])

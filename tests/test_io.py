@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ojainfer import Dataset, SeedSpec
+from ojainfer.experiments import ExperimentRecord
 from ojainfer.io import (
-    ExperimentRecord,
     RunManifest,
     content_hash_config,
     content_hash_file,

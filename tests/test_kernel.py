@@ -147,7 +147,7 @@ class TestCallersMatchOracle:
     def test_varest_batch_runs(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 700, rng=SeedSpec(153).rng())
-        cfg = VarEstConfig(delta=0.1, m1=3, m2=4, seed=SeedSpec(154))
+        cfg = VarEstConfig(m1=3, m2=4, seed=SeedSpec(154))
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg, keep_batch_estimates=True)
         batch = result.batch_size
         for i, est in enumerate(result.batch_estimates):

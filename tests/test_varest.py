@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ojainfer import (
     Dataset,
@@ -41,6 +43,20 @@ class TestPlanSchedule:
         with pytest.raises(ValueError):
             plan_schedule(100, 5, 1.5)
 
+    @given(n=st.integers(4, 10**6), d=st.integers(1, 5000),
+           delta=st.floats(1e-6, 1.0, exclude_max=True),
+           m1=st.none() | st.integers(1, 200), m2=st.none() | st.integers(1, 200))
+    def test_invariants_or_refusal(self, n, d, delta, m1, m2):
+        want_m1 = m1 if m1 is not None else math.ceil(8.0 * math.log(d / delta))
+        want_m2 = m2 if m2 is not None else max(2, math.ceil(math.log(n)))
+        if n // (want_m1 * want_m2) < 2:
+            with pytest.raises(ValueError, match="insufficient data"):
+                plan_schedule(n, d, delta, m1, m2)
+            return
+        got_m1, got_m2, batch = plan_schedule(n, d, delta, m1, m2)
+        assert (got_m1, got_m2) == (want_m1, want_m2)
+        assert got_m1 * got_m2 * batch <= n and batch >= 2
+
 
 class TestBatchVariance:
     def test_zero_spread(self):
@@ -65,6 +81,16 @@ class TestBatchVariance:
         flipped = vecs.copy()
         flipped[2] = -flipped[2]
         np.testing.assert_array_equal(batch_variance(flipped, vt), base)
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), rows=st.integers(1, 12),
+           flips=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_any_sign_flips_bit_identical(self, seed, d, rows, flips):
+        rng = SeedSpec(seed).rng()
+        vt = random_unit(rng, d)
+        vecs = np.array([random_unit(rng, d) for _ in range(rows)])
+        signs = np.where(flips[:rows], -1.0, 1.0)
+        np.testing.assert_array_equal(batch_variance(vecs * signs[:, None], vt),
+                                      batch_variance(vecs, vt))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -94,7 +120,7 @@ class TestOjaVarEst:
     def test_degenerate_data_gives_zero(self):
         e1 = np.array([1.0, 0.0])
         data = Dataset(np.tile(e1, (64, 1)))
-        cfg = VarEstConfig(delta=0.25, m1=2, m2=2, seed=SeedSpec(103), init=e1)
+        cfg = VarEstConfig(m1=2, m2=2, seed=SeedSpec(103), init=e1)
         result = ojavarest(data, 0.25, e1, 1.0, cfg)
         np.testing.assert_array_equal(result.gamma, np.zeros(2))
         np.testing.assert_array_equal(result.batch_sigma2, np.zeros((2, 2)))
@@ -103,7 +129,7 @@ class TestOjaVarEst:
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 200, rng=SeedSpec(104).rng())
         gap = eigen.gap
-        cfg = VarEstConfig(delta=0.1, m1=1, m2=1, seed=SeedSpec(105))
+        cfg = VarEstConfig(m1=1, m2=1, seed=SeedSpec(105))
         vt = eigen.leading
         result = ojavarest(data, 0.1, vt, gap, cfg)
         eta = learning_rate(200, gap, cfg.alpha)
@@ -115,7 +141,7 @@ class TestOjaVarEst:
     def test_scale_identity_and_nonnegativity(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 600, rng=SeedSpec(106).rng())
-        cfg = VarEstConfig(delta=0.1, m1=3, m2=2, seed=SeedSpec(107))
+        cfg = VarEstConfig(m1=3, m2=2, seed=SeedSpec(107))
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
         assert np.all(result.gamma >= 0.0)
         recomputed = np.median(result.batch_sigma2, axis=0) / (result.eta_b * eigen.gap)
@@ -126,7 +152,7 @@ class TestOjaVarEst:
     def test_determinism(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 600, rng=SeedSpec(108).rng())
-        cfg = VarEstConfig(delta=0.1, m1=2, m2=3, seed=SeedSpec(109))
+        cfg = VarEstConfig(m1=2, m2=3, seed=SeedSpec(109))
         a = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
         b = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
         np.testing.assert_array_equal(a.gamma, b.gamma)
@@ -135,7 +161,7 @@ class TestOjaVarEst:
     def test_remainder_recorded(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 205, rng=SeedSpec(110).rng())
-        cfg = VarEstConfig(delta=0.1, m1=2, m2=2, seed=SeedSpec(111))
+        cfg = VarEstConfig(m1=2, m2=2, seed=SeedSpec(111))
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
         assert result.batch_size == 51
         assert result.samples_unused == 205 - 4 * 51
@@ -163,7 +189,7 @@ class TestOjaVarEst:
                 data = sample(spec, root, n, rng=st.child(0).rng())
                 u0 = gaussian_unit(st.child(1).rng(), 50)
                 vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
-                cfg = VarEstConfig(delta=0.05, seed=st.child(2))
+                cfg = VarEstConfig(seed=st.child(2))
                 res = ojavarest(data, 0.05, vt, gap, cfg)
                 errs.append(np.max(np.abs(res.gamma[top] - vkk[top]) / vkk[top]))
             return np.median(errs)
@@ -173,7 +199,7 @@ class TestOjaVarEst:
     def test_csv_rows_shape(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 300, rng=SeedSpec(113).rng())
-        cfg = VarEstConfig(delta=0.1, m1=2, m2=2, seed=SeedSpec(114))
+        cfg = VarEstConfig(m1=2, m2=2, seed=SeedSpec(114))
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
         rows = result.csv_rows()
         assert len(rows) == 3
