@@ -13,6 +13,8 @@ from .core import (
     Dataset,
     DegenerateGapError,
     EigenSystem,
+    RegimeError,
+    SeedLabel,
     SeedSpec,
     eigendecompose,
     psd_sqrt,
@@ -20,7 +22,7 @@ from .core import (
     sign_align,
     sin2,
 )
-from .oja import OjaConfig, OjaResult, learning_rate, oja_boosted, oja_run
+from .oja import OjaResult, learning_rate, oja_boosted, oja_run
 from .varest import VarEstConfig, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
 from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
 from .synth import SynthSpec, build_sigma, mask_missing, sample
@@ -36,9 +38,9 @@ from .hoeffding import DecompositionReport, hajek_projection, hoeffding_term, ma
 from .inference import ConfidenceBand, CoverageReport, build_ci, evaluate_coverage, normal_quantile
 
 __all__ = [
-    "Dataset", "DegenerateGapError", "EigenSystem", "SeedSpec",
+    "Dataset", "DegenerateGapError", "EigenSystem", "RegimeError", "SeedLabel", "SeedSpec",
     "eigendecompose", "psd_sqrt", "sample_covariance", "sign_align", "sin2",
-    "OjaConfig", "OjaResult", "learning_rate", "oja_boosted", "oja_run",
+    "OjaResult", "learning_rate", "oja_boosted", "oja_run",
     "VarEstConfig", "VarEstResult", "batch_variance", "median_of_means",
     "ojavarest", "plan_schedule",
     "BootstrapConfig", "bootstrap_run", "bootstrap_variance",

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import experiments
 from .asymvar import build_r0_v, ck_diagnostic, empirical_hajek_covariance, estimate_mtilde, with_rn
-from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
-from .core import DegenerateGapError, SeedSpec, eigendecompose, sample_covariance
+from .core import DegenerateGapError, SeedLabel, SeedSpec, eigendecompose, psd_sqrt, sample_covariance
 from .hoeffding import residual_decomposition
 from .inference import build_ci
 from .io import (
@@ -28,10 +27,9 @@ from .io import (
     write_csv,
     write_results,
 )
-from .oja import OjaConfig, estimate_gap, gaussian_unit, learning_rate, oja_boosted, oja_run
+from .oja import estimate_gap, gaussian_unit, learning_rate
 from .synth import SynthSpec, build_sigma, mask_missing, sample, vector_sampler
-from .varest import VarEstConfig, ojavarest
-from .core import psd_sqrt
+from .varest import VarEstConfig
 
 SUBCOMMANDS = ("synth", "oja", "varest", "bootstrap", "coverage", "bench", "oracle", "asymvar")
 
@@ -107,9 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--methods", default="ojavarest,bootstrap:1,bootstrap:20")
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--preset", choices=["paper-experiments"], default="paper-experiments")
-    p.add_argument("--m1", type=int, default=None)
+    p.add_argument("--m1", type=int, default=VarEstConfig.paper_experiments().m1)
     p.add_argument("--m2", type=int, default=None)
     p.add_argument("--ci-scale", choices=["batch", "full"], default="full",
                    help="interval width scale; 'full' matches the proxy vector's own fluctuation scale")
@@ -163,7 +159,7 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
     root = psd_sqrt(sigma)
     data = sample(spec, root, args.n)
     if args.mask_rate > 0.0:
-        data = mask_missing(data, args.mask_rate, seed.child(1))
+        data = mask_missing(data, args.mask_rate, seed.child(SeedLabel.MASK))
     write_csv(data, args.out)
     return {"n": args.n, "d": args.d, "beta": args.beta, "c": args.c,
             "scale": args.scale, "mask_rate": args.mask_rate,
@@ -173,50 +169,31 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 def _cmd_oja(args, seed: SeedSpec) -> dict:
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
-    eta = learning_rate(data.n, gap, args.alpha)
-    u0 = gaussian_unit(seed.rng(), data.d)
-    result = oja_run(data, eta, u0)
+    vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     _write_json(args.out, {
-        "estimate": result.estimate.tolist(),
-        "eta": result.eta_used,
+        "estimate": vtilde.tolist(),
+        "eta": eta,
         "gap": gap,
         "alpha": args.alpha,
-        "samples_consumed": result.samples_consumed,
+        "samples_consumed": data.n,
     })
     return {"gap": gap, "alpha": args.alpha, "center": args.center}
-
-
-def _compute_vtilde(args, data, gap, seed: SeedSpec):
-    eta_n = learning_rate(data.n, gap, args.alpha)
-    if getattr(args, "boosted", False):
-        cfg = OjaConfig(alpha=args.alpha, gap=gap, seed=seed.child(1))
-        return oja_boosted(data, args.delta, cfg).estimate, eta_n
-    u0 = gaussian_unit(seed.child(1).rng(), data.d)
-    return oja_run(data, eta_n, u0).estimate, eta_n
-
-
-def _preset_m1(args) -> int | None:
-    """--m1, else the paper preset's group count when that preset is chosen."""
-    if args.preset == "paper-experiments" and args.m1 is None:
-        return VarEstConfig.paper_experiments().m1
-    return args.m1
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
-    m1 = _preset_m1(args)
-    vtilde, eta_n = _compute_vtilde(args, data, gap, seed)
-    cfg = VarEstConfig(m1=m1, m2=args.m2, alpha=args.alpha, seed=seed.child(2))
-    result = ojavarest(data, args.delta, vtilde, gap, cfg)
+    m1 = VarEstConfig.paper_experiments().m1 if args.preset and args.m1 is None else args.m1
+    vtilde, eta_n = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
+    vcfg = VarEstConfig(m1=m1, m2=args.m2, alpha=args.alpha)
+    sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, eta_n, seed,
+                                                 args.delta, vcfg, args.ci_scale)
     if args.format == "csv":
-        rows = result.csv_rows()
-        write_results(rows, "csv", args.out)
+        write_results(result.csv_rows(), args.out)
     else:
         payload = result.to_dict()
         if args.level is not None:
-            band = build_ci(vtilde, result.batch_scale_sigma2(), args.level,
-                            scale_mode=args.ci_scale, eta_b=result.eta_b, eta_n=eta_n)
+            band = build_ci(vtilde, sigma2, args.level)
             payload["ci"] = {
                 "level": args.level,
                 "scale_mode": args.ci_scale,
@@ -231,16 +208,12 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
-    eta = learning_rate(data.n, gap, args.alpha)
-    u0_t = gaussian_unit(seed.child(1).rng(), data.d)
-    vtilde = oja_run(data, eta, u0_t).estimate
-    cfg = BootstrapConfig(b=args.b, law=args.law, eta=eta, seed=seed.child(2))
-    u0 = gaussian_unit(seed.child(3).rng(), data.d)
-    replicas = bootstrap_run(data, cfg, u0)
-    sigma2 = bootstrap_variance(replicas, vtilde)
+    vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
+    sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, eta, seed,
+                                            law=args.law)
     if args.format == "csv":
         rows = [{"coordinate": k + 1, "sigma2": float(sigma2[k])} for k in range(data.d)]
-        write_results(rows, "csv", args.out)
+        write_results(rows, args.out)
     else:
         _write_json(args.out, {"sigma2": sigma2.tolist(), "b": args.b,
                                "law": args.law, "eta": eta, "gap": gap,
@@ -251,15 +224,14 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     tracked = tuple(int(c) for c in args.tracked.split(","))
-    vcfg = VarEstConfig(m1=_preset_m1(args), m2=args.m2)
+    vcfg = VarEstConfig(m1=args.m1, m2=args.m2)
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=methods,
-        level=args.level, delta=args.delta, seed=seed, varest_config=vcfg,
+        level=args.level, seed=seed, varest_config=vcfg,
         ci_scale=args.ci_scale, tracked=tracked,
     )
-    write_results(outcome.table_rows(tracked), "csv", args.out)
-    records_path = str(args.out) + ".records.csv"
-    write_results([r.to_row() for r in outcome.records], "csv", records_path)
+    write_results(outcome.table_rows(tracked), args.out)
+    write_results([r.to_row() for r in outcome.records], str(args.out) + ".records.csv")
     return outcome.config
 
 
@@ -267,7 +239,7 @@ def _cmd_bench(args, seed: SeedSpec) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     records = experiments.run_bench(n=args.n, d=args.d, methods=methods,
                                     beta=args.beta, seed=seed)
-    write_results([r.to_row() for r in records], "csv", args.out)
+    write_results([r.to_row() for r in records], args.out)
     return {"n": args.n, "d": args.d, "beta": args.beta, "methods": list(methods)}
 
 
@@ -275,9 +247,9 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
     spec = SynthSpec(d=args.d, beta=args.beta, seed=seed)
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
-    data = sample(spec, root, args.n, rng=seed.child(0).rng())
+    data = sample(spec, root, args.n, rng=seed.child(SeedLabel.DATA).rng())
     mats = data.samples[:, :, None] * data.samples[:, None, :]
-    u0 = gaussian_unit(seed.child(1).rng(), args.d)
+    u0 = gaussian_unit(seed.child(SeedLabel.START).rng(), args.d)
     vtilde = eigendecompose(sample_covariance(data)).leading
     report = residual_decomposition(mats, sigma, eigen, args.eta, u0, vtilde)
     report.validate()
@@ -290,7 +262,7 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
     sampler = vector_sampler(spec, root)
-    moments = estimate_mtilde(sampler, eigen, args.mc_samples, seed.child(1))
+    moments = estimate_mtilde(sampler, eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS))
     asym = build_r0_v(moments, eigen)
     payload = {"moments": moments.to_dict(), "asymptotic": asym.to_dict(),
                "eigenvalues": eigen.eigenvalues.tolist()}
@@ -301,7 +273,7 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
         payload["asymptotic"] = asym.to_dict()
         if args.trials > 0:
             emp = empirical_hajek_covariance(sampler, eigen, args.n, eta,
-                                             args.trials, seed.child(2))
+                                             args.trials, seed.child(SeedLabel.EMPIRICAL))
             payload["empirical"] = emp.to_dict()
             payload["ck"] = ck_diagnostic(np.diag(emp.matrix), eta, gap, moments.m2).tolist()
     _write_json(args.out, payload)

@@ -24,6 +24,10 @@ class DegenerateGapError(ValueError):
     """Raised when an operation needs a spectral gap but the gap is ~0."""
 
 
+class RegimeError(ValueError):
+    """Raised when a step size leaves the regime eta * lambda_1 < 1 that the guarantees cover."""
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Key for a reproducible, hierarchical family of random streams.
@@ -53,6 +57,21 @@ class SeedSpec:
     def child(self, *labels: int) -> "SeedSpec":
         """Derive the seed of a sub-consumer identified by ``labels``."""
         return SeedSpec(self.master, self.stream + tuple(int(x) for x in labels))
+
+
+class SeedLabel:
+    """The one table of stream labels: each consumer draws from ``seed.child(SeedLabel.X)``."""
+
+    DATA = 0             # the samples of a synthetic dataset
+    START = 1            # the proxy pass's start vector (oja_boosted: its candidates' starts)
+    VAREST = 2           # ojavarest's batch start vectors
+    BOOTSTRAP = 3        # (BOOTSTRAP, b): the multipliers of a b-replica bootstrap
+    BOOTSTRAP_START = 4  # the bootstrap replicas' shared start vector
+    MASK = 5             # synth --mask-rate
+    BENCH = 10           # BENCH + idx: method idx of a timing bench
+    WARMUP = 99          # the timing bench's untimed warm-up pass
+    MOMENTS = 1          # asymvar: Monte-Carlo moment draws
+    EMPIRICAL = 2        # asymvar: empirical covariance trials
 
 
 @dataclass(frozen=True)

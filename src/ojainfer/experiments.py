@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
-from .core import Dataset, EigenSystem, SeedSpec, psd_sqrt, sin2
-from .inference import ConfidenceBand, CoverageReport, band_hits, build_ci
-from .oja import gaussian_unit, learning_rate, oja_kernel, oja_run
+from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, psd_sqrt, sin2
+from .inference import CoverageReport, band_hits, build_ci
+from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import SynthSpec, build_sigma, sample
-from .varest import VarEstConfig, ojavarest
+from .varest import VarEstConfig, VarEstResult, ojavarest
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -39,22 +39,43 @@ def parse_method(spec: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown method {spec!r}; expected 'ojavarest' or 'bootstrap:<b>'")
 
 
-def _method_band(method: str, data: Dataset, vtilde: np.ndarray, gap: float, eta_n: float,
-                 delta: float, vcfg: VarEstConfig, stream: SeedSpec, level: float,
-                 ci_scale: str) -> ConfidenceBand:
-    """One method's interval around ``vtilde``, its randomness keyed by ``stream``.
+def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
+          boosted_delta: float | None = None) -> tuple[np.ndarray, float]:
+    """The proxy vector vtilde and the full-sample step eta_n it was run at.
 
-    ``ci_scale`` sizes the ojavarest interval; a bootstrap interval uses the
-    replica spread as-is.
+    One streaming pass from a start drawn from ``stream.child(SeedLabel.START)``,
+    or with ``boosted_delta`` the central candidate of :func:`oja_boosted`.
     """
+    eta_n = learning_rate(data.n, gap, alpha)
+    start = stream.child(SeedLabel.START)
+    if boosted_delta is not None:
+        return oja_boosted(data, boosted_delta, gap, alpha, start).estimate, eta_n
+    return oja_run(data, eta_n, gaussian_unit(start.rng(), data.d)).estimate, eta_n
+
+
+def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, eta_n: float,
+                    stream: SeedSpec, delta: float = 0.05, vcfg: VarEstConfig | None = None,
+                    ci_scale: str = "full", law: str = "exponential"
+                    ) -> tuple[np.ndarray, VarEstResult | np.ndarray]:
+    """One method's per-coordinate variance around ``vtilde`` at the interval's scale.
+
+    Returns (sigma2, the estimator's own result: a VarEstResult or the (b, d)
+    bootstrap replicas), its randomness keyed by ``stream``. ``ci_scale`` sizes
+    the ojavarest variance: "full" rescales its batch-scale spread by
+    eta_n / eta_B, "batch" keeps it. A bootstrap variance is at eta_n already.
+    """
+    if ci_scale not in ("batch", "full"):
+        raise ValueError(f"unknown ci_scale {ci_scale!r}; expected 'batch' or 'full'")
     name, b = parse_method(method)
-    if name == "ojavarest":
-        result = ojavarest(data, delta, vtilde, gap, replace(vcfg, seed=stream.child(2)))
-        return build_ci(vtilde, result.batch_scale_sigma2(), level, scale_mode=ci_scale,
-                        eta_b=result.eta_b, eta_n=eta_n)
-    bcfg = BootstrapConfig(b=b, law="exponential", eta=eta_n, seed=stream.child(3, b))
-    replicas = bootstrap_run(data, bcfg, gaussian_unit(stream.child(4).rng(), data.d))
-    return build_ci(vtilde, bootstrap_variance(replicas, vtilde), level, scale_mode="batch")
+    if name == "bootstrap":
+        bcfg = BootstrapConfig(b=b, law=law, eta=eta_n, seed=stream.child(SeedLabel.BOOTSTRAP, b))
+        u0 = gaussian_unit(stream.child(SeedLabel.BOOTSTRAP_START).rng(), data.d)
+        replicas = bootstrap_run(data, bcfg, u0)
+        return bootstrap_variance(replicas, vtilde), replicas
+    vcfg = vcfg if vcfg is not None else VarEstConfig.paper_experiments()
+    result = ojavarest(data, delta, vtilde, gap, replace(vcfg, seed=stream.child(SeedLabel.VAREST)))
+    sigma2 = result.batch_scale_sigma2()
+    return (sigma2 * (eta_n / result.eta_b) if ci_scale == "full" else sigma2), result
 
 
 @dataclass(frozen=True)
@@ -162,21 +183,20 @@ def run_coverage_experiment(
     root = psd_sqrt(sigma)
     vcfg = varest_config if varest_config is not None else VarEstConfig.paper_experiments()
     gap = eigen.require_gap()
-    eta_n = learning_rate(n, gap, vcfg.alpha)
     hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
     records: list[ExperimentRecord] = []
     for trial in range(trials):
         st = seed.child(trial)
-        data = sample(spec, root, n, rng=st.child(0).rng())
+        data = sample(spec, root, n, rng=st.child(SeedLabel.DATA).rng())
         t0 = time.perf_counter()
-        u0 = gaussian_unit(st.child(1).rng(), spec.d)
-        vtilde = oja_run(data, eta_n, u0).estimate
+        vtilde, eta_n = proxy(data, gap, vcfg.alpha, st)
         vtilde_ms = (time.perf_counter() - t0) * 1e3
         accuracy = sin2(vtilde, eigen.leading)
         for method_spec in methods:
             t1 = time.perf_counter()
-            band = _method_band(method_spec, data, vtilde, gap, eta_n, delta, vcfg, st,
-                                level, ci_scale)
+            sigma2, _ = method_variance(method_spec, data, vtilde, gap, eta_n, st,
+                                        delta, vcfg, ci_scale)
+            band = build_ci(vtilde, sigma2, level)
             estimate_ms = (time.perf_counter() - t1) * 1e3
             trial_hits = band_hits(band, eigen.leading)
             hits[method_spec] += trial_hits
@@ -222,9 +242,7 @@ def run_bench(
     d: int,
     methods: tuple[str, ...],
     beta: float = 1.0,
-    delta: float = 0.05,
     seed: SeedSpec = SeedSpec(0),
-    varest_config: VarEstConfig | None = None,
 ) -> list[BenchRecord]:
     """Time each method on one shared dataset, one phase at a time.
 
@@ -237,19 +255,17 @@ def run_bench(
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
     gap = eigen.require_gap()
-    data = sample(spec, root, n, rng=seed.child(0).rng())
-    vcfg = varest_config if varest_config is not None else VarEstConfig.paper_experiments()
-    eta_n = learning_rate(n, gap, vcfg.alpha)
-    oja_run(data, eta_n, gaussian_unit(seed.child(99).rng(), d))  # warmup, untimed
+    data = sample(spec, root, n, rng=seed.child(SeedLabel.DATA).rng())
+    alpha = VarEstConfig.paper_experiments().alpha
+    proxy(data, gap, alpha, seed.child(SeedLabel.WARMUP))  # warmup, untimed
 
     records: list[BenchRecord] = []
     for idx, method_spec in enumerate(methods):
-        st = seed.child(10 + idx)
+        st = seed.child(SeedLabel.BENCH + idx)
         t0 = time.perf_counter()
-        u0 = gaussian_unit(st.child(1).rng(), spec.d)
-        vtilde = oja_run(data, eta_n, u0).estimate
+        vtilde, eta_n = proxy(data, gap, alpha, st)
         t1 = time.perf_counter()
-        _method_band(method_spec, data, vtilde, gap, eta_n, delta, vcfg, st, 0.95, "full")
+        method_variance(method_spec, data, vtilde, gap, eta_n, st)
         t2 = time.perf_counter()
         records.append(BenchRecord(
             method=method_spec, n=n, d=d,
@@ -284,8 +300,8 @@ def residual_trials(
     rows = np.empty((trials, spec.d))
     for lo in range(0, trials, _TRIAL_CHUNK):
         streams = [seed.child(t) for t in range(lo, min(lo + _TRIAL_CHUNK, trials))]
-        data = np.stack([sample(spec, root, n, rng=st.child(0).rng()).samples for st in streams])
-        starts = np.array([gaussian_unit(st.child(1).rng(), spec.d) for st in streams])
+        data = np.stack([sample(spec, root, n, rng=st.child(SeedLabel.DATA).rng()).samples for st in streams])
+        starts = np.array([gaussian_unit(st.child(SeedLabel.START).rng(), spec.d) for st in streams])
         v, _ = oja_kernel(data, eta_n, starts)
         rows[lo : lo + len(streams)] = v - (v @ v1)[:, None] * v1
     return rows

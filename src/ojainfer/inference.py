@@ -64,30 +64,17 @@ class ConfidenceBand:
         return self.center + self.half_width
 
 
-def build_ci(vtilde: np.ndarray, sigma2: np.ndarray, level: float,
-             scale_mode: str = "batch", eta_b: float | None = None,
-             eta_n: float | None = None) -> ConfidenceBand:
-    """Per-coordinate interval vtilde_k +/- z * sqrt(s_k).
+def build_ci(vtilde: np.ndarray, sigma2: np.ndarray, level: float) -> ConfidenceBand:
+    """Per-coordinate interval vtilde_k +/- z * sqrt(sigma2_k).
 
-    ``sigma2`` is the batch-scale variance estimate. With
-    ``scale_mode="batch"`` it is used as-is (the experimental convention);
-    with ``"full"`` it is rescaled by eta_n / eta_B to the full-sample scale
-    suggested by the concentration analysis. The discrepancy between the two
-    conventions is deliberate and surfaced through this switch.
+    ``sigma2`` is the variance at the interval's scale, as
+    :func:`ojainfer.experiments.method_variance` returns it.
     """
     sigma2 = np.asarray(sigma2, dtype=np.float64).reshape(-1)
     if np.any(sigma2 < 0.0):
         raise ValueError("variance estimates must be nonnegative")
-    if scale_mode == "batch":
-        scaled = sigma2
-    elif scale_mode == "full":
-        if eta_b is None or eta_n is None or eta_b <= 0.0 or eta_n <= 0.0:
-            raise ValueError("full-scale mode needs positive eta_b and eta_n")
-        scaled = sigma2 * (eta_n / eta_b)
-    else:
-        raise ValueError(f"unknown scale mode {scale_mode!r}")
     z = normal_quantile(1.0 - (1.0 - level) / 2.0)
-    return ConfidenceBand(center=vtilde, half_width=z * np.sqrt(scaled), level=level)
+    return ConfidenceBand(center=vtilde, half_width=z * np.sqrt(sigma2), level=level)
 
 
 @dataclass(frozen=True)

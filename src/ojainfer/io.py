@@ -62,7 +62,7 @@ def read_csv(path, center: bool = False) -> Dataset:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if center:
-        arr = arr - arr.mean(axis=0, keepdims=True)
+        arr -= arr.mean(axis=0, keepdims=True)
     return Dataset(arr, provenance="file")
 
 
@@ -77,48 +77,23 @@ def _record_dict(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def write_results(records, fmt: str, path, fieldnames: list[str] | None = None) -> None:
-    """Persist a record stream as CSV (fixed column order) or a JSON array.
+def write_results(records, path, fieldnames: list[str] | None = None) -> None:
+    """Persist a record stream as CSV with a fixed column order.
 
     ``records`` may be dicts or dataclass instances. Column order comes from
     ``fieldnames`` when given, else from the first record. An empty stream
-    produces a header-only CSV (fieldnames required then) or ``[]``.
+    produces a header-only CSV (fieldnames required then).
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json' (got {fmt!r})")
     rows = [_record_dict(r) for r in records]
     if fieldnames is None:
-        if rows:
-            fieldnames = list(rows[0].keys())
-        elif fmt == "csv":
+        if not rows:
             raise ValueError("empty record stream needs explicit fieldnames for CSV")
-        else:
-            fieldnames = []
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_fmt(row.get(name)) for name in fieldnames])
-        return
-    parts = []
-    for row in rows:
-        items = []
-        for name in fieldnames:
-            val = row.get(name)
-            if val is None:
-                enc = "null"
-            elif isinstance(val, (bool, np.bool_)):
-                enc = "true" if val else "false"
-            elif isinstance(val, (float, np.floating)):
-                enc = format(float(val), ".17g")
-            elif isinstance(val, (int, np.integer)):
-                enc = str(int(val))
-            else:
-                enc = json.dumps(str(val))
-            items.append(f"{json.dumps(name)}: {enc}")
-        parts.append("{" + ", ".join(items) + "}")
-    Path(path).write_text("[" + ",\n ".join(parts) + "]\n", encoding="utf-8")
+        fieldnames = list(rows[0].keys())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
 
 
 def read_results_csv(path) -> list[dict]:

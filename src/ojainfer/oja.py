@@ -23,26 +23,6 @@ from .core import Dataset, SeedSpec, _check_unit, require_gap, sample_covariance
 
 
 @dataclass(frozen=True)
-class OjaConfig:
-    """Knobs for a streaming run.
-
-    ``gap`` is the separation lambda_1 - lambda_2 driving the learning rate;
-    pass None to have it estimated from a prefix of the data. Starting
-    vectors are drawn from ``seed``.
-    """
-
-    alpha: float = 2.0
-    gap: float | None = None
-    seed: SeedSpec = SeedSpec(0)
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 1.0:
-            raise ValueError(f"alpha must exceed 1 (got {self.alpha})")
-        if self.gap is not None and self.gap <= 0.0:
-            raise ValueError(f"gap must be positive when supplied (got {self.gap})")
-
-
-@dataclass(frozen=True)
 class OjaResult:
     """Outcome of one streaming pass."""
 
@@ -217,11 +197,7 @@ def estimate_gap(data: Dataset, limit: int = 4096) -> float:
     return require_gap(float(vals[-1] - vals[-2]) if data.d >= 2 else 0.0)
 
 
-def _resolve_gap(data: Dataset, config: OjaConfig) -> float:
-    return config.gap if config.gap is not None else estimate_gap(data)
-
-
-def oja_boosted(data: Dataset, delta: float, config: OjaConfig) -> OjaResult:
+def oja_boosted(data: Dataset, delta: float, gap: float, alpha: float, seed: SeedSpec) -> OjaResult:
     """High-probability variant: batch the stream and pick a central candidate.
 
     The data is split into q = max(1, ceil(ln(1/delta))) contiguous batches of
@@ -230,7 +206,7 @@ def oja_boosted(data: Dataset, delta: float, config: OjaConfig) -> OjaResult:
     candidate whose median squared-sine distance to the other candidates is
     smallest. Ties go to the earliest batch, which keeps the selection
     deterministic. With a single batch this reduces to a plain pass over the
-    whole dataset.
+    whole dataset. Candidate j starts from ``seed.child(j)``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1) (got {delta})")
@@ -240,9 +216,8 @@ def oja_boosted(data: Dataset, delta: float, config: OjaConfig) -> OjaResult:
         raise ValueError(
             f"need at least 2 samples per batch: n={data.n} gives batches of {batch} for q={q}"
         )
-    gap = _resolve_gap(data, config)
-    eta = learning_rate(batch, gap, config.alpha)
-    starts = np.array([gaussian_unit(config.seed.child(j).rng(), data.d) for j in range(q)])
+    eta = learning_rate(batch, gap, alpha)
+    starts = np.array([gaussian_unit(seed.child(j).rng(), data.d) for j in range(q)])
     finals, _ = oja_kernel(data.samples[: q * batch].reshape(q, batch, data.d), eta, starts)
     best = 0 if q == 1 else int(np.argmin([np.median([sin2(u, v) for v in np.delete(finals, i, axis=0)])
                                            for i, u in enumerate(finals)]))

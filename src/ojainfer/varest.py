@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, SeedSpec, _check_unit
+from .core import Dataset, RegimeError, SeedSpec, _check_unit
 from .oja import gaussian_unit, learning_rate, oja_kernel
 
 log = logging.getLogger(__name__)
@@ -176,7 +176,8 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
         Schedule overrides, step multiplier and random seed.
 
     The m1 * m2 batch runs advance together, as the states of one
-    :func:`oja_kernel` call.
+    :func:`oja_kernel` call. Raises RegimeError when eta_B * lambda_1 >= 1,
+    with lambda_1 read off as the proxy's Rayleigh quotient on the used samples.
     """
     if gap <= 0.0:
         raise ValueError(f"gap must be positive (got {gap})")
@@ -186,6 +187,10 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
     eta_b = learning_rate(batch, gap, cfg.alpha)
     used = m1 * m2 * batch
     unused = data.n - used
+    step = eta_b * float(np.mean((data.samples[:used] @ vt) ** 2))
+    if step >= 1.0:
+        raise RegimeError(f"eta_B * lambda_1 = {step:.3g} >= 1: the batch step size {eta_b:.3g} "
+                          f"is out of the regime the estimator covers; is the gap {gap:.3g} at noise level?")
     if unused:
         log.info("schedule uses %d of %d samples (%d trailing dropped)", used, data.n, unused)
 

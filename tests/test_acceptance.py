@@ -53,8 +53,8 @@ def coverage_pipeline(out_dir, tag):
                                       **COVERAGE_CONFIG)
     table_path = out_dir / f"coverage_{tag}.csv"
     records_path = out_dir / f"records_{tag}.csv"
-    write_results(outcome.table_rows(COVERAGE_CONFIG["tracked"]), "csv", table_path)
-    write_results([r.to_row() for r in outcome.records], "csv", records_path)
+    write_results(outcome.table_rows(COVERAGE_CONFIG["tracked"]), table_path)
+    write_results([r.to_row() for r in outcome.records], records_path)
     return outcome, table_path, records_path
 
 

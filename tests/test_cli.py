@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ojainfer import cli
+from ojainfer import SeedSpec, cli
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import read_csv, read_results_csv
 
@@ -123,6 +123,26 @@ def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     assert calls == [str(small_csv)]
     manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
     assert manifest["content_hash"] == manifest["config"]["input_sha256"] == hash_file(small_csv)
+
+
+def test_oja_varest_bootstrap_share_one_proxy(tmp_path, small_csv):
+    extra = {"oja": [], "varest": ["--m1", "2", "--m2", "2"], "bootstrap": ["--b", "2"]}
+    for cmd, flags in extra.items():
+        assert run(["--quiet", "--seed", "12", cmd, "--input", small_csv, *flags,
+                    "--out", tmp_path / f"{cmd}.json"]) == 0
+    oja = json.loads((tmp_path / "oja.json").read_text())["estimate"]
+    assert json.loads((tmp_path / "varest.json").read_text())["vtilde"] == oja
+    assert json.loads((tmp_path / "bootstrap.json").read_text())["vtilde"] == oja
+
+
+def test_pure_noise_varest_exits_1_naming_the_step(tmp_path, capsys):
+    path, out = tmp_path / "noise.csv", tmp_path / "v.json"
+    np.savetxt(path, SeedSpec(208).rng().standard_normal((400, 10)), delimiter=",")
+    code = run(["--quiet", "varest", "--input", path, "--center", "--preset", "paper-experiments",
+                "--level", "0.95", "--out", out])
+    assert code == 1
+    assert "eta_B * lambda_1 = " in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCoverageCommand:

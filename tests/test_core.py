@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from ojainfer import (
     Dataset,
     DegenerateGapError,
     EigenSystem,
+    SeedLabel,
     SeedSpec,
     eigendecompose,
     psd_sqrt,
@@ -53,6 +57,19 @@ class TestSeedSpec:
         parent = SeedSpec(master, tuple(stream))
         a, b = (parent.child(label).rng().random(4) for label in labels)
         assert not np.array_equal(a, b)
+
+
+def test_seed_labels_are_named_in_one_table():
+    import ojainfer
+
+    literal = re.compile(r"child\(\s*\d")
+    hits = [f"{path.name}:{i}" for path in sorted(Path(ojainfer.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if literal.search(line)]
+    assert hits == []
+    run_labels = [SeedLabel.DATA, SeedLabel.START, SeedLabel.VAREST, SeedLabel.BOOTSTRAP,
+                  SeedLabel.BOOTSTRAP_START, SeedLabel.MASK, SeedLabel.BENCH, SeedLabel.WARMUP]
+    assert len(set(run_labels)) == len(run_labels)
 
 
 class TestDataset:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ojainfer import ConfidenceBand, SeedSpec, build_ci, evaluate_coverage, normal_quantile
+from ojainfer import ConfidenceBand, SeedSpec, VarEstConfig, build_ci, evaluate_coverage, normal_quantile
+from ojainfer.experiments import method_variance
 from ojainfer.inference import (
     AD_CRITICAL,
     anderson_darling,
@@ -53,12 +54,22 @@ class TestBuildCi:
         band = build_ci(center, np.array([1.0, 1.0]), 0.5)
         np.testing.assert_allclose(band.half_width, 0.6744897501960817 * np.ones(2), atol=1e-9)
 
-    def test_full_scale_rescales(self):
-        center = np.array([1.0, 0.0])
-        sigma2 = np.array([0.04, 0.01])
-        batch = build_ci(center, sigma2, 0.95, scale_mode="batch")
-        full = build_ci(center, sigma2, 0.95, scale_mode="full", eta_b=0.02, eta_n=0.005)
-        np.testing.assert_allclose(full.half_width, batch.half_width * 0.5, rtol=1e-12)
+    def test_full_scale_rescales(self, synth3):
+        spec, sigma, eigen, root = synth3
+        from ojainfer.synth import sample
+
+        data = sample(spec, root, 400, rng=SeedSpec(170).rng())
+        eta_n = learning_rate(data.n, eigen.gap, 2.0)
+        args = ("ojavarest", data, eigen.leading, eigen.gap, eta_n, SeedSpec(170), 0.05,
+                VarEstConfig(m1=2, m2=2))
+        batch_s2, result = method_variance(*args, ci_scale="batch")
+        full_s2, _ = method_variance(*args, ci_scale="full")
+        batch = build_ci(eigen.leading, batch_s2, 0.95)
+        full = build_ci(eigen.leading, full_s2, 0.95)
+        ratio = math.sqrt(eta_n / result.eta_b)
+        np.testing.assert_allclose(full.half_width, batch.half_width * ratio, rtol=1e-12)
+        with pytest.raises(ValueError, match="unknown ci_scale 'half'"):
+            method_variance(*args, ci_scale="half")
 
     def test_symmetry_by_construction(self):
         rng = SeedSpec(171).rng()
@@ -72,10 +83,6 @@ class TestBuildCi:
             build_ci(center, np.array([-1.0, 0.0]), 0.95)
         with pytest.raises(ValueError):
             build_ci(center, np.zeros(2), 1.5)
-        with pytest.raises(ValueError):
-            build_ci(center, np.zeros(2), 0.95, scale_mode="half")
-        with pytest.raises(ValueError):
-            build_ci(center, np.zeros(2), 0.95, scale_mode="full")
 
 
 class TestEvaluateCoverage:

@@ -127,15 +127,12 @@ class TestWriteCsv:
 class TestWriteResults:
     def test_empty_stream_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_results([], "csv", path, fieldnames=["a", "b"])
+        write_results([], path, fieldnames=["a", "b"])
         assert path.read_text() == "a,b\n"
-        jpath = tmp_path / "empty.json"
-        write_results([], "json", jpath)
-        assert json.loads(jpath.read_text()) == []
 
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.csv"
-        write_results([{"a": 1, "b": 0.5}], "csv", path)
+        write_results([{"a": 1, "b": 0.5}], path)
         rows = read_results_csv(path)
         assert rows == [{"a": 1, "b": 0.5}]
 
@@ -144,25 +141,13 @@ class TestWriteResults:
         records = [{"idx": i, "value": float(v), "label": "row"}
                    for i, v in enumerate(rng.standard_normal(10_000) * 10.0**rng.integers(-8, 8, 10_000))]
         path = tmp_path / "many.csv"
-        write_results(records, "csv", path)
+        write_results(records, path)
         back = read_results_csv(path)
         assert len(back) == 10_000
         for orig, rec in zip(records, back):
             assert rec["idx"] == orig["idx"]
             assert rec["value"] == orig["value"]  # exact float round trip
             assert rec["label"] == "row"
-
-    def test_json_round_trips_floats(self, tmp_path):
-        rng = SeedSpec(194).rng()
-        records = [{"x": float(rng.standard_normal())} for _ in range(100)]
-        path = tmp_path / "vals.json"
-        write_results(records, "json", path)
-        back = json.loads(path.read_text())
-        assert [r["x"] for r in back] == [r["x"] for r in records]
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_results([], "xml", tmp_path / "x.xml")
 
 
 class TestManifest:

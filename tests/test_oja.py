@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ojainfer import (
-    Dataset, DegenerateGapError, OjaConfig, SeedSpec, eigendecompose, learning_rate, oja_boosted,
+    Dataset, DegenerateGapError, SeedSpec, eigendecompose, learning_rate, oja_boosted,
     oja_run, sample_covariance, sin2,
 )
 from ojainfer.hoeffding import matrix_product
@@ -147,8 +147,7 @@ class TestOjaBoosted:
         from ojainfer.synth import sample
 
         data = sample(spec, root, 300, rng=SeedSpec(61).rng())
-        cfg = OjaConfig(alpha=2.0, gap=eigen.gap, seed=SeedSpec(62))
-        boosted = oja_boosted(data, 0.5, cfg)  # ceil(ln 2) = 1 batch
+        boosted = oja_boosted(data, 0.5, eigen.gap, 2.0, SeedSpec(62))  # ceil(ln 2) = 1 batch
         u0 = gaussian_unit(SeedSpec(62).child(0).rng(), 3)
         plain = oja_run(data, learning_rate(300, eigen.gap, 2.0), u0)
         np.testing.assert_array_equal(boosted.estimate, plain.estimate)
@@ -158,8 +157,7 @@ class TestOjaBoosted:
         d, per = 2, 40
         e1, e2 = np.eye(2)
         data = Dataset(np.vstack([np.tile(e1, (per, 1)), np.tile(e1, (per, 1)), np.tile(e2, (per, 1))]))
-        cfg = OjaConfig(alpha=2.0, gap=1.0, seed=SeedSpec(63))
-        out = oja_boosted(data, 0.08, cfg)  # ceil(ln(1/0.08)) = 3 batches
+        out = oja_boosted(data, 0.08, 1.0, 2.0, SeedSpec(63))  # ceil(ln(1/0.08)) = 3 batches
         # Winner must come from the coinciding pair (near e1), never the
         # orthogonal candidate (sin2 ~= 1 against e1).
         assert sin2(out.estimate, e1) <= 1e-3
@@ -173,8 +171,7 @@ class TestOjaBoosted:
             st = SeedSpec(67).child(t)
             x = st.child(0).rng().standard_normal((n, d)) * scales
             data = Dataset(x)
-            cfg = OjaConfig(alpha=2.0, gap=3.0, seed=st.child(1))
-            out = oja_boosted(data, 0.05, cfg)  # ceil(ln 20) = 3 batches
+            out = oja_boosted(data, 0.05, 3.0, 2.0, st.child(1))  # ceil(ln 20) = 3 batches
             boosted_errs.append(sin2(out.estimate, e1))
             batch = n // 3
             eta = learning_rate(batch, 3.0, 2.0)
@@ -188,14 +185,12 @@ class TestOjaBoosted:
 
     def test_too_small_dataset_rejected(self):
         data = Dataset(np.ones((4, 2)))
-        cfg = OjaConfig(alpha=2.0, gap=1.0, seed=SeedSpec(68))
         with pytest.raises(ValueError):
-            oja_boosted(data, 0.01, cfg)  # 5 batches of 0 samples
+            oja_boosted(data, 0.01, 1.0, 2.0, SeedSpec(68))  # 5 batches of 0 samples
 
-
-class TestOjaConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OjaConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            OjaConfig(alpha=2.0, gap=0.0)
+    def test_refuses_bad_alpha_and_gap(self):
+        data = Dataset(np.ones((40, 2)))
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            oja_boosted(data, 0.5, 1.0, 1.0, SeedSpec(69))
+        with pytest.raises(ValueError, match="gap must be positive"):
+            oja_boosted(data, 0.5, 0.0, 2.0, SeedSpec(69))

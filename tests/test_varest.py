@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ojainfer import (
     Dataset,
+    RegimeError,
     SeedSpec,
     VarEstConfig,
     batch_variance,
@@ -16,7 +17,7 @@ from ojainfer import (
     ojavarest,
     plan_schedule,
 )
-from ojainfer.oja import gaussian_unit
+from ojainfer.oja import estimate_gap, gaussian_unit
 from ojainfer.synth import sample
 
 from conftest import random_unit
@@ -165,6 +166,24 @@ class TestOjaVarEst:
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
         assert result.batch_size == 51
         assert result.samples_unused == 205 - 4 * 51
+
+    def test_refuses_pure_noise(self):
+        # The plug-in gap of pure noise is at noise level, so eta_B is far too large.
+        x = SeedSpec(206).rng().standard_normal((400, 10))
+        data = Dataset(x - x.mean(axis=0))
+        gap = estimate_gap(data)
+        vt = oja_run(data, learning_rate(400, gap, 2.0), random_unit(SeedSpec(207).rng(), 10)).estimate
+        with pytest.raises(RegimeError, match=r"eta_B \* lambda_1 = \d"):
+            ojavarest(data, 0.05, vt, gap, VarEstConfig.paper_experiments())
+
+    def test_regime_edge_is_eta_b_times_rayleigh_quotient(self):
+        # Rows +-2 e1 and +-e2: the proxy e1 has Rayleigh quotient exactly 2.
+        rows = np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, 0.0], [0.0, -1.0]])
+        data, e1, cfg = Dataset(np.tile(rows, (25, 1))), np.array([1.0, 0.0]), VarEstConfig(m1=2, m2=2)
+        edge = learning_rate(plan_schedule(100, 2, 0.05, 2, 2)[2], 1.0, 2.0) * 2.0
+        ojavarest(data, 0.05, e1, edge / 0.99, cfg)
+        with pytest.raises(RegimeError, match="= 1.01 >= 1"):
+            ojavarest(data, 0.05, e1, edge / 1.01, cfg)
 
     def test_gap_must_be_positive(self, synth3):
         spec, sigma, eigen, root = synth3
