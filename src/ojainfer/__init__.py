@@ -22,9 +22,9 @@ from .core import (
     sign_align,
     sin2,
 )
-from .oja import OjaResult, learning_rate, oja_boosted, oja_run
-from .varest import VarEstConfig, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
-from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
+from .oja import DEFAULT_ALPHA, OjaResult, learning_rate, oja_boosted, oja_run
+from .varest import PAPER_M1, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
+from .bootstrap import bootstrap_run, bootstrap_variance
 from .synth import SynthSpec, build_sigma, mask_missing, sample
 from .asymvar import (
     AsymptoticVariance,
@@ -40,10 +40,10 @@ from .inference import ConfidenceBand, CoverageReport, build_ci, evaluate_covera
 __all__ = [
     "Dataset", "DegenerateGapError", "EigenSystem", "RegimeError", "SeedLabel", "SeedSpec",
     "eigendecompose", "psd_sqrt", "sample_covariance", "sign_align", "sin2",
-    "OjaResult", "learning_rate", "oja_boosted", "oja_run",
-    "VarEstConfig", "VarEstResult", "batch_variance", "median_of_means",
+    "DEFAULT_ALPHA", "OjaResult", "learning_rate", "oja_boosted", "oja_run",
+    "PAPER_M1", "VarEstResult", "batch_variance", "median_of_means",
     "ojavarest", "plan_schedule",
-    "BootstrapConfig", "bootstrap_run", "bootstrap_variance",
+    "bootstrap_run", "bootstrap_variance",
     "SynthSpec", "build_sigma", "mask_missing", "sample",
     "AsymptoticVariance", "MomentEstimates", "build_r0_v", "build_rn",
     "empirical_hajek_covariance", "estimate_mtilde",

@@ -26,7 +26,6 @@ standard errors are always recorded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -125,9 +124,6 @@ class AsymptoticVariance:
             "n": self.n,
             "eta": self.eta,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _operator_norms(x_or_a: np.ndarray, sigma: np.ndarray, eigen: EigenSystem,

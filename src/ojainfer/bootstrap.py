@@ -12,8 +12,6 @@ Replicas run one after another: time is linear in b, space is n + b*d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset, SeedSpec, _check_unit
@@ -21,29 +19,6 @@ from .oja import oja_kernel
 from .varest import batch_variance
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    """Replica count, multiplier law, step size, and randomness.
-
-    Laws: ``exponential`` is Exp(1) (mean 1, variance 1, nonnegative, the
-    default), ``normal`` is 1 + N(0, 1); ``constant`` pins every multiplier
-    to 1, which makes replica 0 reproduce a plain streaming pass bit for bit.
-    """
-
-    b: int
-    law: str = "exponential"
-    eta: float = 0.0
-    seed: SeedSpec = SeedSpec(0)
-
-    def __post_init__(self) -> None:
-        if self.b < 1:
-            raise ValueError(f"need at least one replica (got b={self.b})")
-        if self.law not in MULTIPLIER_LAWS:
-            raise ValueError(f"unknown multiplier law {self.law!r}; pick from {MULTIPLIER_LAWS}")
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive (got {self.eta})")
 
 
 def _multipliers(law: str, rng: np.random.Generator, n: int) -> np.ndarray | None:
@@ -55,20 +30,31 @@ def _multipliers(law: str, rng: np.random.Generator, n: int) -> np.ndarray | Non
     return None
 
 
-def bootstrap_run(data: Dataset, config: BootstrapConfig, u0: np.ndarray) -> np.ndarray:
-    """Run b weighted replicas over the data; returns (b, d) rows.
+def bootstrap_run(data: Dataset, b: int, eta: float, seed: SeedSpec, u0: np.ndarray,
+                  law: str = "exponential") -> np.ndarray:
+    """Run b weighted replicas over the data at step ``eta``; returns (b, d) rows.
 
     All replicas start from the same ``u0`` and see the samples in the same
-    order; only their multipliers differ.
+    order; only their multipliers differ, replica j's drawn from
+    ``seed.child(j)``. Laws: ``exponential`` is Exp(1) (mean 1, variance 1,
+    nonnegative), ``normal`` is 1 + N(0, 1); ``constant`` pins every
+    multiplier to 1, which makes replica 0 reproduce a plain streaming pass
+    bit for bit.
     """
+    if b < 1:
+        raise ValueError(f"need at least one replica (got b={b})")
+    if law not in MULTIPLIER_LAWS:
+        raise ValueError(f"unknown multiplier law {law!r}; pick from {MULTIPLIER_LAWS}")
+    if eta <= 0.0:
+        raise ValueError(f"eta must be positive (got {eta})")
     u0 = _check_unit(u0, "u0")
     if u0.shape[0] != data.d:
         raise ValueError(f"u0 has d={u0.shape[0]}, data has d={data.d}")
-    replicas = np.empty((config.b, data.d))
-    for j in range(config.b):
-        weights = _multipliers(config.law, config.seed.child(j).rng(), data.n)
+    replicas = np.empty((b, data.d))
+    for j in range(b):
+        weights = _multipliers(law, seed.child(j).rng(), data.n)
         try:
-            replicas[j] = oja_kernel(data.samples, config.eta, u0, weights)[0][0]
+            replicas[j] = oja_kernel(data.samples, eta, u0, weights)[0][0]
         except ValueError as exc:
             raise ValueError(f"replica {j}: {exc}") from exc
     return replicas

@@ -27,16 +27,21 @@ from .io import (
     write_csv,
     write_results,
 )
-from .oja import estimate_gap, gaussian_unit, learning_rate
+from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
 from .synth import SynthSpec, build_sigma, mask_missing, sample, vector_sampler
-from .varest import VarEstConfig
+from .varest import PAPER_M1
 
 SUBCOMMANDS = ("synth", "oja", "varest", "bootstrap", "coverage", "bench", "oracle", "asymvar")
 
 
-def _default_seed() -> int:
-    env = os.environ.get("OJA_INFER_SEED")
-    return int(env) if env else 0
+def _resolve_seed(args) -> SeedSpec:
+    """--seed, else $OJA_INFER_SEED, else 0; a bad value is a ValueError naming its source."""
+    source, value = ("--seed", args.seed) if args.seed is not None else (
+        "OJA_INFER_SEED", os.environ.get("OJA_INFER_SEED") or 0)
+    try:
+        return SeedSpec(int(value))
+    except ValueError:
+        raise ValueError(f"{source} must be an integer in [0, 2**64) (got {value!r})") from None
 
 
 def _progress(args, message: str) -> None:
@@ -66,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oja", help="single streaming pass over a CSV dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--center", action="store_true")
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--gap", type=float, default=None)
     p.add_argument("--out", required=True)
 
@@ -78,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=int, default=None)
     p.add_argument("--preset", choices=["paper-experiments"], default=None)
     p.add_argument("--gap", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--boosted", action="store_true",
                    help="compute the proxy vector by batched aggregation instead of one pass")
     p.add_argument("--level", type=float, default=None,
@@ -93,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", action="store_true")
     p.add_argument("--b", type=int, default=20)
     p.add_argument("--law", choices=["exponential", "normal"], default="exponential")
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--gap", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", required=True)
@@ -105,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--methods", default="ojavarest,bootstrap:1,bootstrap:20")
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--m1", type=int, default=VarEstConfig.paper_experiments().m1)
+    p.add_argument("--m1", type=int, default=PAPER_M1)
     p.add_argument("--m2", type=int, default=None)
     p.add_argument("--ci-scale", choices=["batch", "full"], default="full",
                    help="interval width scale; 'full' matches the proxy vector's own fluctuation scale")
@@ -132,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=200000)
     p.add_argument("--n", type=int, default=None,
                    help="also include the finite-horizon block at this length")
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--trials", type=int, default=0,
                    help="Monte-Carlo trials for the empirical covariance check (0 to skip)")
     p.add_argument("--out", required=True)
@@ -181,13 +186,14 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
+    if args.format == "csv" and args.level is not None:
+        raise ValueError("--level needs --format json: the CSV output has no interval columns")
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
-    m1 = VarEstConfig.paper_experiments().m1 if args.preset and args.m1 is None else args.m1
-    vtilde, eta_n = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
-    vcfg = VarEstConfig(m1=m1, m2=args.m2, alpha=args.alpha)
-    sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, eta_n, seed,
-                                                 args.delta, vcfg, args.ci_scale)
+    m1 = PAPER_M1 if args.preset and args.m1 is None else args.m1
+    vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
+    sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, args.alpha, seed,
+                                                 args.delta, m1, args.m2, args.ci_scale)
     if args.format == "csv":
         write_results(result.csv_rows(), args.out)
     else:
@@ -209,8 +215,8 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
-    sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, eta, seed,
-                                            law=args.law)
+    sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, args.alpha,
+                                            seed, law=args.law)
     if args.format == "csv":
         rows = [{"coordinate": k + 1, "sigma2": float(sigma2[k])} for k in range(data.d)]
         write_results(rows, args.out)
@@ -224,10 +230,9 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     tracked = tuple(int(c) for c in args.tracked.split(","))
-    vcfg = VarEstConfig(m1=args.m1, m2=args.m2)
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=methods,
-        level=args.level, seed=seed, varest_config=vcfg,
+        level=args.level, seed=seed, m1=args.m1, m2=args.m2,
         ci_scale=args.ci_scale, tracked=tracked,
     )
     write_results(outcome.table_rows(tracked), args.out)
@@ -239,7 +244,7 @@ def _cmd_bench(args, seed: SeedSpec) -> dict:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     records = experiments.run_bench(n=args.n, d=args.d, methods=methods,
                                     beta=args.beta, seed=seed)
-    write_results([r.to_row() for r in records], args.out)
+    write_results(records, args.out)
     return {"n": args.n, "d": args.d, "beta": args.beta, "methods": list(methods)}
 
 
@@ -258,6 +263,8 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
+    if args.trials > 0 and args.n is None:
+        raise ValueError("--trials needs --n: the empirical check runs at that horizon")
     spec = SynthSpec(d=args.d, beta=args.beta, seed=seed)
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
@@ -287,8 +294,6 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    seed_value = args.seed if args.seed is not None else _default_seed()
-    seed = SeedSpec(seed_value)
     handlers = {
         "synth": lambda: _cmd_synth(args, seed),
         "oja": lambda: _cmd_oja(args, seed),
@@ -301,13 +306,14 @@ def cli_dispatch(argv: list[str]) -> int:
     }
     config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
     try:
+        seed = _resolve_seed(args)
         if getattr(args, "input", None):
             digest = config_echo["input_sha256"] = content_hash_file(args.input)
         else:
             digest = content_hash_config(config_echo)
         manifest = RunManifest(subcommand=args.subcommand, config=config_echo,
-                               seed=seed_value, content_hash=digest).start()
-        _progress(args, f"ojainfer {args.subcommand}: starting (seed={seed_value})")
+                               seed=seed.master, content_hash=digest).start()
+        _progress(args, f"ojainfer {args.subcommand}: starting (seed={seed.master})")
         extra = handlers[args.subcommand]()
         manifest.config.update(extra or {})
         manifest.finish()

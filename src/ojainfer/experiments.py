@@ -8,16 +8,16 @@ around compute only and never feed back into results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bootstrap_run, bootstrap_variance
+from .bootstrap import bootstrap_run, bootstrap_variance
 from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, psd_sqrt, sin2
 from .inference import CoverageReport, band_hits, build_ci
-from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
+from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import SynthSpec, build_sigma, sample
-from .varest import VarEstConfig, VarEstResult, ojavarest
+from .varest import PAPER_M1, VarEstResult, ojavarest
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -53,27 +53,29 @@ def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
     return oja_run(data, eta_n, gaussian_unit(start.rng(), data.d)).estimate, eta_n
 
 
-def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, eta_n: float,
-                    stream: SeedSpec, delta: float = 0.05, vcfg: VarEstConfig | None = None,
-                    ci_scale: str = "full", law: str = "exponential"
+def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, alpha: float,
+                    stream: SeedSpec, delta: float = 0.05, m1: int | None = PAPER_M1,
+                    m2: int | None = None, ci_scale: str = "full", law: str = "exponential"
                     ) -> tuple[np.ndarray, VarEstResult | np.ndarray]:
     """One method's per-coordinate variance around ``vtilde`` at the interval's scale.
 
     Returns (sigma2, the estimator's own result: a VarEstResult or the (b, d)
-    bootstrap replicas), its randomness keyed by ``stream``. ``ci_scale`` sizes
-    the ojavarest variance: "full" rescales its batch-scale spread by
+    bootstrap replicas), its randomness keyed by ``stream``. Both steps come
+    from ``alpha``: eta_n = learning_rate(n, gap, alpha), as in :func:`proxy`,
+    and ojavarest's eta_B at its batch length. ``ci_scale`` sizes the
+    ojavarest variance: "full" rescales its batch-scale spread by
     eta_n / eta_B, "batch" keeps it. A bootstrap variance is at eta_n already.
     """
     if ci_scale not in ("batch", "full"):
         raise ValueError(f"unknown ci_scale {ci_scale!r}; expected 'batch' or 'full'")
     name, b = parse_method(method)
+    eta_n = learning_rate(data.n, gap, alpha)
     if name == "bootstrap":
-        bcfg = BootstrapConfig(b=b, law=law, eta=eta_n, seed=stream.child(SeedLabel.BOOTSTRAP, b))
         u0 = gaussian_unit(stream.child(SeedLabel.BOOTSTRAP_START).rng(), data.d)
-        replicas = bootstrap_run(data, bcfg, u0)
+        replicas = bootstrap_run(data, b, eta_n, stream.child(SeedLabel.BOOTSTRAP, b), u0, law)
         return bootstrap_variance(replicas, vtilde), replicas
-    vcfg = vcfg if vcfg is not None else VarEstConfig.paper_experiments()
-    result = ojavarest(data, delta, vtilde, gap, replace(vcfg, seed=stream.child(SeedLabel.VAREST)))
+    result = ojavarest(data, delta, vtilde, gap, m1=m1, m2=m2, alpha=alpha,
+                       seed=stream.child(SeedLabel.VAREST))
     sigma2 = result.batch_scale_sigma2()
     return (sigma2 * (eta_n / result.eta_b) if ci_scale == "full" else sigma2), result
 
@@ -150,9 +152,10 @@ def run_coverage_experiment(
     trials: int,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     level: float = 0.95,
-    delta: float = 0.05,
     seed: SeedSpec = SeedSpec(0),
-    varest_config: VarEstConfig | None = None,
+    m1: int | None = PAPER_M1,
+    m2: int | None = None,
+    alpha: float = DEFAULT_ALPHA,
     ci_scale: str = "full",
     tracked: tuple[int, ...] = (1, 2),
 ) -> CoverageOutcome:
@@ -161,7 +164,9 @@ def run_coverage_experiment(
     Every trial draws a fresh dataset from the family, computes one shared
     proxy vector by a full streaming pass, builds one interval per method
     around it, and scores the intervals against the known leading
-    eigenvector. Reports aggregate per coordinate over all trials.
+    eigenvector. Reports aggregate per coordinate over all trials. ``alpha``
+    sets every step, as in :func:`method_variance`; ``m1``/``m2`` fix
+    ojavarest's schedule.
 
     ``ci_scale`` applies to the subsampling estimator only. The default
     "full" rescales its batch-level spread to the full-sample step size,
@@ -181,7 +186,6 @@ def run_coverage_experiment(
     spec = SynthSpec(d=d, beta=beta, seed=seed)
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
-    vcfg = varest_config if varest_config is not None else VarEstConfig.paper_experiments()
     gap = eigen.require_gap()
     hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
     records: list[ExperimentRecord] = []
@@ -189,13 +193,13 @@ def run_coverage_experiment(
         st = seed.child(trial)
         data = sample(spec, root, n, rng=st.child(SeedLabel.DATA).rng())
         t0 = time.perf_counter()
-        vtilde, eta_n = proxy(data, gap, vcfg.alpha, st)
+        vtilde, _ = proxy(data, gap, alpha, st)
         vtilde_ms = (time.perf_counter() - t0) * 1e3
         accuracy = sin2(vtilde, eigen.leading)
         for method_spec in methods:
             t1 = time.perf_counter()
-            sigma2, _ = method_variance(method_spec, data, vtilde, gap, eta_n, st,
-                                        delta, vcfg, ci_scale)
+            sigma2, _ = method_variance(method_spec, data, vtilde, gap, alpha, st,
+                                        m1=m1, m2=m2, ci_scale=ci_scale)
             band = build_ci(vtilde, sigma2, level)
             estimate_ms = (time.perf_counter() - t1) * 1e3
             trial_hits = band_hits(band, eigen.leading)
@@ -208,8 +212,7 @@ def run_coverage_experiment(
             ))
     config = {
         "n": n, "d": d, "beta": beta, "trials": trials, "level": level,
-        "delta": delta, "methods": list(methods), "ci_scale": ci_scale,
-        "m1": vcfg.m1, "m2": vcfg.m2, "alpha": vcfg.alpha,
+        "methods": list(methods), "ci_scale": ci_scale, "m1": m1, "m2": m2, "alpha": alpha,
         "seed": seed.master, "tracked": list(tracked),
     }
     reports = {m: CoverageReport(trials=trials, hits=hits[m], config={**config, "method": m})
@@ -228,13 +231,6 @@ class BenchRecord:
     vtilde_ms: float
     estimate_ms: float
     total_ms: float
-
-    def to_row(self) -> dict:
-        return {
-            "method": self.method, "n": self.n, "d": self.d,
-            "vtilde_ms": self.vtilde_ms, "estimate_ms": self.estimate_ms,
-            "total_ms": self.total_ms,
-        }
 
 
 def run_bench(
@@ -256,16 +252,15 @@ def run_bench(
     root = psd_sqrt(sigma)
     gap = eigen.require_gap()
     data = sample(spec, root, n, rng=seed.child(SeedLabel.DATA).rng())
-    alpha = VarEstConfig.paper_experiments().alpha
-    proxy(data, gap, alpha, seed.child(SeedLabel.WARMUP))  # warmup, untimed
+    proxy(data, gap, DEFAULT_ALPHA, seed.child(SeedLabel.WARMUP))  # warmup, untimed
 
     records: list[BenchRecord] = []
     for idx, method_spec in enumerate(methods):
         st = seed.child(SeedLabel.BENCH + idx)
         t0 = time.perf_counter()
-        vtilde, eta_n = proxy(data, gap, alpha, st)
+        vtilde, _ = proxy(data, gap, DEFAULT_ALPHA, st)
         t1 = time.perf_counter()
-        method_variance(method_spec, data, vtilde, gap, eta_n, st)
+        method_variance(method_spec, data, vtilde, gap, DEFAULT_ALPHA, st)
         t2 = time.perf_counter()
         records.append(BenchRecord(
             method=method_spec, n=n, d=d,
@@ -287,7 +282,7 @@ def residual_trials(
     n: int,
     trials: int,
     seed: SeedSpec = SeedSpec(0),
-    alpha: float = 2.0,
+    alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """Draw (trials, d) residuals of fresh streaming runs against the truth.
 

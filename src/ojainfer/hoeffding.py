@@ -16,7 +16,6 @@ Everything here is an oracle: clarity and exactness over speed.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -208,9 +207,6 @@ class DecompositionReport:
             "u0": self.u0.tolist(),
             "sigma": self.sigma.tolist(),
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def residual_decomposition(

@@ -7,7 +7,6 @@ Anderson-Darling computation on standardized values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -95,17 +94,6 @@ class CoverageReport:
         object.__setattr__(self, "hits", hits)
         object.__setattr__(self, "rates", hits / float(self.trials))
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "hits": self.hits.tolist(),
-            "rates": self.rates.tolist(),
-            "config": self.config,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def band_hits(band: ConfidenceBand, truth: np.ndarray) -> np.ndarray:
     """(d,) ints: 1 where the band's interval contains the truth coordinate.
@@ -163,15 +151,6 @@ class EntrywiseBoundReport:
     threshold: float
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "ratios": {str(k): v for k, v in self.ratios.items()},
-            "flagged": self.flagged,
-            "excluded": self.excluded,
-            "threshold": self.threshold,
-            "trials": self.trials,
-        }
-
 
 def check_entrywise_bound(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float,
                           gap: float, threshold: float = 3.0,
@@ -222,19 +201,6 @@ class CltReport:
     ad_pass: dict[int, bool]
     significance: float
     trials: int
-
-    def to_dict(self) -> dict:
-        return {
-            "coords": self.coords,
-            "variance_ratios": {str(k): v for k, v in self.variance_ratios.items()},
-            "ad_statistics": {str(k): v for k, v in self.ad_statistics.items()},
-            "ad_pass": {str(k): v for k, v in self.ad_pass.items()},
-            "significance": self.significance,
-            "trials": self.trials,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def check_clt(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float, gap: float,

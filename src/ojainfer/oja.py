@@ -27,14 +27,16 @@ class OjaResult:
     """Outcome of one streaming pass."""
 
     estimate: np.ndarray
-    eta_used: float
     samples_consumed: int
-    init_vector: np.ndarray
 
     def __post_init__(self) -> None:
         nrm = float(np.linalg.norm(self.estimate))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"estimate must be unit norm (got {nrm!r})")
+
+
+# Step multiplier alpha of learning_rate wherever a caller does not set one.
+DEFAULT_ALPHA = 2.0
 
 
 def learning_rate(n: float, gap: float, alpha: float) -> float:
@@ -187,12 +189,15 @@ def oja_run(data, eta: float, u0: np.ndarray) -> OjaResult:
     U, count = oja_kernel(data.samples if isinstance(data, Dataset) else data, eta, u0)
     if count == 0:
         raise ValueError("sample stream was empty")
-    return OjaResult(estimate=U[0], eta_used=float(eta), samples_consumed=count, init_vector=u0)
+    return OjaResult(estimate=U[0], samples_consumed=count)
 
 
-def estimate_gap(data: Dataset, limit: int = 4096) -> float:
-    """Plug-in eigengap, from the eigenvalues alone, of the first min(n, limit) rows."""
-    head = Dataset(data.samples[: min(data.n, limit)], provenance=data.provenance)
+_GAP_ROWS = 4096
+
+
+def estimate_gap(data: Dataset) -> float:
+    """Plug-in eigengap, from the eigenvalues alone, of the first min(n, _GAP_ROWS) rows."""
+    head = Dataset(data.samples[:_GAP_ROWS], provenance=data.provenance)
     vals = np.linalg.eigvalsh(sample_covariance(head))
     return require_gap(float(vals[-1] - vals[-2]) if data.d >= 2 else 0.0)
 
@@ -221,5 +226,4 @@ def oja_boosted(data: Dataset, delta: float, gap: float, alpha: float, seed: See
     finals, _ = oja_kernel(data.samples[: q * batch].reshape(q, batch, data.d), eta, starts)
     best = 0 if q == 1 else int(np.argmin([np.median([sin2(u, v) for v in np.delete(finals, i, axis=0)])
                                            for i, u in enumerate(finals)]))
-    return OjaResult(estimate=finals[best], eta_used=float(eta), samples_consumed=batch,
-                     init_vector=starts[best])
+    return OjaResult(estimate=finals[best], samples_consumed=batch)

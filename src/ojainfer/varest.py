@@ -22,38 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, RegimeError, SeedSpec, _check_unit
-from .oja import gaussian_unit, learning_rate, oja_kernel
+from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_kernel
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class VarEstConfig:
-    """Schedule and randomness for one estimator run.
-
-    ``m1``/``m2`` override the default schedule (None means use the formula:
-    m1 = ceil(8 ln(d/delta)), m2 = max(2, ceil(ln n)), with the delta given
-    to :func:`ojavarest`).
-    """
-
-    m1: int | None = None
-    m2: int | None = None
-    alpha: float = 2.0
-    seed: SeedSpec = SeedSpec(0)
-    init: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("m1", "m2"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be >= 1 when overridden (got {val})")
-        if self.init is not None:
-            object.__setattr__(self, "init", _check_unit(self.init, "init"))
-
-    @classmethod
-    def paper_experiments(cls, seed: SeedSpec = SeedSpec(0), alpha: float = 2.0) -> "VarEstConfig":
-        """Preset with m1 = 3 groups, as used in the reference experiments."""
-        return cls(m1=3, alpha=alpha, seed=seed)
+# Groups in the reference experiments, in place of the ceil(8 ln(d/delta)) default.
+PAPER_M1 = 3
 
 
 @dataclass(frozen=True)
@@ -155,8 +130,9 @@ def median_of_means(values) -> float:
     return float(np.median(arr))
 
 
-def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
-              config: VarEstConfig | None = None,
+def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
+              m1: int | None = None, m2: int | None = None, alpha: float = DEFAULT_ALPHA,
+              seed: SeedSpec = SeedSpec(0), init: np.ndarray | None = None,
               keep_batch_estimates: bool = False) -> VarEstResult:
     """Estimate per-coordinate residual variances by batched subsampling.
 
@@ -172,8 +148,12 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
         caller (single full pass by default, or a boosted variant).
     gap : float
         Eigengap lambda_1 - lambda_2 used for the step size and rescaling.
-    config : VarEstConfig
-        Schedule overrides, step multiplier and random seed.
+    m1, m2, alpha
+        Schedule overrides for :func:`plan_schedule` (None keeps its formula)
+        and the step multiplier of eta_B = learning_rate(B, gap, alpha).
+    seed, init
+        Batch i starts from a random unit vector of ``seed.child(i)``, or
+        from the fixed unit vector ``init`` when one is given.
 
     The m1 * m2 batch runs advance together, as the states of one
     :func:`oja_kernel` call. Raises RegimeError when eta_B * lambda_1 >= 1,
@@ -181,10 +161,9 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
     """
     if gap <= 0.0:
         raise ValueError(f"gap must be positive (got {gap})")
-    cfg = config if config is not None else VarEstConfig()
     vt = _check_unit(vtilde, "vtilde")
-    m1, m2, batch = plan_schedule(data.n, data.d, delta, cfg.m1, cfg.m2)
-    eta_b = learning_rate(batch, gap, cfg.alpha)
+    m1, m2, batch = plan_schedule(data.n, data.d, delta, m1, m2)
+    eta_b = learning_rate(batch, gap, alpha)
     used = m1 * m2 * batch
     unused = data.n - used
     step = eta_b * float(np.mean((data.samples[:used] @ vt) ** 2))
@@ -196,8 +175,8 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float,
 
     runs = m1 * m2
     # Fresh random start per batch unless a fixed one was forced.
-    starts = [cfg.init] * runs if cfg.init is not None else [
-        gaussian_unit(cfg.seed.child(i).rng(), data.d) for i in range(runs)]
+    starts = [_check_unit(init, "init")] * runs if init is not None else [
+        gaussian_unit(seed.child(i).rng(), data.d) for i in range(runs)]
     stacked, _ = oja_kernel(data.samples[:used].reshape(runs, batch, data.d), eta_b, starts)
     sigma2 = np.empty((m1, data.d))
     for ell in range(m1):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from ojainfer import (
+    PAPER_M1,
     SeedSpec,
-    VarEstConfig,
     batch_variance,
     build_ci,
     build_r0_v,
@@ -38,7 +38,7 @@ from conftest import random_unit
 COVERAGE_SEED = 42
 COVERAGE_CONFIG = dict(n=5000, d=200, beta=1.0, trials=200,
                        methods=("ojavarest", "bootstrap:1", "bootstrap:20"),
-                       level=0.95, delta=0.05, ci_scale="full", tracked=(1, 2))
+                       level=0.95, m1=PAPER_M1, ci_scale="full", tracked=(1, 2))
 
 
 def report(num, label, passed, detail):
@@ -48,9 +48,7 @@ def report(num, label, passed, detail):
 
 
 def coverage_pipeline(out_dir, tag):
-    outcome = run_coverage_experiment(seed=SeedSpec(COVERAGE_SEED),
-                                      varest_config=VarEstConfig.paper_experiments(),
-                                      **COVERAGE_CONFIG)
+    outcome = run_coverage_experiment(seed=SeedSpec(COVERAGE_SEED), **COVERAGE_CONFIG)
     table_path = out_dir / f"coverage_{tag}.csv"
     records_path = out_dir / f"records_{tag}.csv"
     write_results(outcome.table_rows(COVERAGE_CONFIG["tracked"]), table_path)
@@ -193,8 +191,7 @@ def test_06_variance_estimator_consistency(synth50, asym50):
         data = sample(spec, root, n, rng=st.child(0).rng())
         u0 = gaussian_unit(st.child(1).rng(), 50)
         vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
-        cfg = VarEstConfig.paper_experiments(seed=st.child(2))
-        res = ojavarest(data, 0.05, vt, gap, cfg)
+        res = ojavarest(data, 0.05, vt, gap, m1=PAPER_M1, seed=st.child(2))
         ratios = res.gamma[top] / vkk[top]
         in_band += (ratios >= 0.4) & (ratios <= 2.5)
     frac = in_band / trials

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ojainfer import BootstrapConfig, Dataset, SeedSpec, bootstrap_run, bootstrap_variance, oja_run
+from ojainfer import Dataset, SeedSpec, bootstrap_run, bootstrap_variance, oja_run
 from ojainfer.bootstrap import _multipliers
 from ojainfer.synth import sample
 
@@ -14,24 +14,22 @@ class TestBootstrapRun:
         data = sample(spec, root, 150, rng=SeedSpec(131).rng())
         u0 = random_unit(SeedSpec(132).rng(), 3)
         eta = 0.01
-        cfg = BootstrapConfig(b=1, law="constant", eta=eta, seed=SeedSpec(133))
-        replica = bootstrap_run(data, cfg, u0)[0]
+        replica = bootstrap_run(data, 1, eta, SeedSpec(133), u0, law="constant")[0]
         plain = oja_run(data, eta, u0).estimate
         np.testing.assert_array_equal(replica, plain)
 
     def test_fixed_point_under_any_multipliers(self):
         e1 = np.array([1.0, 0.0, 0.0])
         data = Dataset(np.tile(e1, (40, 1)))
-        cfg = BootstrapConfig(b=4, law="exponential", eta=0.3, seed=SeedSpec(134))
-        replicas = bootstrap_run(data, cfg, e1)
+        replicas = bootstrap_run(data, 4, 0.3, SeedSpec(134), e1, law="exponential")
         for rep in replicas:
             np.testing.assert_array_equal(rep, e1)
 
     def test_replicas_differ_and_are_unit_norm(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 200, rng=SeedSpec(135).rng())
-        cfg = BootstrapConfig(b=5, law="exponential", eta=0.005, seed=SeedSpec(136))
-        replicas = bootstrap_run(data, cfg, random_unit(SeedSpec(137).rng(), 3))
+        replicas = bootstrap_run(data, 5, 0.005, SeedSpec(136), random_unit(SeedSpec(137).rng(), 3),
+                                 law="exponential")
         assert replicas.shape == (5, 3)
         np.testing.assert_allclose(np.linalg.norm(replicas, axis=1), np.ones(5), atol=1e-10)
         assert not np.array_equal(replicas[0], replicas[1])
@@ -40,15 +38,15 @@ class TestBootstrapRun:
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 100, rng=SeedSpec(138).rng())
         u0 = random_unit(SeedSpec(139).rng(), 3)
-        cfg = BootstrapConfig(b=3, law="normal", eta=0.01, seed=SeedSpec(140))
-        np.testing.assert_array_equal(bootstrap_run(data, cfg, u0), bootstrap_run(data, cfg, u0))
+        np.testing.assert_array_equal(bootstrap_run(data, 3, 0.01, SeedSpec(140), u0, law="normal"),
+                                      bootstrap_run(data, 3, 0.01, SeedSpec(140), u0, law="normal"))
 
     def test_dimension_mismatch(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 20, rng=SeedSpec(141).rng())
-        cfg = BootstrapConfig(b=1, law="exponential", eta=0.01, seed=SeedSpec(142))
         with pytest.raises(ValueError):
-            bootstrap_run(data, cfg, random_unit(SeedSpec(143).rng(), 4))
+            bootstrap_run(data, 1, 0.01, SeedSpec(142), random_unit(SeedSpec(143).rng(), 4),
+                          law="exponential")
 
     @pytest.mark.parametrize("law", ["exponential", "normal"])
     def test_vector_draw_equals_scalar_draws(self, law):
@@ -61,12 +59,13 @@ class TestBootstrapRun:
         assert _multipliers("constant", rng, 257) is None
 
     def test_config_validation(self):
+        data, e1 = Dataset(np.eye(3)), np.eye(3)[0]
         with pytest.raises(ValueError):
-            BootstrapConfig(b=0, eta=0.1)
+            bootstrap_run(data, 0, 0.1, SeedSpec(0), e1)
         with pytest.raises(ValueError):
-            BootstrapConfig(b=1, law="uniform", eta=0.1)
+            bootstrap_run(data, 1, 0.1, SeedSpec(0), e1, law="uniform")
         with pytest.raises(ValueError):
-            BootstrapConfig(b=1, eta=0.0)
+            bootstrap_run(data, 1, 0.0, SeedSpec(0), e1)
 
 
 class TestBootstrapVariance:
@@ -87,8 +86,8 @@ class TestBootstrapVariance:
     def test_invariant_under_replica_permutation(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 120, rng=SeedSpec(144).rng())
-        cfg = BootstrapConfig(b=6, law="exponential", eta=0.005, seed=SeedSpec(145))
-        replicas = bootstrap_run(data, cfg, random_unit(SeedSpec(146).rng(), 3))
+        replicas = bootstrap_run(data, 6, 0.005, SeedSpec(145), random_unit(SeedSpec(146).rng(), 3),
+                                 law="exponential")
         base = bootstrap_variance(replicas, eigen.leading)
         perm = SeedSpec(147).rng().permutation(6)
         shuffled = bootstrap_variance(replicas[perm], eigen.leading)

@@ -97,6 +97,13 @@ class TestVarestCommand:
         assert run(["--quiet", "varest", "--input", small_csv, "--delta", "2.0",
                     "--out", tmp_path / "x.json"]) == 1
 
+    def test_level_with_csv_is_validation_error(self, tmp_path, small_csv, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["--quiet", "varest", "--input", small_csv, "--format", "csv",
+                    "--level", "0.95", "--out", out]) == 1
+        assert "--level" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBootstrapCommand:
     def test_json_output(self, tmp_path, small_csv):
@@ -211,6 +218,13 @@ class TestAsymvarCommand:
         assert payload["asymptotic"]["rn"] is not None
         assert "empirical" in payload and "ck" in payload
 
+    def test_trials_without_n_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "asym.json"
+        assert run(["--quiet", "asymvar", "--d", "4", "--mc-samples", "2000",
+                    "--trials", "20", "--out", out]) == 1
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -221,3 +235,16 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["--quiet", "--seed", "-1", "synth", "--n", "10", "--d", "3", "--out", out]) == 1
+        assert "error: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_env_seed_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OJA_INFER_SEED", "abc")
+        out = tmp_path / "x.csv"
+        assert run(["--quiet", "synth", "--n", "10", "--d", "3", "--out", out]) == 1
+        assert "error: OJA_INFER_SEED" in capsys.readouterr().err
+        assert not out.exists()

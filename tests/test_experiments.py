@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, VarEstConfig
-from ojainfer.experiments import ExperimentRecord, parse_method, run_coverage_experiment
+from ojainfer import SeedLabel, SeedSpec, bootstrap_run, bootstrap_variance, learning_rate
+from ojainfer.experiments import ExperimentRecord, method_variance, parse_method, proxy, run_coverage_experiment
+from ojainfer.oja import gaussian_unit
+from ojainfer.synth import sample
 
 
 class TestParseMethod:
@@ -27,7 +30,7 @@ class TestParseMethod:
                                  vtilde_ms=0.0, estimate_ms=0.0)
 
 
-SMALL = dict(n=300, d=6, beta=1.0, trials=3, varest_config=VarEstConfig(m1=2, m2=2))
+SMALL = dict(n=300, d=6, beta=1.0, trials=3, m1=2, m2=2)
 
 
 class TestCoverageExperiment:
@@ -51,3 +54,20 @@ class TestCoverageExperiment:
             for c in tracked:
                 assert outcome.reports[m].hits[c - 1] == sum(row[f"hit_c{c}"] for row in rows)
 
+
+class TestMethodVariance:
+    def test_both_steps_follow_alpha(self, synth3):
+        spec, sigma, eigen, root = synth3
+        data = sample(spec, root, 600, rng=SeedSpec(32).rng())
+        gap, stream = eigen.gap, SeedSpec(33)
+        eta_n = learning_rate(data.n, gap, 3.0)
+        vt, proxy_eta = proxy(data, gap, 3.0, stream)
+        assert proxy_eta == eta_n
+        full, result = method_variance("ojavarest", data, vt, gap, 3.0, stream, m1=2, m2=2)
+        assert result.eta_b == learning_rate(result.batch_size, gap, 3.0)
+        np.testing.assert_array_equal(full, result.batch_scale_sigma2() * (eta_n / result.eta_b))
+        boot, replicas = method_variance("bootstrap:3", data, vt, gap, 3.0, stream)
+        u0 = gaussian_unit(stream.child(SeedLabel.BOOTSTRAP_START).rng(), data.d)
+        np.testing.assert_array_equal(
+            replicas, bootstrap_run(data, 3, eta_n, stream.child(SeedLabel.BOOTSTRAP, 3), u0))
+        np.testing.assert_array_equal(boot, bootstrap_variance(replicas, vt))

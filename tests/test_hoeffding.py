@@ -197,7 +197,7 @@ class TestResidualDecomposition:
         report = residual_decomposition(mats, sigma, eigen, 0.05, random_unit(rng, 3), eigen.leading)
         import json
 
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["n"] == 4 and payload["d"] == 3
         np.testing.assert_allclose(np.asarray(payload["e1"]), report.e1)
 

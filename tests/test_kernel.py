@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ojainfer import BootstrapConfig, Dataset, SeedSpec, VarEstConfig, bootstrap_run, oja_run, ojavarest
+from ojainfer import Dataset, SeedSpec, bootstrap_run, oja_run, ojavarest
 from ojainfer.bootstrap import _multipliers
 from ojainfer.experiments import residual_trials
 from ojainfer.oja import _block_size, gaussian_unit, learning_rate, oja_kernel
@@ -137,21 +137,20 @@ class TestCallersMatchOracle:
         data = sample(spec, root, 500, rng=SeedSpec(150).rng())
         u0 = gaussian_unit(SeedSpec(151).rng(), 3)
         for law in ("exponential", "normal"):
-            cfg = BootstrapConfig(b=3, law=law, eta=0.02, seed=SeedSpec(152))
-            replicas = bootstrap_run(data, cfg, u0)
+            replicas = bootstrap_run(data, 3, 0.02, SeedSpec(152), u0, law=law)
             for j in range(3):
-                w = _multipliers(law, cfg.seed.child(j).rng(), data.n)
+                w = _multipliers(law, SeedSpec(152).child(j).rng(), data.n)
                 ref = oja_loop(data.samples, 0.02, u0, w)
                 assert np.max(np.abs(replicas[j] - ref)) <= TOL
 
     def test_varest_batch_runs(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 700, rng=SeedSpec(153).rng())
-        cfg = VarEstConfig(m1=3, m2=4, seed=SeedSpec(154))
-        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg, keep_batch_estimates=True)
+        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=3, m2=4, seed=SeedSpec(154),
+                           keep_batch_estimates=True)
         batch = result.batch_size
         for i, est in enumerate(result.batch_estimates):
-            u0 = gaussian_unit(cfg.seed.child(i).rng(), 3)
+            u0 = gaussian_unit(SeedSpec(154).child(i).rng(), 3)
             ref = oja_loop(data.samples[i * batch : (i + 1) * batch], result.eta_b, u0)
             assert np.max(np.abs(est - ref)) <= TOL
 
@@ -182,6 +181,5 @@ class TestDegenerateIterate:
         # Datasets reject NaN and inf, so the iterate is made to overflow.
         x = SeedSpec(161).rng().standard_normal((100, 3))
         x[57] = 1e200
-        cfg = BootstrapConfig(b=2, law="exponential", eta=0.01, seed=SeedSpec(162))
         with pytest.raises(ValueError, match=r"replica 0: .*degenerated in samples 57\.\.57"):
-            bootstrap_run(Dataset(x), cfg, np.eye(3)[0])
+            bootstrap_run(Dataset(x), 2, 0.01, SeedSpec(162), np.eye(3)[0], law="exponential")

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import ojainfer
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -11,3 +13,8 @@ def test_library_tour_runs(capsys):
     code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
     exec(compile(code, f"{README}:library-tour", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ojainfer.__all__ if not hasattr(ojainfer, name)]
+    assert missing == []

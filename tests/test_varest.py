@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ojainfer import (
+    DEFAULT_ALPHA,
     Dataset,
+    PAPER_M1,
     RegimeError,
     SeedSpec,
-    VarEstConfig,
     batch_variance,
     learning_rate,
     median_of_means,
@@ -121,8 +122,7 @@ class TestOjaVarEst:
     def test_degenerate_data_gives_zero(self):
         e1 = np.array([1.0, 0.0])
         data = Dataset(np.tile(e1, (64, 1)))
-        cfg = VarEstConfig(m1=2, m2=2, seed=SeedSpec(103), init=e1)
-        result = ojavarest(data, 0.25, e1, 1.0, cfg)
+        result = ojavarest(data, 0.25, e1, 1.0, m1=2, m2=2, seed=SeedSpec(103), init=e1)
         np.testing.assert_array_equal(result.gamma, np.zeros(2))
         np.testing.assert_array_equal(result.batch_sigma2, np.zeros((2, 2)))
 
@@ -130,10 +130,9 @@ class TestOjaVarEst:
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 200, rng=SeedSpec(104).rng())
         gap = eigen.gap
-        cfg = VarEstConfig(m1=1, m2=1, seed=SeedSpec(105))
         vt = eigen.leading
-        result = ojavarest(data, 0.1, vt, gap, cfg)
-        eta = learning_rate(200, gap, cfg.alpha)
+        result = ojavarest(data, 0.1, vt, gap, m1=1, m2=1, seed=SeedSpec(105))
+        eta = learning_rate(200, gap, DEFAULT_ALPHA)
         u0 = gaussian_unit(SeedSpec(105).child(0).rng(), 3)
         v = oja_run(data.samples, eta, u0).estimate
         resid = v - float(vt @ v) * vt
@@ -142,8 +141,7 @@ class TestOjaVarEst:
     def test_scale_identity_and_nonnegativity(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 600, rng=SeedSpec(106).rng())
-        cfg = VarEstConfig(m1=3, m2=2, seed=SeedSpec(107))
-        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
+        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=3, m2=2, seed=SeedSpec(107))
         assert np.all(result.gamma >= 0.0)
         recomputed = np.median(result.batch_sigma2, axis=0) / (result.eta_b * eigen.gap)
         np.testing.assert_array_equal(result.gamma, recomputed)
@@ -153,17 +151,16 @@ class TestOjaVarEst:
     def test_determinism(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 600, rng=SeedSpec(108).rng())
-        cfg = VarEstConfig(m1=2, m2=3, seed=SeedSpec(109))
-        a = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
-        b = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
+        cfg = dict(m1=2, m2=3, seed=SeedSpec(109))
+        a = ojavarest(data, 0.1, eigen.leading, eigen.gap, **cfg)
+        b = ojavarest(data, 0.1, eigen.leading, eigen.gap, **cfg)
         np.testing.assert_array_equal(a.gamma, b.gamma)
         np.testing.assert_array_equal(a.batch_sigma2, b.batch_sigma2)
 
     def test_remainder_recorded(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 205, rng=SeedSpec(110).rng())
-        cfg = VarEstConfig(m1=2, m2=2, seed=SeedSpec(111))
-        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
+        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=2, m2=2, seed=SeedSpec(111))
         assert result.batch_size == 51
         assert result.samples_unused == 205 - 4 * 51
 
@@ -174,16 +171,22 @@ class TestOjaVarEst:
         gap = estimate_gap(data)
         vt = oja_run(data, learning_rate(400, gap, 2.0), random_unit(SeedSpec(207).rng(), 10)).estimate
         with pytest.raises(RegimeError, match=r"eta_B \* lambda_1 = \d"):
-            ojavarest(data, 0.05, vt, gap, VarEstConfig.paper_experiments())
+            ojavarest(data, 0.05, vt, gap, m1=PAPER_M1)
 
     def test_regime_edge_is_eta_b_times_rayleigh_quotient(self):
         # Rows +-2 e1 and +-e2: the proxy e1 has Rayleigh quotient exactly 2.
         rows = np.array([[2.0, 0.0], [0.0, 1.0], [-2.0, 0.0], [0.0, -1.0]])
-        data, e1, cfg = Dataset(np.tile(rows, (25, 1))), np.array([1.0, 0.0]), VarEstConfig(m1=2, m2=2)
+        data, e1 = Dataset(np.tile(rows, (25, 1))), np.array([1.0, 0.0])
         edge = learning_rate(plan_schedule(100, 2, 0.05, 2, 2)[2], 1.0, 2.0) * 2.0
-        ojavarest(data, 0.05, e1, edge / 0.99, cfg)
+        ojavarest(data, 0.05, e1, edge / 0.99, m1=2, m2=2)
         with pytest.raises(RegimeError, match="= 1.01 >= 1"):
-            ojavarest(data, 0.05, e1, edge / 1.01, cfg)
+            ojavarest(data, 0.05, e1, edge / 1.01, m1=2, m2=2)
+
+    def test_collapsed_schedule_refused(self, synth3):
+        spec, sigma, eigen, root = synth3
+        data = sample(spec, root, 100, rng=SeedSpec(112).rng())
+        with pytest.raises(ValueError, match="schedule collapsed to m1=0"):
+            ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=0)
 
     def test_gap_must_be_positive(self, synth3):
         spec, sigma, eigen, root = synth3
@@ -208,8 +211,7 @@ class TestOjaVarEst:
                 data = sample(spec, root, n, rng=st.child(0).rng())
                 u0 = gaussian_unit(st.child(1).rng(), 50)
                 vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
-                cfg = VarEstConfig(seed=st.child(2))
-                res = ojavarest(data, 0.05, vt, gap, cfg)
+                res = ojavarest(data, 0.05, vt, gap, seed=st.child(2))
                 errs.append(np.max(np.abs(res.gamma[top] - vkk[top]) / vkk[top]))
             return np.median(errs)
 
@@ -218,8 +220,7 @@ class TestOjaVarEst:
     def test_csv_rows_shape(self, synth3):
         spec, sigma, eigen, root = synth3
         data = sample(spec, root, 300, rng=SeedSpec(113).rng())
-        cfg = VarEstConfig(m1=2, m2=2, seed=SeedSpec(114))
-        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, cfg)
+        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=2, m2=2, seed=SeedSpec(114))
         rows = result.csv_rows()
         assert len(rows) == 3
         assert set(rows[0]) == {"coordinate", "gamma", "sigma2_group1", "sigma2_group2"}
