@@ -29,7 +29,7 @@ from .io import (
 )
 from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
 from .synth import SynthSpec, build_sigma, mask_missing, sample, vector_sampler
-from .varest import PAPER_M1
+from .varest import DEFAULT_DELTA, PAPER_M1
 
 SUBCOMMANDS = ("synth", "oja", "varest", "bootstrap", "coverage", "bench", "oracle", "asymvar")
 
@@ -78,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("varest", help="per-coordinate variance estimates for a CSV dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--center", action="store_true")
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=float, default=None,
+                   help=f"failure probability (default {DEFAULT_DELTA}); sets m1 unless --m1 or --preset"
+                        " does, and the --boosted proxy")
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=None)
     p.add_argument("--preset", choices=["paper-experiments"], default=None)
@@ -137,11 +139,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=200000)
     p.add_argument("--n", type=int, default=None,
                    help="also include the finite-horizon block at this length")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=float, default=None,
+                   help=f"step-size constant at --n (default {DEFAULT_ALPHA})")
     p.add_argument("--trials", type=int, default=0,
                    help="Monte-Carlo trials for the empirical covariance check (0 to skip)")
     p.add_argument("--out", required=True)
     return parser
+
+
+def _check_flags(args) -> None:
+    """Refuse a flag that would change nothing in its combination, then fill defaults.
+
+    Such flags default to None, so that a value given can be told from the default.
+    """
+    if args.subcommand == "varest":
+        if args.format == "csv" and args.level is not None:
+            raise ValueError("--level needs --format json: the CSV output has no interval columns")
+        if args.delta is not None and (args.m1 is not None or args.preset) and not args.boosted:
+            raise ValueError("--delta changes nothing once --m1 or --preset fixes m1 without --boosted")
+        args.delta = DEFAULT_DELTA if args.delta is None else args.delta
+    elif args.subcommand == "asymvar":
+        if args.trials > 0 and args.n is None:
+            raise ValueError("--trials needs --n: the empirical check runs at that horizon")
+        if args.alpha is not None and args.n is None:
+            raise ValueError("--alpha needs --n: the step size is used only at that horizon")
+        args.alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
 
 
 def _resolve_gap(args, data) -> float:
@@ -186,8 +208,6 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
-    if args.format == "csv" and args.level is not None:
-        raise ValueError("--level needs --format json: the CSV output has no interval columns")
     data = read_csv(args.input, center=args.center)
     gap = _resolve_gap(args, data)
     m1 = PAPER_M1 if args.preset and args.m1 is None else args.m1
@@ -263,8 +283,6 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
-    if args.trials > 0 and args.n is None:
-        raise ValueError("--trials needs --n: the empirical check runs at that horizon")
     spec = SynthSpec(d=args.d, beta=args.beta, seed=seed)
     sigma, eigen = build_sigma(spec)
     root = psd_sqrt(sigma)
@@ -304,8 +322,9 @@ def cli_dispatch(argv: list[str]) -> int:
         "oracle": lambda: _cmd_oracle(args, seed),
         "asymvar": lambda: _cmd_asymvar(args, seed),
     }
-    config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
     try:
+        _check_flags(args)
+        config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
         seed = _resolve_seed(args)
         if getattr(args, "input", None):
             digest = config_echo["input_sha256"] = content_hash_file(args.input)

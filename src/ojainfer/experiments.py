@@ -17,7 +17,7 @@ from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, psd_sqrt, sin2
 from .inference import CoverageReport, band_hits, build_ci
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import SynthSpec, build_sigma, sample
-from .varest import PAPER_M1, VarEstResult, ojavarest
+from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, ojavarest
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -54,7 +54,7 @@ def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
 
 
 def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, alpha: float,
-                    stream: SeedSpec, delta: float = 0.05, m1: int | None = PAPER_M1,
+                    stream: SeedSpec, delta: float = DEFAULT_DELTA, m1: int | None = PAPER_M1,
                     m2: int | None = None, ci_scale: str = "full", law: str = "exponential"
                     ) -> tuple[np.ndarray, VarEstResult | np.ndarray]:
     """One method's per-coordinate variance around ``vtilde`` at the interval's scale.

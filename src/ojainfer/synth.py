@@ -76,17 +76,12 @@ def build_sigma(spec: SynthSpec) -> tuple[np.ndarray, EigenSystem]:
     return sigma, eigen
 
 
-def sample_stream(
-    spec: SynthSpec,
-    sigma_root: np.ndarray,
-    n: int,
-    rng: np.random.Generator | None = None,
-    block: int = 4096,
-) -> Iterator[np.ndarray]:
-    """Yield blocks of samples, keeping memory constant beyond Sigma^{1/2}.
+# Rows drawn per block: Z for one block is the only scratch beyond the output.
+_BLOCK_ROWS = 4096
 
-    ``rng`` defaults to the stream keyed by ``spec.seed``.
-    """
+
+def _z_blocks(spec: SynthSpec, sigma_root: np.ndarray, n: int, rng, block: int):
+    """Check the arguments; return Sigma^{1/2} and a generator of Z blocks."""
     if n < 1:
         raise ValueError(f"need n >= 1 samples (got {n})")
     root = np.asarray(sigma_root, dtype=np.float64)
@@ -94,18 +89,43 @@ def sample_stream(
         raise ValueError(f"sigma_root has shape {root.shape}, expected ({spec.d}, {spec.d})")
     if rng is None:
         rng = spec.seed.rng()
-    produced = 0
-    while produced < n:
-        m = min(block, n - produced)
-        z = rng.uniform(-HALF_WIDTH, HALF_WIDTH, size=(m, spec.d))
+
+    def blocks():
+        for lo in range(0, n, block):
+            yield rng.uniform(-HALF_WIDTH, HALF_WIDTH, size=(min(block, n - lo), spec.d))
+
+    return root, blocks()
+
+
+def sample_stream(
+    spec: SynthSpec,
+    sigma_root: np.ndarray,
+    n: int,
+    rng: np.random.Generator | None = None,
+    block: int = _BLOCK_ROWS,
+) -> Iterator[np.ndarray]:
+    """Yield blocks of samples, keeping memory constant beyond Sigma^{1/2}.
+
+    ``rng`` defaults to the stream keyed by ``spec.seed``.
+    """
+    root, blocks = _z_blocks(spec, sigma_root, n, rng, block)
+    for z in blocks:
         yield z @ root
-        produced += m
 
 
 def sample(spec: SynthSpec, sigma_root: np.ndarray, n: int, rng: np.random.Generator | None = None) -> Dataset:
-    """Materialize n i.i.d. samples X = Sigma^{1/2} Z as a Dataset."""
-    blocks = list(sample_stream(spec, sigma_root, n, rng))
-    return Dataset(np.vstack(blocks), provenance="synthetic")
+    """Materialize n i.i.d. samples X = Sigma^{1/2} Z as a Dataset.
+
+    Each block of Z is multiplied straight into its rows of the output, so
+    the draw holds one (n, d) array and one block of Z.
+    """
+    root, blocks = _z_blocks(spec, sigma_root, n, rng, _BLOCK_ROWS)
+    out = np.empty((n, spec.d))
+    lo = 0
+    for z in blocks:
+        np.matmul(z, root, out=out[lo:lo + len(z)])
+        lo += len(z)
+    return Dataset(out, provenance="synthetic")
 
 
 def vector_sampler(spec: SynthSpec, sigma_root: np.ndarray):

@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 
 # Groups in the reference experiments, in place of the ceil(8 ln(d/delta)) default.
 PAPER_M1 = 3
+# Failure probability that sets the default m1 and the boosted proxy's batch count.
+DEFAULT_DELTA = 0.05
 
 
 @dataclass(frozen=True)

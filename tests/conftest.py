@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -55,6 +57,17 @@ def residuals5(synth5):
     spec, sigma, eigen, root = synth5
     draws = residual_trials(spec, root, eigen, n=4000, trials=2000, seed=SeedSpec(77))
     return draws
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped (read_csv forks workers)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process: {'running' if pid == 0 else f'pid {pid} unreaped'}")
 
 
 def random_unit(rng, d):

@@ -104,6 +104,17 @@ class TestVarestCommand:
         assert "--level" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fix_m1", [["--m1", "2"], ["--preset", "paper-experiments"]])
+    def test_delta_with_fixed_m1_is_validation_error(self, tmp_path, small_csv, capsys, fix_m1):
+        # m1 fixed and no boosted proxy: delta would set nothing.
+        out = tmp_path / "x.json"
+        assert run(["--quiet", "varest", "--input", small_csv, *fix_m1, "--m2", "2",
+                    "--delta", "0.2", "--out", out]) == 1
+        assert "--delta" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["--quiet", "varest", "--input", small_csv, *fix_m1, "--m2", "2",
+                    "--delta", "0.2", "--boosted", "--out", out]) == 0
+
 
 class TestBootstrapCommand:
     def test_json_output(self, tmp_path, small_csv):
@@ -223,6 +234,13 @@ class TestAsymvarCommand:
         assert run(["--quiet", "asymvar", "--d", "4", "--mc-samples", "2000",
                     "--trials", "20", "--out", out]) == 1
         assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_without_n_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "asym.json"
+        assert run(["--quiet", "asymvar", "--d", "4", "--mc-samples", "2000",
+                    "--alpha", "3", "--out", out]) == 1
+        assert "--alpha" in capsys.readouterr().err
         assert not out.exists()
 
 

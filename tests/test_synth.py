@@ -74,6 +74,15 @@ class TestSample:
         assert sum(b.shape[0] for b in blocks) == 10_000
         assert all(b.shape[1] == 3 for b in blocks)
 
+    @pytest.mark.parametrize("n", [919, 5000, 9000])
+    def test_sample_matches_stacked_stream(self, synth50, n):
+        # sample multiplies each block into its slice of one array; the bits
+        # are those of the stacked stream, a short last block included.
+        spec, sigma, eigen, root = synth50
+        data = sample(spec, root, n, rng=SeedSpec(162).rng())
+        stacked = np.vstack(list(sample_stream(spec, root, n, rng=SeedSpec(162).rng())))
+        assert data.samples.tobytes() == stacked.tobytes()
+
     def test_n_floor(self, synth3):
         spec, sigma, eigen, root = synth3
         with pytest.raises(ValueError):
