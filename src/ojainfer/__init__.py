@@ -25,7 +25,7 @@ from .core import (
 from .oja import DEFAULT_ALPHA, OjaResult, learning_rate, oja_boosted, oja_run
 from .varest import PAPER_M1, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
 from .bootstrap import bootstrap_run, bootstrap_variance
-from .synth import SynthSpec, build_sigma, mask_missing, sample
+from .synth import build_sigma, mask_missing, sample
 from .asymvar import (
     AsymptoticVariance,
     MomentEstimates,
@@ -44,7 +44,7 @@ __all__ = [
     "PAPER_M1", "VarEstResult", "batch_variance", "median_of_means",
     "ojavarest", "plan_schedule",
     "bootstrap_run", "bootstrap_variance",
-    "SynthSpec", "build_sigma", "mask_missing", "sample",
+    "build_sigma", "mask_missing", "sample",
     "AsymptoticVariance", "MomentEstimates", "build_r0_v", "build_rn",
     "empirical_hajek_covariance", "estimate_mtilde",
     "DecompositionReport", "hajek_projection", "hoeffding_term",

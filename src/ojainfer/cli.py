@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments
 from .asymvar import build_r0_v, ck_diagnostic, empirical_hajek_covariance, estimate_mtilde, with_rn
-from .core import DegenerateGapError, SeedLabel, SeedSpec, eigendecompose, psd_sqrt, sample_covariance
+from .core import SeedLabel, SeedSpec, eigendecompose, sample_covariance
 from .hoeffding import residual_decomposition
 from .inference import build_ci
 from .io import (
@@ -28,10 +28,8 @@ from .io import (
     write_results,
 )
 from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
-from .synth import SynthSpec, build_sigma, mask_missing, sample, vector_sampler
+from .synth import build_sigma, mask_missing, sample, vector_sampler
 from .varest import DEFAULT_DELTA, PAPER_M1
-
-SUBCOMMANDS = ("synth", "oja", "varest", "bootstrap", "coverage", "bench", "oracle", "asymvar")
 
 
 def _resolve_seed(args) -> SeedSpec:
@@ -58,6 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="master seed (default: $OJA_INFER_SEED or 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # The flags of the commands that read a data file.
+    on_file = argparse.ArgumentParser(add_help=False)
+    on_file.add_argument("--input", required=True)
+    on_file.add_argument("--center", action="store_true")
+    on_file.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    on_file.add_argument("--gap", type=float, default=None)
+    on_file.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset as CSV")
     p.add_argument("--n", type=int, required=True)
@@ -68,24 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-rate", type=float, default=0.0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("oja", help="single streaming pass over a CSV dataset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--center", action="store_true")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--gap", type=float, default=None)
-    p.add_argument("--out", required=True)
+    sub.add_parser("oja", parents=[on_file], help="single streaming pass over a CSV dataset")
 
-    p = sub.add_parser("varest", help="per-coordinate variance estimates for a CSV dataset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--center", action="store_true")
+    p = sub.add_parser("varest", parents=[on_file],
+                       help="per-coordinate variance estimates for a CSV dataset")
     p.add_argument("--delta", type=float, default=None,
                    help=f"failure probability (default {DEFAULT_DELTA}); sets m1 unless --m1 or --preset"
                         " does, and the --boosted proxy")
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=None)
     p.add_argument("--preset", choices=["paper-experiments"], default=None)
-    p.add_argument("--gap", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--boosted", action="store_true",
                    help="compute the proxy vector by batched aggregation instead of one pass")
     p.add_argument("--level", type=float, default=None,
@@ -93,17 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci-scale", choices=["batch", "full"], default="full",
                    help="interval width scale; 'full' matches the proxy vector's own fluctuation scale")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bootstrap", help="multiplier-bootstrap variance for a CSV dataset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--center", action="store_true")
+    p = sub.add_parser("bootstrap", parents=[on_file],
+                       help="multiplier-bootstrap variance for a CSV dataset")
     p.add_argument("--b", type=int, default=20)
     p.add_argument("--law", choices=["exponential", "normal"], default="exponential")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--gap", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("coverage", help="repeated-trial coverage experiment on synthetic data")
     p.add_argument("--n", type=int, required=True)
@@ -151,7 +143,14 @@ def _check_flags(args) -> None:
     """Refuse a flag that would change nothing in its combination, then fill defaults.
 
     Such flags default to None, so that a value given can be told from the default.
+    A value out of its range is refused here too, before any input is read.
     """
+    if getattr(args, "level", None) is not None and not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must lie in (0, 1) (got {args.level})")
+    if getattr(args, "gap", None) is not None and args.gap <= 0:
+        raise ValueError(f"--gap must be positive (got {args.gap})")
+    if args.subcommand == "synth" and not 0.0 <= args.mask_rate < 1.0:
+        raise ValueError(f"--mask-rate must lie in [0, 1) (got {args.mask_rate})")
     if args.subcommand == "varest":
         if args.format == "csv" and args.level is not None:
             raise ValueError("--level needs --format json: the CSV output has no interval columns")
@@ -166,12 +165,10 @@ def _check_flags(args) -> None:
         args.alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
 
 
-def _resolve_gap(args, data) -> float:
-    if args.gap is not None:
-        if args.gap <= 0:
-            raise ValueError(f"--gap must be positive (got {args.gap})")
-        return args.gap
-    return estimate_gap(data)
+def _load(args):
+    """The --input dataset, centred with --center, and --gap or its plug-in estimate."""
+    data = read_csv(args.input, center=args.center)
+    return data, estimate_gap(data) if args.gap is None else args.gap
 
 
 def _write_json(path, payload: dict) -> None:
@@ -181,10 +178,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _cmd_synth(args, seed: SeedSpec) -> dict:
-    spec = SynthSpec(d=args.d, beta=args.beta, c=args.c, scale=args.scale, seed=seed)
-    sigma, eigen = build_sigma(spec)
-    root = psd_sqrt(sigma)
-    data = sample(spec, root, args.n)
+    _, eigen, root = build_sigma(args.d, args.beta, args.c, args.scale)
+    data = sample(root, args.n, seed.rng())
     if args.mask_rate > 0.0:
         data = mask_missing(data, args.mask_rate, seed.child(SeedLabel.MASK))
     write_csv(data, args.out)
@@ -194,8 +189,7 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_oja(args, seed: SeedSpec) -> dict:
-    data = read_csv(args.input, center=args.center)
-    gap = _resolve_gap(args, data)
+    data, gap = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     _write_json(args.out, {
         "estimate": vtilde.tolist(),
@@ -208,8 +202,7 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
-    data = read_csv(args.input, center=args.center)
-    gap = _resolve_gap(args, data)
+    data, gap = _load(args)
     m1 = PAPER_M1 if args.preset and args.m1 is None else args.m1
     vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
     sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, args.alpha, seed,
@@ -232,8 +225,7 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
-    data = read_csv(args.input, center=args.center)
-    gap = _resolve_gap(args, data)
+    data, gap = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, args.alpha,
                                             seed, law=args.law)
@@ -269,10 +261,8 @@ def _cmd_bench(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_oracle(args, seed: SeedSpec) -> dict:
-    spec = SynthSpec(d=args.d, beta=args.beta, seed=seed)
-    sigma, eigen = build_sigma(spec)
-    root = psd_sqrt(sigma)
-    data = sample(spec, root, args.n, rng=seed.child(SeedLabel.DATA).rng())
+    sigma, eigen, root = build_sigma(args.d, args.beta)
+    data = sample(root, args.n, seed.child(SeedLabel.DATA).rng())
     mats = data.samples[:, :, None] * data.samples[:, None, :]
     u0 = gaussian_unit(seed.child(SeedLabel.START).rng(), args.d)
     vtilde = eigendecompose(sample_covariance(data)).leading
@@ -283,10 +273,8 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
-    spec = SynthSpec(d=args.d, beta=args.beta, seed=seed)
-    sigma, eigen = build_sigma(spec)
-    root = psd_sqrt(sigma)
-    sampler = vector_sampler(spec, root)
+    _, eigen, root = build_sigma(args.d, args.beta)
+    sampler = vector_sampler(root)
     moments = estimate_mtilde(sampler, eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS))
     asym = build_r0_v(moments, eigen)
     payload = {"moments": moments.to_dict(), "asymptotic": asym.to_dict(),
@@ -306,22 +294,18 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
             "n": args.n, "trials": args.trials}
 
 
+_HANDLERS = {
+    "synth": _cmd_synth, "oja": _cmd_oja, "varest": _cmd_varest, "bootstrap": _cmd_bootstrap,
+    "coverage": _cmd_coverage, "bench": _cmd_bench, "oracle": _cmd_oracle, "asymvar": _cmd_asymvar,
+}
+
+
 def cli_dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    handlers = {
-        "synth": lambda: _cmd_synth(args, seed),
-        "oja": lambda: _cmd_oja(args, seed),
-        "varest": lambda: _cmd_varest(args, seed),
-        "bootstrap": lambda: _cmd_bootstrap(args, seed),
-        "coverage": lambda: _cmd_coverage(args, seed),
-        "bench": lambda: _cmd_bench(args, seed),
-        "oracle": lambda: _cmd_oracle(args, seed),
-        "asymvar": lambda: _cmd_asymvar(args, seed),
-    }
     try:
         _check_flags(args)
         config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
@@ -333,14 +317,14 @@ def cli_dispatch(argv: list[str]) -> int:
         manifest = RunManifest(subcommand=args.subcommand, config=config_echo,
                                seed=seed.master, content_hash=digest).start()
         _progress(args, f"ojainfer {args.subcommand}: starting (seed={seed.master})")
-        extra = handlers[args.subcommand]()
+        extra = _HANDLERS[args.subcommand](args, seed)
         manifest.config.update(extra or {})
         manifest.finish()
         if getattr(args, "out", None):
             manifest.write_beside(args.out)
         _progress(args, f"ojainfer {args.subcommand}: done -> {getattr(args, 'out', '')}")
         return 0
-    except (ValueError, DegenerateGapError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -215,20 +215,20 @@ def eigendecompose(s: np.ndarray) -> EigenSystem:
     return EigenSystem(vals[order], vecs[:, order])
 
 
-def psd_sqrt(s: np.ndarray) -> np.ndarray:
-    """Symmetric square root R of a PSD matrix, with R @ R == S.
+def psd_sqrt(eigen: EigenSystem) -> np.ndarray:
+    """Symmetric square root R of a PSD matrix, given its eigendecomposition.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -1e-6
-    signals a materially indefinite input and raises.
+    R @ R reproduces the decomposed matrix. Eigenvalues in [-1e-6, 0) are
+    clamped to zero; anything below -1e-6 signals a materially indefinite
+    input and raises.
     """
-    eig = eigendecompose(s)
-    vals = eig.eigenvalues
+    vals = eigen.eigenvalues
     if np.any(vals < -1e-6):
         raise ValueError(
             f"matrix has a materially negative eigenvalue ({float(vals.min()):.3e})"
         )
     clamped = np.clip(vals, 0.0, None)
-    root = (eig.eigenvectors * np.sqrt(clamped)) @ eig.eigenvectors.T
+    root = (eigen.eigenvectors * np.sqrt(clamped)) @ eigen.eigenvectors.T
     return (root + root.T) / 2.0
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import bootstrap_run, bootstrap_variance
-from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, psd_sqrt, sin2
+from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
 from .inference import CoverageReport, band_hits, build_ci
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
-from .synth import SynthSpec, build_sigma, sample
+from .synth import build_sigma, sample
 from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, ojavarest
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
@@ -183,15 +183,13 @@ def run_coverage_experiment(
     for c in tracked:
         if not 1 <= c <= d:
             raise ValueError(f"tracked coordinate {c} is outside 1..{d}")
-    spec = SynthSpec(d=d, beta=beta, seed=seed)
-    sigma, eigen = build_sigma(spec)
-    root = psd_sqrt(sigma)
+    _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
     hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
     records: list[ExperimentRecord] = []
     for trial in range(trials):
         st = seed.child(trial)
-        data = sample(spec, root, n, rng=st.child(SeedLabel.DATA).rng())
+        data = sample(root, n, st.child(SeedLabel.DATA).rng())
         t0 = time.perf_counter()
         vtilde, _ = proxy(data, gap, alpha, st)
         vtilde_ms = (time.perf_counter() - t0) * 1e3
@@ -205,7 +203,7 @@ def run_coverage_experiment(
             trial_hits = band_hits(band, eigen.leading)
             hits[method_spec] += trial_hits
             records.append(ExperimentRecord(
-                trial=trial, method=method_spec, n=n, d=spec.d, beta=spec.beta,
+                trial=trial, method=method_spec, n=n, d=d, beta=beta,
                 b=replica_counts[method_spec], tracked=tracked,
                 hits=tuple(int(trial_hits[c - 1]) for c in tracked), sin2_error=accuracy,
                 vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
@@ -247,11 +245,9 @@ def run_bench(
     apples-to-apples cost of the uncertainty step itself. An untimed warmup
     pass runs first so the earliest method is not charged for cache faults.
     """
-    spec = SynthSpec(d=d, beta=beta, seed=seed)
-    sigma, eigen = build_sigma(spec)
-    root = psd_sqrt(sigma)
+    _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
-    data = sample(spec, root, n, rng=seed.child(SeedLabel.DATA).rng())
+    data = sample(root, n, seed.child(SeedLabel.DATA).rng())
     proxy(data, gap, DEFAULT_ALPHA, seed.child(SeedLabel.WARMUP))  # warmup, untimed
 
     records: list[BenchRecord] = []
@@ -276,7 +272,6 @@ _TRIAL_CHUNK = 128
 
 
 def residual_trials(
-    spec: SynthSpec,
     root: np.ndarray,
     eigen: EigenSystem,
     n: int,
@@ -292,11 +287,11 @@ def residual_trials(
     gap = eigen.require_gap()
     eta_n = learning_rate(n, gap, alpha)
     v1 = eigen.leading
-    rows = np.empty((trials, spec.d))
+    rows = np.empty((trials, eigen.d))
     for lo in range(0, trials, _TRIAL_CHUNK):
         streams = [seed.child(t) for t in range(lo, min(lo + _TRIAL_CHUNK, trials))]
-        data = np.stack([sample(spec, root, n, rng=st.child(SeedLabel.DATA).rng()).samples for st in streams])
-        starts = np.array([gaussian_unit(st.child(SeedLabel.START).rng(), spec.d) for st in streams])
+        data = np.stack([sample(root, n, st.child(SeedLabel.DATA).rng()).samples for st in streams])
+        starts = np.array([gaussian_unit(st.child(SeedLabel.START).rng(), eigen.d) for st in streams])
         v, _ = oja_kernel(data, eta_n, starts)
         rows[lo : lo + len(streams)] = v - (v @ v1)[:, None] * v1
     return rows

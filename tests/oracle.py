@@ -7,7 +7,8 @@ normalisation per sample, with no blocking; the tests compare
 must match byte for byte. ``operator_norms_rows`` is the power iteration on
 (m, d) rows in the original basis, and ``hajek_vector`` the order-1 term of
 one trial with its weight table built in place; ``ojainfer.asymvar`` must
-match both.
+match both. ``sample_blocks`` is ``ojainfer.synth.sample`` as a stack of
+per-block products.
 """
 
 import csv
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from ojainfer.io import _fmt
+from ojainfer.synth import HALF_WIDTH
 
 
 def oja_loop(samples, eta, u0, weights=None):
@@ -68,3 +70,10 @@ def hajek_vector(x, eigen, eta, sigma_v1):
     expo = np.arange(n - 1, -1, -1.0)
     ysum = ((ratios[None, :] ** expo[:, None]) * g).sum(axis=0)
     return (eta / (1.0 + eta * lam[0])) * (vp @ ysum)
+
+
+def sample_blocks(root, n, rng, block=4096):
+    """Draw Z in blocks of rows, multiply each by the root, and stack the products."""
+    parts = [rng.uniform(-HALF_WIDTH, HALF_WIDTH, size=(min(block, n - lo), root.shape[0])) @ root
+             for lo in range(0, n, block)]
+    return np.vstack(parts)

@@ -113,7 +113,7 @@ def test_02_residual_decomposition_identity():
 
 def test_03_hajek_covariance_agreement(synth3, moments3):
     t0 = time.perf_counter()
-    spec, sigma, eigen, root = synth3
+    sigma, eigen, root = synth3
     gap = eigen.require_gap()
     n, trials = 200, 5000
     eta = learning_rate(n, gap, 2.0)
@@ -129,7 +129,7 @@ def test_03_hajek_covariance_agreement(synth3, moments3):
     coef = eta**2 * series / (1.0 + eta * lam1) ** 2
     scaled_se = coef * moments3.mc_stderr
     se_analytic = np.sqrt(np.einsum("ak,bl,kl->ab", vp**2, vp**2, scaled_se**2))
-    emp = empirical_hajek_covariance(vector_sampler(spec, root), eigen, n, eta,
+    emp = empirical_hajek_covariance(vector_sampler(root), eigen, n, eta,
                                      trials, SeedSpec(2003))
     combined = np.sqrt(emp.stderr**2 + se_analytic**2)
     within = np.abs(emp.matrix - analytic) <= 4.0 * combined
@@ -141,7 +141,7 @@ def test_03_hajek_covariance_agreement(synth3, moments3):
 
 def test_04_scaled_covariance_approaches_limit(synth3, moments3):
     t0 = time.perf_counter()
-    spec, sigma, eigen, root = synth3
+    sigma, eigen, root = synth3
     gap = eigen.require_gap()
     asym = build_r0_v(moments3, eigen)
     devs = []
@@ -156,14 +156,14 @@ def test_04_scaled_covariance_approaches_limit(synth3, moments3):
 
 def test_05_streaming_convergence_rate(synth50):
     t0 = time.perf_counter()
-    spec, sigma, eigen, root = synth50
+    sigma, eigen, root = synth50
     gap = eigen.require_gap()
 
     def median_sin2(n, seed):
         errs = []
         for t in range(50):
             st = SeedSpec(seed).child(t)
-            data = sample(spec, root, n, rng=st.child(0).rng())
+            data = sample(root, n, rng=st.child(0).rng())
             u0 = gaussian_unit(st.child(1).rng(), 50)
             v = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
             errs.append(sin2(v, eigen.leading))
@@ -179,7 +179,7 @@ def test_05_streaming_convergence_rate(synth50):
 
 def test_06_variance_estimator_consistency(synth50, asym50):
     t0 = time.perf_counter()
-    spec, sigma, eigen, root = synth50
+    sigma, eigen, root = synth50
     moments, asym = asym50
     vkk = asym.diag()
     top = np.argsort(vkk)[::-1][:5]
@@ -188,7 +188,7 @@ def test_06_variance_estimator_consistency(synth50, asym50):
     in_band = np.zeros(5)
     for t in range(trials):
         st = SeedSpec(2007).child(t)
-        data = sample(spec, root, n, rng=st.child(0).rng())
+        data = sample(root, n, rng=st.child(0).rng())
         u0 = gaussian_unit(st.child(1).rng(), 50)
         vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
         res = ojavarest(data, 0.05, vt, gap, m1=PAPER_M1, seed=st.child(2))
@@ -233,7 +233,7 @@ def test_08_timing_comparison():
 
 def test_09_clt_variance_matching(synth5, asym5, residuals5):
     t0 = time.perf_counter()
-    spec, sigma, eigen, root = synth5
+    sigma, eigen, root = synth5
     moments, asym = asym5
     vkk = asym.diag()
     gap = eigen.require_gap()

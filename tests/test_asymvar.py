@@ -53,7 +53,7 @@ def closed_form_mtilde(sigma, root, eigen):
 
 class TestEstimateMtilde:
     def test_degenerate_sampler_gives_zero(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         mom = estimate_mtilde(constant_matrix_sampler(sigma), eigen, 200, SeedSpec(1))
         np.testing.assert_allclose(mom.mtilde, np.zeros((2, 2)), atol=1e-12)
         np.testing.assert_allclose(mom.mc_stderr, np.zeros((2, 2)), atol=1e-12)
@@ -65,18 +65,18 @@ class TestEstimateMtilde:
             estimate_mtilde(constant_matrix_sampler(np.eye(2)), eigen, 200, SeedSpec(2))
 
     def test_sample_count_floor(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         with pytest.raises(ValueError):
-            estimate_mtilde(vector_sampler(spec, root), eigen, 50, SeedSpec(3))
+            estimate_mtilde(vector_sampler(root), eigen, 50, SeedSpec(3))
 
     def test_matches_closed_form_fourth_moment(self, synth3, moments3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         oracle = closed_form_mtilde(sigma, root, eigen)
         assert np.all(np.abs(moments3.mtilde - oracle) <= 5.0 * np.maximum(moments3.mc_stderr, 1e-12))
 
     def test_split_sample_agreement(self, synth3, moments3):
-        spec, sigma, eigen, root = synth3
-        other = estimate_mtilde(vector_sampler(spec, root), eigen, 10**6, SeedSpec(111))
+        sigma, eigen, root = synth3
+        other = estimate_mtilde(vector_sampler(root), eigen, 10**6, SeedSpec(111))
         combined = np.sqrt(moments3.mc_stderr**2 + other.mc_stderr**2)
         assert np.all(np.abs(moments3.mtilde - other.mtilde) <= 4.0 * combined)
 
@@ -96,8 +96,8 @@ class TestEstimateMtilde:
 
 class TestMtildeSums:
     def test_matches_per_draw_outer_products(self, synth5):
-        spec, sigma, eigen, root = synth5
-        sampler, draws = vector_sampler(spec, root), []
+        sigma, eigen, root = synth5
+        sampler, draws = vector_sampler(root), []
 
         def keep(rng, m):
             draws.append(sampler(rng, m))
@@ -120,10 +120,10 @@ class TestMtildeSums:
 
     def test_memory_stays_quadratic_in_d(self, synth50):
         # Per-draw (d-1, d-1) products would take 4096 * 49 * 49 * 8 B = 79 MB each.
-        spec, sigma, eigen, root = synth50
+        sigma, eigen, root = synth50
         tracemalloc.start()
         try:
-            estimate_mtilde(vector_sampler(spec, root), eigen, 4096, SeedSpec(24))
+            estimate_mtilde(vector_sampler(root), eigen, 4096, SeedSpec(24))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -149,7 +149,7 @@ class TestBuildR0V:
         assert abs(v_eig[0, 0]) <= 1e-14
 
     def test_zero_moment_gives_zero(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         asym = build_r0_v(make_moments(np.zeros((2, 2))), eigen)
         np.testing.assert_array_equal(asym.v, np.zeros((3, 3)))
 
@@ -168,7 +168,7 @@ class TestBuildR0V:
             build_r0_v(make_moments(np.eye(2)), eigen)
 
     def test_trace_chain(self, synth5, asym5):
-        spec, sigma, eigen, root = synth5
+        sigma, eigen, root = synth5
         moments, asym = asym5
         lam = eigen.eigenvalues
         direct = np.sum(np.diag(moments.mtilde) / (2.0 * (lam[0] - lam[1:])))
@@ -182,26 +182,26 @@ class TestBuildR0V:
 
 class TestBuildRn:
     def test_single_step(self, synth3, moments3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         eta = 0.001
         rn = build_rn(moments3, eigen, 1, eta)
         expected = moments3.mtilde / (1.0 + eta * eigen.eigenvalues[0]) ** 2
         np.testing.assert_allclose(rn, expected, rtol=1e-12)
 
     def test_zero_moment(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rn = build_rn(make_moments(np.zeros((2, 2))), eigen, 50, 0.001)
         np.testing.assert_array_equal(rn, np.zeros((2, 2)))
 
     def test_eta_bound_enforced(self, synth3, moments3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         with pytest.raises(ValueError):
             build_rn(moments3, eigen, 10, 1.0 / eigen.eigenvalues[0])
 
     def test_scaled_block_approaches_limit(self, synth3, moments3):
         # Frobenius deviation of eta * Rn from R0 obeys the first-order
         # bound (eta * l1 / gap) * ||mtilde||_F / 2 once the transient died.
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         asym = build_r0_v(moments3, eigen)
         gap = eigen.gap
         lam1 = eigen.eigenvalues[0]
@@ -212,12 +212,12 @@ class TestBuildRn:
         assert dev <= bound
 
     def test_contraction_factors_in_unit_interval(self, synth5):
-        spec, sigma, eigen, root = synth5
+        sigma, eigen, root = synth5
         dk = contraction_factors(eigen, 0.001)
         assert np.all(dk > 0.0) and np.all(dk < 1.0)
 
     def test_with_rn_attaches_block(self, synth3, moments3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         asym = build_r0_v(moments3, eigen)
         full = with_rn(asym, moments3, eigen, 100, 0.001)
         assert full.rn is not None and full.n == 100
@@ -227,7 +227,7 @@ class TestBuildRn:
 
 class TestEmpiricalHajekCovariance:
     def test_degenerate_sampler(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         emp = empirical_hajek_covariance(constant_matrix_sampler(sigma), eigen, 10, 0.01,
                                          trials=5, seed=SeedSpec(13))
         np.testing.assert_allclose(emp.matrix, np.zeros((3, 3)), atol=1e-14)
@@ -251,9 +251,9 @@ class TestEmpiricalHajekCovariance:
         np.testing.assert_array_equal(emp.stderr, np.zeros((3, 3)))
 
     def test_vector_path_matches_matrix_path(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         n, eta = 9, 0.002
-        x = vector_sampler(spec, root)(SeedSpec(15).child(0).rng(), n)
+        x = vector_sampler(root)(SeedSpec(15).child(0).rng(), n)
 
         def fixed_vec(rng, m):
             return x
@@ -324,12 +324,12 @@ class TestOperatorNormsAgainstOracle:
         # Two chunks: the second chunk's draws follow the first chunk's power
         # iteration start vectors, so any change in what the iteration takes
         # from the stream would move mtilde, mc_stderr and vstat.
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         mc = _CHUNK + 777
-        fast = estimate_mtilde(vector_sampler(spec, root), eigen, mc, SeedSpec(21))
+        fast = estimate_mtilde(vector_sampler(root), eigen, mc, SeedSpec(21))
         monkeypatch.setattr(asymvar, "_operator_norms",
                             lambda draw, sig, eig, rng: operator_norms_rows(draw, sig, rng))
-        ref = estimate_mtilde(vector_sampler(spec, root), eigen, mc, SeedSpec(21))
+        ref = estimate_mtilde(vector_sampler(root), eigen, mc, SeedSpec(21))
         np.testing.assert_array_equal(fast.mtilde, ref.mtilde)
         np.testing.assert_array_equal(fast.mc_stderr, ref.mc_stderr)
         assert fast.vstat == ref.vstat
@@ -352,9 +352,9 @@ class TestOrderOneAgainstOracle:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_covariance_matches_per_trial_oracle(self, synth5):
-        spec, sigma, eigen, root = synth5
+        sigma, eigen, root = synth5
         n, eta, trials = 200, 0.003, 30
-        sampler = vector_sampler(spec, root)
+        sampler = vector_sampler(root)
         emp = empirical_hajek_covariance(sampler, eigen, n, eta, trials, SeedSpec(17))
         sigma_v1 = _sigma_matrix(eigen) @ eigen.leading
         psis = [hajek_vector(sampler(SeedSpec(17).child(t).rng(), n), eigen, eta, sigma_v1)

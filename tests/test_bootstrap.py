@@ -10,8 +10,8 @@ from conftest import random_unit
 
 class TestBootstrapRun:
     def test_degenerate_multiplier_recovers_plain_run(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 150, rng=SeedSpec(131).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 150, rng=SeedSpec(131).rng())
         u0 = random_unit(SeedSpec(132).rng(), 3)
         eta = 0.01
         replica = bootstrap_run(data, 1, eta, SeedSpec(133), u0, law="constant")[0]
@@ -26,8 +26,8 @@ class TestBootstrapRun:
             np.testing.assert_array_equal(rep, e1)
 
     def test_replicas_differ_and_are_unit_norm(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 200, rng=SeedSpec(135).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 200, rng=SeedSpec(135).rng())
         replicas = bootstrap_run(data, 5, 0.005, SeedSpec(136), random_unit(SeedSpec(137).rng(), 3),
                                  law="exponential")
         assert replicas.shape == (5, 3)
@@ -35,15 +35,15 @@ class TestBootstrapRun:
         assert not np.array_equal(replicas[0], replicas[1])
 
     def test_determinism(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 100, rng=SeedSpec(138).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 100, rng=SeedSpec(138).rng())
         u0 = random_unit(SeedSpec(139).rng(), 3)
         np.testing.assert_array_equal(bootstrap_run(data, 3, 0.01, SeedSpec(140), u0, law="normal"),
                                       bootstrap_run(data, 3, 0.01, SeedSpec(140), u0, law="normal"))
 
     def test_dimension_mismatch(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 20, rng=SeedSpec(141).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 20, rng=SeedSpec(141).rng())
         with pytest.raises(ValueError):
             bootstrap_run(data, 1, 0.01, SeedSpec(142), random_unit(SeedSpec(143).rng(), 4),
                           law="exponential")
@@ -84,8 +84,8 @@ class TestBootstrapVariance:
             bootstrap_variance(np.empty((0, 3)), np.array([1.0, 0.0, 0.0]))
 
     def test_invariant_under_replica_permutation(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 120, rng=SeedSpec(144).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 120, rng=SeedSpec(144).rng())
         replicas = bootstrap_run(data, 6, 0.005, SeedSpec(145), random_unit(SeedSpec(146).rng(), 3),
                                  law="exponential")
         base = bootstrap_variance(replicas, eigen.leading)

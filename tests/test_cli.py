@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, cli
+from ojainfer import SeedSpec, build_sigma, cli
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import read_csv, read_results_csv
+from ojainfer.synth import HALF_WIDTH
 
 
 def run(argv):
@@ -49,6 +50,21 @@ class TestSynthCommand:
         data = read_csv(out)
         assert np.mean(data.samples == 0.0) > 0.2
 
+    @pytest.mark.parametrize("rate", ["-0.3", "1", "nan"])
+    def test_mask_rate_out_of_range_is_validation_error(self, tmp_path, capsys, rate):
+        out = tmp_path / "masked.csv"
+        assert run(["--quiet", "synth", "--n", "20", "--d", "3", "--mask-rate", rate, "--out", out]) == 1
+        assert "--mask-rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_draws_from_the_root_stream(self, tmp_path):
+        # The samples are Z @ Sigma^{1/2} with Z from the --seed root stream itself.
+        out = tmp_path / "data.csv"
+        assert run(["--quiet", "--seed", "7", "synth", "--n", "300", "--d", "20", "--out", out]) == 0
+        _, _, root = build_sigma(20, 1.0)
+        expected = np.random.default_rng(7).uniform(-HALF_WIDTH, HALF_WIDTH, (300, 20)) @ root
+        assert read_csv(out).samples.tobytes() == expected.tobytes()
+
 
 class TestOjaCommand:
     def test_writes_unit_vector(self, tmp_path, small_csv):
@@ -67,6 +83,17 @@ class TestOjaCommand:
 
     def test_missing_input_is_validation_error(self, tmp_path):
         assert run(["--quiet", "oja", "--input", tmp_path / "nope.csv", "--out", tmp_path / "v.json"]) == 1
+
+    def test_nonpositive_gap_is_refused_before_the_input_is_read(self, tmp_path, capsys):
+        assert run(["--quiet", "oja", "--input", tmp_path / "nope.csv", "--gap", "0",
+                    "--out", tmp_path / "v.json"]) == 1
+        assert "--gap must be positive" in capsys.readouterr().err
+
+    def test_directory_input_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert run(["--quiet", "oja", "--input", tmp_path, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestVarestCommand:
@@ -104,6 +131,15 @@ class TestVarestCommand:
         assert "--level" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2"])
+    def test_level_outside_unit_interval_is_validation_error(self, tmp_path, capsys, level):
+        # Refused before the input is read: the input here does not exist.
+        out = tmp_path / "x.json"
+        assert run(["--quiet", "varest", "--input", tmp_path / "nope.csv", "--level", level,
+                    "--out", out]) == 1
+        assert "--level must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fix_m1", [["--m1", "2"], ["--preset", "paper-experiments"]])
     def test_delta_with_fixed_m1_is_validation_error(self, tmp_path, small_csv, capsys, fix_m1):
         # m1 fixed and no boosted proxy: delta would set nothing.
@@ -131,6 +167,15 @@ class TestBootstrapCommand:
         assert [r["coordinate"] for r in rows] == [1, 2, 3, 4]
 
 
+# Each command's manifest config beyond the flags that the three share.
+_FILE_CONFIG = {
+    "oja": {},
+    "varest": {"delta": 0.05, "m1": 2, "m2": 2, "preset": None, "boosted": False, "level": None,
+               "ci_scale": "full", "format": "json", "samples_unused": 0},
+    "bootstrap": {"b": 2, "law": "exponential", "format": "json"},
+}
+
+
 @pytest.mark.parametrize("argv", [["oja"], ["varest", "--m1", "2", "--m2", "2"], ["bootstrap", "--b", "2"]])
 def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     calls = []
@@ -141,6 +186,11 @@ def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     assert calls == [str(small_csv)]
     manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
     assert manifest["content_hash"] == manifest["config"]["input_sha256"] == hash_file(small_csv)
+    config = dict(manifest["config"])
+    assert config.pop("gap") == pytest.approx(38.58385599038605, rel=1e-9)
+    assert config == {"seed": None, "subcommand": argv[0], "input": str(small_csv), "center": False,
+                      "alpha": 2.0, "out": str(out), "input_sha256": hash_file(small_csv),
+                      **_FILE_CONFIG[argv[0]]}
 
 
 def test_oja_varest_bootstrap_share_one_proxy(tmp_path, small_csv):
@@ -189,6 +239,13 @@ class TestCoverageCommand:
                     "--methods", "ojavarest", "--tracked", f"1,{coord}", "--out", tmp_path / "c.csv"])
         assert code == 1
         assert f"tracked coordinate {coord} is outside 1..6" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_level_outside_unit_interval_is_validation_error(self, tmp_path, capsys):
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "1",
+                    "--level", "1.5", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "--level must lie in (0, 1) (got 1.5)" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
     def test_bad_method_is_validation_error(self, tmp_path, capsys):

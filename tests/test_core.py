@@ -18,7 +18,7 @@ from ojainfer import (
     sign_align,
     sin2,
 )
-from ojainfer.synth import sample
+from ojainfer.synth import build_sigma, sample
 
 from conftest import random_unit
 
@@ -101,8 +101,8 @@ class TestSampleCovariance:
         np.testing.assert_array_equal(s, s.T)
 
     def test_matches_construction_within_mc_error(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 10_000, rng=SeedSpec(21).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 10_000, rng=SeedSpec(21).rng())
         est = sample_covariance(data)
         # Monte-Carlo standard error of each entry, estimated from the draws.
         prods = data.samples[:, :, None] * data.samples[:, None, :]
@@ -128,7 +128,7 @@ class TestEigendecompose:
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_leading_matches_power_iteration(self):
-        spec, sigma, eigen, root = __import__("conftest").make_instance(5)
+        sigma, eigen, root = build_sigma(5, 1.0)
         z = np.full(5, 1.0) / np.sqrt(5.0)
         for _ in range(500):
             z = sigma @ z
@@ -155,29 +155,33 @@ class TestEigendecompose:
             EigenSystem(np.array([2.0, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def _sqrt(s):
+    return psd_sqrt(eigendecompose(s))
+
+
 class TestPsdSqrt:
     def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(_sqrt(np.eye(3)), np.eye(3))
 
     def test_diagonal_entrywise_sqrt(self):
         rng = SeedSpec(23).rng()
         vals = rng.uniform(0.0, 10.0, size=6)
-        np.testing.assert_allclose(psd_sqrt(np.diag(vals)), np.diag(np.sqrt(vals)), atol=1e-12)
+        np.testing.assert_allclose(_sqrt(np.diag(vals)), np.diag(np.sqrt(vals)), atol=1e-12)
 
     def test_random_psd_reconstructs(self):
         rng = SeedSpec(29).rng()
         a = rng.standard_normal((6, 6))
         s = a @ a.T
-        r = psd_sqrt(s)
+        r = _sqrt(s)
         np.testing.assert_array_equal(r, r.T)
         assert np.linalg.norm(r @ r - s, "fro") <= 1e-8 * np.linalg.norm(s, "fro")
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -0.5]))
+            _sqrt(np.diag([1.0, -0.5]))
 
 
 class TestSin2:

@@ -57,8 +57,8 @@ class TestCoverageExperiment:
 
 class TestMethodVariance:
     def test_both_steps_follow_alpha(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 600, rng=SeedSpec(32).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 600, rng=SeedSpec(32).rng())
         gap, stream = eigen.gap, SeedSpec(33)
         eta_n = learning_rate(data.n, gap, 3.0)
         vt, proxy_eta = proxy(data, gap, 3.0, stream)

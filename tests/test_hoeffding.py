@@ -78,14 +78,14 @@ class TestHoeffdingTerm:
     def test_order_terms_pairwise_uncorrelated(self, synth3):
         # Sample covariance of <M, T1> and <M, T2> over resampled data stays
         # within 4 standard errors of zero for a fixed probe M.
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rng = SeedSpec(79).rng()
         probe = rng.standard_normal((3, 3))
         n, eta, resamples = 4, 0.05, 5000
         t1s = np.empty(resamples)
         t2s = np.empty(resamples)
         for i in range(resamples):
-            x = sample(spec, root, n, rng=SeedSpec(80).child(i).rng()).samples
+            x = sample(root, n, rng=SeedSpec(80).child(i).rng()).samples
             mats = x[:, :, None] * x[:, None, :]
             t1s[i] = np.sum(probe * hoeffding_term(mats, sigma, eta, 1))
             t2s[i] = np.sum(probe * hoeffding_term(mats, sigma, eta, 2))
@@ -96,7 +96,7 @@ class TestHoeffdingTerm:
 
 class TestHajekProjection:
     def test_zero_when_samples_match_centering(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         mats = np.broadcast_to(sigma, (6, 3, 3)).copy()
         u0 = random_unit(SeedSpec(81).rng(), 3)
         np.testing.assert_allclose(hajek_projection(mats, sigma, eigen, 0.05, u0), np.zeros(3), atol=1e-14)
@@ -115,10 +115,10 @@ class TestHajekProjection:
         np.testing.assert_allclose(hajek_projection(mats, sigma, eigen, eta, u0), expected, rtol=1e-12)
 
     def test_matches_order_one_term_formula(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rng = SeedSpec(87).rng()
         n, eta = 5, 0.04
-        x = sample(spec, root, n, rng=rng).samples
+        x = sample(root, n, rng=rng).samples
         mats = x[:, :, None] * x[:, None, :]
         u0 = random_unit(rng, 3)
         t1 = hoeffding_term(mats, sigma, eta, 1)
@@ -132,9 +132,9 @@ class TestHajekProjection:
 
 class TestResidualDecomposition:
     def test_proxy_equal_truth_zeroes_recentering(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rng = SeedSpec(89).rng()
-        x = sample(spec, root, 6, rng=rng).samples
+        x = sample(root, 6, rng=rng).samples
         mats = x[:, :, None] * x[:, None, :]
         u0 = random_unit(rng, 3)
         report = residual_decomposition(mats, sigma, eigen, 0.03, u0, eigen.leading)
@@ -142,7 +142,7 @@ class TestResidualDecomposition:
         report.validate()
 
     def test_deterministic_fixed_point(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         mats = np.broadcast_to(sigma, (5, 3, 3)).copy()
         v1 = eigen.leading
         report = residual_decomposition(mats, sigma, eigen, 0.03, v1, v1)
@@ -152,11 +152,11 @@ class TestResidualDecomposition:
         assert np.linalg.norm(report.v_est - v1) <= 1e-10
 
     def test_pieces_sum_to_direct_run_residual(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rng = SeedSpec(91).rng()
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            x = sample(spec, root, n, rng=rng).samples
+            x = sample(root, n, rng=rng).samples
             mats = x[:, :, None] * x[:, None, :]
             u0 = random_unit(rng, 3)
             vt = eigen.leading + 0.05 * rng.standard_normal(3)
@@ -171,9 +171,9 @@ class TestResidualDecomposition:
             assert np.linalg.norm(report.residual_sum() - target) <= 1e-9
 
     def test_exact_enumeration_matches_recentered_e2(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rng = SeedSpec(93).rng()
-        x = sample(spec, root, 7, rng=rng).samples
+        x = sample(root, 7, rng=rng).samples
         mats = x[:, :, None] * x[:, None, :]
         u0 = random_unit(rng, 3)
         vt = random_unit(rng, 3)
@@ -190,9 +190,9 @@ class TestResidualDecomposition:
             residual_decomposition(mats, sigma, eigen, 0.1, u0, eigen.leading)
 
     def test_json_round_trip(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         rng = SeedSpec(95).rng()
-        x = sample(spec, root, 4, rng=rng).samples
+        x = sample(root, 4, rng=rng).samples
         mats = x[:, :, None] * x[:, None, :]
         report = residual_decomposition(mats, sigma, eigen, 0.05, random_unit(rng, 3), eigen.leading)
         import json
@@ -204,7 +204,7 @@ class TestResidualDecomposition:
     def test_leading_fluctuation_dominates_higher_order(self, synth5):
         # Mean squared mass of the order >= 2 pieces plus normalization and
         # initialization leakage stays below 10% of the leading piece.
-        spec, sigma, eigen, root = synth5
+        sigma, eigen, root = synth5
         from ojainfer.oja import learning_rate
 
         n, trials = 2000, 500
@@ -212,7 +212,7 @@ class TestResidualDecomposition:
         lead, rest = 0.0, 0.0
         for t in range(trials):
             st = SeedSpec(97).child(t)
-            x = sample(spec, root, n, rng=st.child(0).rng()).samples
+            x = sample(root, n, rng=st.child(0).rng()).samples
             mats = x[:, :, None] * x[:, None, :]
             u0 = random_unit(st.child(1).rng(), 5)
             rep = residual_decomposition(mats, sigma, eigen, eta, u0, eigen.leading,

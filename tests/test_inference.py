@@ -55,10 +55,10 @@ class TestBuildCi:
         np.testing.assert_allclose(band.half_width, 0.6744897501960817 * np.ones(2), atol=1e-9)
 
     def test_full_scale_rescales(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         from ojainfer.synth import sample
 
-        data = sample(spec, root, 400, rng=SeedSpec(170).rng())
+        data = sample(root, 400, rng=SeedSpec(170).rng())
         eta_n = learning_rate(data.n, eigen.gap, 2.0)
         args = ("ojavarest", data, eigen.leading, eigen.gap, 2.0, SeedSpec(170), 0.05, 2, 2)
         batch_s2, result = method_variance(*args, ci_scale="batch")
@@ -170,7 +170,7 @@ class TestCheckEntrywiseBound:
         assert set(report.ratios) == {0, 2}
 
     def test_most_strong_coordinates_pass(self, synth5, asym5, residuals5):
-        spec, sigma, eigen, root = synth5
+        sigma, eigen, root = synth5
         moments, asym = asym5
         vkk = asym.diag()
         eta = learning_rate(4000, eigen.gap, 2.0)

@@ -133,8 +133,8 @@ def test_memory_stays_per_segment():
 
 class TestCallersMatchOracle:
     def test_bootstrap_replicas(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 500, rng=SeedSpec(150).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 500, rng=SeedSpec(150).rng())
         u0 = gaussian_unit(SeedSpec(151).rng(), 3)
         for law in ("exponential", "normal"):
             replicas = bootstrap_run(data, 3, 0.02, SeedSpec(152), u0, law=law)
@@ -144,8 +144,8 @@ class TestCallersMatchOracle:
                 assert np.max(np.abs(replicas[j] - ref)) <= TOL
 
     def test_varest_batch_runs(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 700, rng=SeedSpec(153).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 700, rng=SeedSpec(153).rng())
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=3, m2=4, seed=SeedSpec(154),
                            keep_batch_estimates=True)
         batch = result.batch_size
@@ -155,15 +155,15 @@ class TestCallersMatchOracle:
             assert np.max(np.abs(est - ref)) <= TOL
 
     def test_residual_trials_keep_their_streams(self, synth5):
-        spec, sigma, eigen, root = synth5
+        sigma, eigen, root = synth5
         n, seed = 300, SeedSpec(155)
-        rows = residual_trials(spec, root, eigen, n=n, trials=5, seed=seed)
+        rows = residual_trials(root, eigen, n=n, trials=5, seed=seed)
         eta = learning_rate(n, eigen.gap, 2.0)
         v1 = eigen.leading
         for t in range(5):
             st_ = seed.child(t)
-            data = sample(spec, root, n, rng=st_.child(0).rng())
-            v = oja_loop(data.samples, eta, gaussian_unit(st_.child(1).rng(), spec.d))
+            data = sample(root, n, rng=st_.child(0).rng())
+            v = oja_loop(data.samples, eta, gaussian_unit(st_.child(1).rng(), eigen.d))
             assert np.max(np.abs(rows[t] - (v - float(v1 @ v) * v1))) <= TOL
 
 

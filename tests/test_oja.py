@@ -142,10 +142,10 @@ class TestEstimateGap:
 
 class TestOjaBoosted:
     def test_single_batch_reduces_to_plain_run(self, synth3):
-        spec, sigma, eigen, root = synth3
+        sigma, eigen, root = synth3
         from ojainfer.synth import sample
 
-        data = sample(spec, root, 300, rng=SeedSpec(61).rng())
+        data = sample(root, 300, rng=SeedSpec(61).rng())
         boosted = oja_boosted(data, 0.5, eigen.gap, 2.0, SeedSpec(62))  # ceil(ln 2) = 1 batch
         u0 = gaussian_unit(SeedSpec(62).child(0).rng(), 3)
         plain = oja_run(data, learning_rate(300, eigen.gap, 2.0), u0)

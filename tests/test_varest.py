@@ -127,8 +127,8 @@ class TestOjaVarEst:
         np.testing.assert_array_equal(result.batch_sigma2, np.zeros((2, 2)))
 
     def test_schedule_collapse_single_batch(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 200, rng=SeedSpec(104).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 200, rng=SeedSpec(104).rng())
         gap = eigen.gap
         vt = eigen.leading
         result = ojavarest(data, 0.1, vt, gap, m1=1, m2=1, seed=SeedSpec(105))
@@ -139,8 +139,8 @@ class TestOjaVarEst:
         np.testing.assert_allclose(result.gamma, resid**2 / (eta * gap), rtol=1e-12)
 
     def test_scale_identity_and_nonnegativity(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 600, rng=SeedSpec(106).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 600, rng=SeedSpec(106).rng())
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=3, m2=2, seed=SeedSpec(107))
         assert np.all(result.gamma >= 0.0)
         recomputed = np.median(result.batch_sigma2, axis=0) / (result.eta_b * eigen.gap)
@@ -149,8 +149,8 @@ class TestOjaVarEst:
                                       np.median(result.batch_sigma2, axis=0))
 
     def test_determinism(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 600, rng=SeedSpec(108).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 600, rng=SeedSpec(108).rng())
         cfg = dict(m1=2, m2=3, seed=SeedSpec(109))
         a = ojavarest(data, 0.1, eigen.leading, eigen.gap, **cfg)
         b = ojavarest(data, 0.1, eigen.leading, eigen.gap, **cfg)
@@ -158,8 +158,8 @@ class TestOjaVarEst:
         np.testing.assert_array_equal(a.batch_sigma2, b.batch_sigma2)
 
     def test_remainder_recorded(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 205, rng=SeedSpec(110).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 205, rng=SeedSpec(110).rng())
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=2, m2=2, seed=SeedSpec(111))
         assert result.batch_size == 51
         assert result.samples_unused == 205 - 4 * 51
@@ -183,14 +183,14 @@ class TestOjaVarEst:
             ojavarest(data, 0.05, e1, edge / 1.01, m1=2, m2=2)
 
     def test_collapsed_schedule_refused(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 100, rng=SeedSpec(112).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 100, rng=SeedSpec(112).rng())
         with pytest.raises(ValueError, match="schedule collapsed to m1=0"):
             ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=0)
 
     def test_gap_must_be_positive(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 100, rng=SeedSpec(112).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 100, rng=SeedSpec(112).rng())
         with pytest.raises(ValueError):
             ojavarest(data, 0.1, eigen.leading, 0.0)
 
@@ -198,7 +198,7 @@ class TestOjaVarEst:
         # Default schedule: the batch size grows with n, so the batch-level
         # convergence terms of the error shrink; the trend is large enough to
         # resolve with few trials.
-        spec, sigma, eigen, root = synth50
+        sigma, eigen, root = synth50
         moments, asym = asym50
         vkk = asym.diag()
         top = np.argsort(vkk)[::-1][:5]
@@ -208,7 +208,7 @@ class TestOjaVarEst:
             errs = []
             for t in range(12):
                 st = SeedSpec(seed).child(t)
-                data = sample(spec, root, n, rng=st.child(0).rng())
+                data = sample(root, n, rng=st.child(0).rng())
                 u0 = gaussian_unit(st.child(1).rng(), 50)
                 vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
                 res = ojavarest(data, 0.05, vt, gap, seed=st.child(2))
@@ -218,8 +218,8 @@ class TestOjaVarEst:
         assert median_max_err(40_000, 120) <= median_max_err(10_000, 121)
 
     def test_csv_rows_shape(self, synth3):
-        spec, sigma, eigen, root = synth3
-        data = sample(spec, root, 300, rng=SeedSpec(113).rng())
+        sigma, eigen, root = synth3
+        data = sample(root, 300, rng=SeedSpec(113).rng())
         result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=2, m2=2, seed=SeedSpec(114))
         rows = result.csv_rows()
         assert len(rows) == 3
