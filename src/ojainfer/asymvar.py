@@ -88,17 +88,6 @@ class MomentEstimates:
         object.__setattr__(self, "mtilde", mt)
         object.__setattr__(self, "mc_stderr", np.asarray(self.mc_stderr, dtype=np.float64))
 
-    def to_dict(self) -> dict:
-        return {
-            "m2": self.m2,
-            "m4": self.m4,
-            "vstat": self.vstat,
-            "mtilde": self.mtilde.tolist(),
-            "mc_samples": self.mc_samples,
-            "mc_stderr": self.mc_stderr.tolist(),
-            "seed": None if self.seed is None else {"master": self.seed.master, "stream": list(self.seed.stream)},
-        }
-
 
 @dataclass(frozen=True)
 class AsymptoticVariance:
@@ -114,16 +103,6 @@ class AsymptoticVariance:
     def diag(self) -> np.ndarray:
         """Per-coordinate limit variances diag(V), length d."""
         return np.diag(self.v).copy()
-
-    def to_dict(self) -> dict:
-        return {
-            "r0": self.r0.tolist(),
-            "v": self.v.tolist(),
-            "rn": None if self.rn is None else self.rn.tolist(),
-            "d_factors": None if self.d_factors is None else self.d_factors.tolist(),
-            "n": self.n,
-            "eta": self.eta,
-        }
 
 
 def _operator_norms(x_or_a: np.ndarray, sigma: np.ndarray, eigen: EigenSystem,
@@ -297,14 +276,6 @@ class EmpiricalCovariance:
     stderr: np.ndarray
     trials: int
     seed: SeedSpec | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "stderr": self.stderr.tolist(),
-            "trials": self.trials,
-            "seed": None if self.seed is None else {"master": self.seed.master, "stream": list(self.seed.stream)},
-        }
 
 
 def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,

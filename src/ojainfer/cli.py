@@ -8,7 +8,6 @@ the environment variable OJA_INFER_SEED as a fallback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,10 +20,12 @@ from .hoeffding import residual_decomposition
 from .inference import build_ci
 from .io import (
     RunManifest,
+    _record_dict,
     content_hash_config,
     content_hash_file,
     read_csv,
     write_csv,
+    write_json,
     write_results,
 )
 from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
@@ -87,15 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compute the proxy vector by batched aggregation instead of one pass")
     p.add_argument("--level", type=float, default=None,
                    help="also emit confidence intervals at this level")
-    p.add_argument("--ci-scale", choices=["batch", "full"], default="full",
-                   help="interval width scale; 'full' matches the proxy vector's own fluctuation scale")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("bootstrap", parents=[on_file],
                        help="multiplier-bootstrap variance for a CSV dataset")
     p.add_argument("--b", type=int, default=20)
     p.add_argument("--law", choices=["exponential", "normal"], default="exponential")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("coverage", help="repeated-trial coverage experiment on synthetic data")
     p.add_argument("--n", type=int, required=True)
@@ -106,8 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--m1", type=int, default=PAPER_M1)
     p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--ci-scale", choices=["batch", "full"], default="full",
-                   help="interval width scale; 'full' matches the proxy vector's own fluctuation scale")
     p.add_argument("--tracked", default="1,2", help="1-based coordinates to track in records")
     p.add_argument("--out", required=True)
 
@@ -151,9 +146,9 @@ def _check_flags(args) -> None:
         raise ValueError(f"--gap must be positive (got {args.gap})")
     if args.subcommand == "synth" and not 0.0 <= args.mask_rate < 1.0:
         raise ValueError(f"--mask-rate must lie in [0, 1) (got {args.mask_rate})")
+    if args.subcommand in ("coverage", "bench") and not _methods(args):
+        raise ValueError(f"--methods names no method (got {args.methods!r})")
     if args.subcommand == "varest":
-        if args.format == "csv" and args.level is not None:
-            raise ValueError("--level needs --format json: the CSV output has no interval columns")
         if args.delta is not None and (args.m1 is not None or args.preset) and not args.boosted:
             raise ValueError("--delta changes nothing once --m1 or --preset fixes m1 without --boosted")
         args.delta = DEFAULT_DELTA if args.delta is None else args.delta
@@ -165,16 +160,14 @@ def _check_flags(args) -> None:
         args.alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
 
 
+def _methods(args) -> tuple[str, ...]:
+    return tuple(m.strip() for m in args.methods.split(",") if m.strip())
+
+
 def _load(args):
     """The --input dataset, centred with --center, and --gap or its plug-in estimate."""
     data = read_csv(args.input, center=args.center)
     return data, estimate_gap(data) if args.gap is None else args.gap
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def _cmd_synth(args, seed: SeedSpec) -> dict:
@@ -191,8 +184,8 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 def _cmd_oja(args, seed: SeedSpec) -> dict:
     data, gap = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
-    _write_json(args.out, {
-        "estimate": vtilde.tolist(),
+    write_json(args.out, {
+        "estimate": vtilde,
         "eta": eta,
         "gap": gap,
         "alpha": args.alpha,
@@ -206,22 +199,14 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
     m1 = PAPER_M1 if args.preset and args.m1 is None else args.m1
     vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
     sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, args.alpha, seed,
-                                                 args.delta, m1, args.m2, args.ci_scale)
-    if args.format == "csv":
-        write_results(result.csv_rows(), args.out)
-    else:
-        payload = result.to_dict()
-        if args.level is not None:
-            band = build_ci(vtilde, sigma2, args.level)
-            payload["ci"] = {
-                "level": args.level,
-                "scale_mode": args.ci_scale,
-                "lower": band.lower().tolist(),
-                "upper": band.upper().tolist(),
-            }
-        _write_json(args.out, payload)
+                                                 args.delta, m1, args.m2)
+    payload = _record_dict(result)
+    if args.level is not None:
+        band = build_ci(vtilde, sigma2, args.level)
+        payload["ci"] = {"level": args.level, "lower": band.lower(), "upper": band.upper()}
+    write_json(args.out, payload)
     return {"gap": gap, "delta": args.delta, "m1": m1, "m2": args.m2, "alpha": args.alpha,
-            "boosted": args.boosted, "ci_scale": args.ci_scale, "samples_unused": result.samples_unused}
+            "boosted": args.boosted, "samples_unused": result.samples_unused}
 
 
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
@@ -229,23 +214,16 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, args.alpha,
                                             seed, law=args.law)
-    if args.format == "csv":
-        rows = [{"coordinate": k + 1, "sigma2": float(sigma2[k])} for k in range(data.d)]
-        write_results(rows, args.out)
-    else:
-        _write_json(args.out, {"sigma2": sigma2.tolist(), "b": args.b,
-                               "law": args.law, "eta": eta, "gap": gap,
-                               "vtilde": vtilde.tolist()})
+    write_json(args.out, {"sigma2": sigma2, "b": args.b, "law": args.law, "eta": eta, "gap": gap,
+                          "vtilde": vtilde})
     return {"b": args.b, "law": args.law, "gap": gap, "alpha": args.alpha}
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     tracked = tuple(int(c) for c in args.tracked.split(","))
     outcome = experiments.run_coverage_experiment(
-        n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=methods,
-        level=args.level, seed=seed, m1=args.m1, m2=args.m2,
-        ci_scale=args.ci_scale, tracked=tracked,
+        n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=_methods(args),
+        level=args.level, seed=seed, m1=args.m1, m2=args.m2, tracked=tracked,
     )
     write_results(outcome.table_rows(tracked), args.out)
     write_results([r.to_row() for r in outcome.records], str(args.out) + ".records.csv")
@@ -253,7 +231,7 @@ def _cmd_coverage(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_bench(args, seed: SeedSpec) -> dict:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = _methods(args)
     records = experiments.run_bench(n=args.n, d=args.d, methods=methods,
                                     beta=args.beta, seed=seed)
     write_results(records, args.out)
@@ -268,7 +246,7 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
     vtilde = eigendecompose(sample_covariance(data)).leading
     report = residual_decomposition(mats, sigma, eigen, args.eta, u0, vtilde)
     report.validate()
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report)
     return {"n": args.n, "d": args.d, "eta": args.eta, "beta": args.beta}
 
 
@@ -277,19 +255,17 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
     sampler = vector_sampler(root)
     moments = estimate_mtilde(sampler, eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS))
     asym = build_r0_v(moments, eigen)
-    payload = {"moments": moments.to_dict(), "asymptotic": asym.to_dict(),
-               "eigenvalues": eigen.eigenvalues.tolist()}
+    payload = {"moments": moments, "asymptotic": asym, "eigenvalues": eigen.eigenvalues}
     if args.n is not None:
         gap = eigen.require_gap()
         eta = learning_rate(args.n, gap, args.alpha)
-        asym = with_rn(asym, moments, eigen, args.n, eta)
-        payload["asymptotic"] = asym.to_dict()
+        payload["asymptotic"] = with_rn(asym, moments, eigen, args.n, eta)
         if args.trials > 0:
             emp = empirical_hajek_covariance(sampler, eigen, args.n, eta,
                                              args.trials, seed.child(SeedLabel.EMPIRICAL))
-            payload["empirical"] = emp.to_dict()
-            payload["ck"] = ck_diagnostic(np.diag(emp.matrix), eta, gap, moments.m2).tolist()
-    _write_json(args.out, payload)
+            payload["empirical"] = emp
+            payload["ck"] = ck_diagnostic(np.diag(emp.matrix), eta, gap, moments.m2)
+    write_json(args.out, payload)
     return {"d": args.d, "beta": args.beta, "mc_samples": args.mc_samples,
             "n": args.n, "trials": args.trials}
 

@@ -82,12 +82,9 @@ class Dataset:
     ----------
     samples : (n, d) array_like
         Observation matrix; coerced to C-contiguous float64.
-    provenance : str
-        Either ``"synthetic"`` or ``"file"``.
     """
 
     samples: np.ndarray
-    provenance: str = "synthetic"
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
@@ -97,8 +94,6 @@ class Dataset:
             raise ValueError(f"dataset needs n >= 1 and d >= 1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("dataset contains non-finite entries")
-        if self.provenance not in ("synthetic", "file"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "samples", arr)
 
     @property

@@ -55,19 +55,17 @@ def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
 
 def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, alpha: float,
                     stream: SeedSpec, delta: float = DEFAULT_DELTA, m1: int | None = PAPER_M1,
-                    m2: int | None = None, ci_scale: str = "full", law: str = "exponential"
+                    m2: int | None = None, law: str = "exponential"
                     ) -> tuple[np.ndarray, VarEstResult | np.ndarray]:
     """One method's per-coordinate variance around ``vtilde`` at the interval's scale.
 
     Returns (sigma2, the estimator's own result: a VarEstResult or the (b, d)
     bootstrap replicas), its randomness keyed by ``stream``. Both steps come
     from ``alpha``: eta_n = learning_rate(n, gap, alpha), as in :func:`proxy`,
-    and ojavarest's eta_B at its batch length. ``ci_scale`` sizes the
-    ojavarest variance: "full" rescales its batch-scale spread by
-    eta_n / eta_B, "batch" keeps it. A bootstrap variance is at eta_n already.
+    and ojavarest's eta_B at its batch length. ojavarest's batch-scale spread
+    is rescaled by eta_n / eta_B to the full-sample step, the scale at which
+    the proxy itself fluctuates; a bootstrap variance is at eta_n already.
     """
-    if ci_scale not in ("batch", "full"):
-        raise ValueError(f"unknown ci_scale {ci_scale!r}; expected 'batch' or 'full'")
     name, b = parse_method(method)
     eta_n = learning_rate(data.n, gap, alpha)
     if name == "bootstrap":
@@ -76,8 +74,7 @@ def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, 
         return bootstrap_variance(replicas, vtilde), replicas
     result = ojavarest(data, delta, vtilde, gap, m1=m1, m2=m2, alpha=alpha,
                        seed=stream.child(SeedLabel.VAREST))
-    sigma2 = result.batch_scale_sigma2()
-    return (sigma2 * (eta_n / result.eta_b) if ci_scale == "full" else sigma2), result
+    return result.batch_scale_sigma2() * (eta_n / result.eta_b), result
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,6 @@ class CoverageOutcome:
 
     reports: dict[str, CoverageReport]
     records: list[ExperimentRecord]
-    truth: np.ndarray
     config: dict
 
     def table_rows(self, tracked: tuple[int, ...]) -> list[dict]:
@@ -156,7 +152,6 @@ def run_coverage_experiment(
     m1: int | None = PAPER_M1,
     m2: int | None = None,
     alpha: float = DEFAULT_ALPHA,
-    ci_scale: str = "full",
     tracked: tuple[int, ...] = (1, 2),
 ) -> CoverageOutcome:
     """Repeated-trial coverage of per-coordinate intervals on synthetic data.
@@ -167,12 +162,6 @@ def run_coverage_experiment(
     eigenvector. Reports aggregate per coordinate over all trials. ``alpha``
     sets every step, as in :func:`method_variance`; ``m1``/``m2`` fix
     ojavarest's schedule.
-
-    ``ci_scale`` applies to the subsampling estimator only. The default
-    "full" rescales its batch-level spread to the full-sample step size,
-    which is the scale at which the proxy vector itself fluctuates; "batch"
-    uses the spread as-is and empirically over-covers by a wide margin (the
-    interval is wider by roughly sqrt(eta_B/eta_n)).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -196,8 +185,7 @@ def run_coverage_experiment(
         accuracy = sin2(vtilde, eigen.leading)
         for method_spec in methods:
             t1 = time.perf_counter()
-            sigma2, _ = method_variance(method_spec, data, vtilde, gap, alpha, st,
-                                        m1=m1, m2=m2, ci_scale=ci_scale)
+            sigma2, _ = method_variance(method_spec, data, vtilde, gap, alpha, st, m1=m1, m2=m2)
             band = build_ci(vtilde, sigma2, level)
             estimate_ms = (time.perf_counter() - t1) * 1e3
             trial_hits = band_hits(band, eigen.leading)
@@ -210,13 +198,11 @@ def run_coverage_experiment(
             ))
     config = {
         "n": n, "d": d, "beta": beta, "trials": trials, "level": level,
-        "methods": list(methods), "ci_scale": ci_scale, "m1": m1, "m2": m2, "alpha": alpha,
+        "methods": list(methods), "m1": m1, "m2": m2, "alpha": alpha,
         "seed": seed.master, "tracked": list(tracked),
     }
-    reports = {m: CoverageReport(trials=trials, hits=hits[m], config={**config, "method": m})
-               for m in methods}
-    return CoverageOutcome(reports=reports, records=records,
-                           truth=eigen.leading.copy(), config=config)
+    reports = {m: CoverageReport(trials=trials, hits=hits[m]) for m in methods}
+    return CoverageOutcome(reports=reports, records=records, config=config)
 
 
 @dataclass(frozen=True)

@@ -190,24 +190,6 @@ class DecompositionReport:
         if gap > residual_tol:
             raise AssertionError(f"residual pieces do not sum to the residual: {gap:.3e}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "eta": self.eta,
-            "b_matrix": self.b_matrix.tolist(),
-            "terms": None if self.terms is None else [t.tolist() for t in self.terms],
-            "e0": self.e0.tolist(),
-            "e1": self.e1.tolist(),
-            "e2": self.e2.tolist(),
-            "e3": self.e3.tolist(),
-            "e4": self.e4.tolist(),
-            "v_est": self.v_est.tolist(),
-            "vtilde": self.vtilde.tolist(),
-            "u0": self.u0.tolist(),
-            "sigma": self.sigma.tolist(),
-        }
-
 
 def residual_decomposition(
     samples,

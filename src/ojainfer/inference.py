@@ -83,7 +83,6 @@ class CoverageReport:
     trials: int
     hits: np.ndarray
     rates: np.ndarray = field(init=False)
-    config: dict | None = None
 
     def __post_init__(self) -> None:
         hits = np.asarray(self.hits, dtype=np.int64)
@@ -108,13 +107,12 @@ def band_hits(band: ConfidenceBand, truth: np.ndarray) -> np.ndarray:
     return (np.abs(truth - center) <= band.half_width).astype(np.int64)
 
 
-def evaluate_coverage(bands: list[ConfidenceBand], truth: np.ndarray,
-                      config: dict | None = None) -> CoverageReport:
+def evaluate_coverage(bands: list[ConfidenceBand], truth: np.ndarray) -> CoverageReport:
     """Count, per coordinate, how often the bands contain the truth (sum of :func:`band_hits`)."""
     if not bands:
         raise ValueError("need at least one confidence band")
     hits = sum(band_hits(band, truth) for band in bands)
-    return CoverageReport(trials=len(bands), hits=hits, config=config)
+    return CoverageReport(trials=len(bands), hits=hits)
 
 
 def anderson_darling(values: np.ndarray) -> float:

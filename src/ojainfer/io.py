@@ -1,4 +1,4 @@
-"""File formats and run provenance.
+"""File formats and run manifests.
 
 One interchange format: rectangular numeric CSV for datasets and record
 streams, JSON for structured reports. Floats are written with 17 significant
@@ -16,7 +16,7 @@ import math
 import os
 import signal
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,7 +54,7 @@ def _usable_cpus() -> int:
 
 
 def read_csv(path, center: bool = False) -> Dataset:
-    """Load a rectangular numeric CSV as a Dataset (provenance "file").
+    """Load a rectangular numeric CSV as a Dataset.
 
     A header row is detected automatically: if any cell of the first row is
     not parseable as a number, the row is skipped. Ragged rows, non-numeric
@@ -83,7 +83,7 @@ def read_csv(path, center: bool = False) -> Dataset:
             raise ValueError(f"{path}: {exc}") from exc
     if center:
         arr -= arr.mean(axis=0, keepdims=True)
-    return Dataset(arr, provenance="file")
+    return Dataset(arr)
 
 
 def _read_pieces(path, skip: int) -> np.ndarray | None:
@@ -233,23 +233,36 @@ def _record_dict(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def write_results(records, path, fieldnames: list[str] | None = None) -> None:
-    """Persist a record stream as CSV with a fixed column order.
+def write_results(records, path) -> None:
+    """Persist a non-empty record stream as CSV, columns in the first record's order.
 
-    ``records`` may be dicts or dataclass instances. Column order comes from
-    ``fieldnames`` when given, else from the first record. An empty stream
-    produces a header-only CSV (fieldnames required then).
+    ``records`` may be dicts or dataclass instances.
     """
     rows = [_record_dict(r) for r in records]
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("empty record stream needs explicit fieldnames for CSV")
-        fieldnames = list(rows[0].keys())
+    if not rows:
+        raise ValueError("an empty record stream has no columns to write")
+    fieldnames = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+
+
+def _jsonable(value):
+    """json's ``default=`` hook: arrays as lists, dataclasses as their fields in order, else str."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if is_dataclass(value):
+        return _record_dict(value)
+    return str(value)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON; a result dataclass's fields are its keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=_jsonable)
+        fh.write("\n")
 
 
 def read_results_csv(path) -> list[dict]:
@@ -281,7 +294,7 @@ def content_hash_file(path) -> str:
 
 
 def content_hash_config(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+    canon = json.dumps(config, sort_keys=True, default=_jsonable).encode("utf-8")
     return hashlib.sha256(canon).hexdigest()
 
 
@@ -307,6 +320,5 @@ class RunManifest:
 
     def write_beside(self, out_path) -> Path:
         target = Path(str(out_path) + ".manifest.json")
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        target.write_text(json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8")
+        write_json(target, self)
         return target

@@ -197,7 +197,7 @@ _GAP_ROWS = 4096
 
 def estimate_gap(data: Dataset) -> float:
     """Plug-in eigengap, from the eigenvalues alone, of the first min(n, _GAP_ROWS) rows."""
-    head = Dataset(data.samples[:_GAP_ROWS], provenance=data.provenance)
+    head = Dataset(data.samples[:_GAP_ROWS])
     vals = np.linalg.eigvalsh(sample_covariance(head))
     return require_gap(float(vals[-1] - vals[-2]) if data.d >= 2 else 0.0)
 

@@ -78,7 +78,7 @@ def sample(root: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
     for lo in range(0, n, _BLOCK_ROWS):
         z = rng.uniform(-HALF_WIDTH, HALF_WIDTH, size=(min(_BLOCK_ROWS, n - lo), d))
         np.matmul(z, root, out=out[lo:lo + len(z)])
-    return Dataset(out, provenance="synthetic")
+    return Dataset(out)
 
 
 def vector_sampler(root: np.ndarray):
@@ -105,7 +105,7 @@ def mask_missing(data: Dataset, rate: float, seed: SeedSpec) -> Dataset:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"mask rate must lie in [0, 1) (got {rate})")
     if rate == 0.0:
-        return Dataset(data.samples.copy(), provenance=data.provenance)
+        return Dataset(data.samples.copy())
     rng = seed.rng()
     keep = rng.random(data.samples.shape) >= rate
-    return Dataset(data.samples * keep, provenance=data.provenance)
+    return Dataset(data.samples * keep)

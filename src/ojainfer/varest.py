@@ -45,7 +45,6 @@ class VarEstResult:
     m2: int
     vtilde: np.ndarray
     samples_unused: int
-    batch_estimates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.any(self.gamma < 0.0):
@@ -54,28 +53,6 @@ class VarEstResult:
     def batch_scale_sigma2(self) -> np.ndarray:
         """Median group spread, i.e. gamma rescaled back by eta_B * gap."""
         return np.median(self.batch_sigma2, axis=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma.tolist(),
-            "batch_sigma2": self.batch_sigma2.tolist(),
-            "eta_b": self.eta_b,
-            "batch_size": self.batch_size,
-            "m1": self.m1,
-            "m2": self.m2,
-            "vtilde": self.vtilde.tolist(),
-            "samples_unused": self.samples_unused,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        """One row per coordinate: gamma plus each group's spread."""
-        rows = []
-        for k in range(self.gamma.shape[0]):
-            row = {"coordinate": k + 1, "gamma": float(self.gamma[k])}
-            for ell in range(self.m1):
-                row[f"sigma2_group{ell + 1}"] = float(self.batch_sigma2[ell, k])
-            rows.append(row)
-        return rows
 
 
 def plan_schedule(n: int, d: int, delta: float,
@@ -134,8 +111,7 @@ def median_of_means(values) -> float:
 
 def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
               m1: int | None = None, m2: int | None = None, alpha: float = DEFAULT_ALPHA,
-              seed: SeedSpec = SeedSpec(0), init: np.ndarray | None = None,
-              keep_batch_estimates: bool = False) -> VarEstResult:
+              seed: SeedSpec = SeedSpec(0)) -> VarEstResult:
     """Estimate per-coordinate residual variances by batched subsampling.
 
     Parameters
@@ -153,9 +129,8 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
     m1, m2, alpha
         Schedule overrides for :func:`plan_schedule` (None keeps its formula)
         and the step multiplier of eta_B = learning_rate(B, gap, alpha).
-    seed, init
-        Batch i starts from a random unit vector of ``seed.child(i)``, or
-        from the fixed unit vector ``init`` when one is given.
+    seed
+        Batch i starts from a random unit vector of ``seed.child(i)``.
 
     The m1 * m2 batch runs advance together, as the states of one
     :func:`oja_kernel` call. Raises RegimeError when eta_B * lambda_1 >= 1,
@@ -176,9 +151,7 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
         log.info("schedule uses %d of %d samples (%d trailing dropped)", used, data.n, unused)
 
     runs = m1 * m2
-    # Fresh random start per batch unless a fixed one was forced.
-    starts = [_check_unit(init, "init")] * runs if init is not None else [
-        gaussian_unit(seed.child(i).rng(), data.d) for i in range(runs)]
+    starts = [gaussian_unit(seed.child(i).rng(), data.d) for i in range(runs)]
     stacked, _ = oja_kernel(data.samples[:used].reshape(runs, batch, data.d), eta_b, starts)
     sigma2 = np.empty((m1, data.d))
     for ell in range(m1):
@@ -188,5 +161,4 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
     return VarEstResult(
         gamma=gamma, batch_sigma2=sigma2, eta_b=eta_b, batch_size=batch,
         m1=m1, m2=m2, vtilde=vt, samples_unused=unused,
-        batch_estimates=stacked if keep_batch_estimates else None,
     )

@@ -38,7 +38,7 @@ from conftest import random_unit
 COVERAGE_SEED = 42
 COVERAGE_CONFIG = dict(n=5000, d=200, beta=1.0, trials=200,
                        methods=("ojavarest", "bootstrap:1", "bootstrap:20"),
-                       level=0.95, m1=PAPER_M1, ci_scale="full", tracked=(1, 2))
+                       level=0.95, m1=PAPER_M1, tracked=(1, 2))
 
 
 def report(num, label, passed, detail):

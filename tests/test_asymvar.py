@@ -221,8 +221,7 @@ class TestBuildRn:
         asym = build_r0_v(moments3, eigen)
         full = with_rn(asym, moments3, eigen, 100, 0.001)
         assert full.rn is not None and full.n == 100
-        payload = full.to_dict()
-        assert payload["rn"] is not None
+        assert full.d_factors is not None and full.eta == 0.001
 
 
 class TestEmpiricalHajekCovariance:

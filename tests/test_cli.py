@@ -106,14 +106,6 @@ class TestVarestCommand:
         assert len(payload["gamma"]) == 4
         assert len(payload["ci"]["lower"]) == 4
 
-    def test_csv_output(self, tmp_path, small_csv):
-        out = tmp_path / "varest.csv"
-        code = run(["--quiet", "varest", "--input", small_csv, "--m1", "2", "--m2", "2",
-                    "--format", "csv", "--out", out])
-        assert code == 0
-        rows = read_results_csv(out)
-        assert len(rows) == 4 and "gamma" in rows[0]
-
     def test_boosted_proxy(self, tmp_path, small_csv):
         out = tmp_path / "varest.json"
         code = run(["--quiet", "varest", "--input", small_csv, "--m1", "2", "--m2", "2",
@@ -123,13 +115,6 @@ class TestVarestCommand:
     def test_bad_delta_is_validation_error(self, tmp_path, small_csv):
         assert run(["--quiet", "varest", "--input", small_csv, "--delta", "2.0",
                     "--out", tmp_path / "x.json"]) == 1
-
-    def test_level_with_csv_is_validation_error(self, tmp_path, small_csv, capsys):
-        out = tmp_path / "x.csv"
-        assert run(["--quiet", "varest", "--input", small_csv, "--format", "csv",
-                    "--level", "0.95", "--out", out]) == 1
-        assert "--level" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2"])
     def test_level_outside_unit_interval_is_validation_error(self, tmp_path, capsys, level):
@@ -159,20 +144,13 @@ class TestBootstrapCommand:
         payload = json.loads(out.read_text())
         assert len(payload["sigma2"]) == 4 and payload["b"] == 3
 
-    def test_csv_matches_varest_shape(self, tmp_path, small_csv):
-        out = tmp_path / "boot.csv"
-        assert run(["--quiet", "bootstrap", "--input", small_csv, "--b", "2",
-                    "--format", "csv", "--out", out]) == 0
-        rows = read_results_csv(out)
-        assert [r["coordinate"] for r in rows] == [1, 2, 3, 4]
-
 
 # Each command's manifest config beyond the flags that the three share.
 _FILE_CONFIG = {
     "oja": {},
     "varest": {"delta": 0.05, "m1": 2, "m2": 2, "preset": None, "boosted": False, "level": None,
-               "ci_scale": "full", "format": "json", "samples_unused": 0},
-    "bootstrap": {"b": 2, "law": "exponential", "format": "json"},
+               "samples_unused": 0},
+    "bootstrap": {"b": 2, "law": "exponential"},
 }
 
 
@@ -201,6 +179,37 @@ def test_oja_varest_bootstrap_share_one_proxy(tmp_path, small_csv):
     oja = json.loads((tmp_path / "oja.json").read_text())["estimate"]
     assert json.loads((tmp_path / "varest.json").read_text())["vtilde"] == oja
     assert json.loads((tmp_path / "bootstrap.json").read_text())["vtilde"] == oja
+
+
+# The top-level keys of each JSON output, in order: a result dataclass's fields are its keys.
+_JSON_KEYS = {
+    "oja": (["oja"], ["estimate", "eta", "gap", "alpha", "samples_consumed"]),
+    "varest": (["varest", "--m1", "2", "--m2", "2", "--level", "0.9"],
+               ["gamma", "batch_sigma2", "eta_b", "batch_size", "m1", "m2", "vtilde",
+                "samples_unused", "ci"]),
+    "bootstrap": (["bootstrap", "--b", "2"], ["sigma2", "b", "law", "eta", "gap", "vtilde"]),
+    "oracle": (["oracle", "--n", "4", "--d", "3"],
+               ["n", "d", "eta", "b_matrix", "terms", "e0", "e1", "e2", "e3", "e4", "v_est",
+                "vtilde", "u0", "sigma"]),
+    "asymvar": (["asymvar", "--d", "3", "--mc-samples", "500", "--n", "100", "--trials", "3"],
+                ["moments", "asymptotic", "eigenvalues", "empirical", "ck"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_KEYS))
+def test_json_top_level_keys(tmp_path, small_csv, command):
+    argv, keys = _JSON_KEYS[command]
+    out = tmp_path / "out.json"
+    on_file = ["--input", small_csv] if command in ("oja", "varest", "bootstrap") else []
+    assert run(["--quiet", *argv, *on_file, "--out", out]) == 0
+    assert list(json.loads(out.read_text())) == keys
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--ci-scale", "full"]])
+def test_removed_flags_are_refused(tmp_path, small_csv, flag):
+    out = tmp_path / "v.json"
+    assert run(["--quiet", "varest", "--input", small_csv, *flag, "--out", out]) == 1
+    assert not out.exists()
 
 
 def test_pure_noise_varest_exits_1_naming_the_step(tmp_path, capsys):
@@ -253,6 +262,16 @@ class TestCoverageCommand:
                     "--methods", "bootstrap:x", "--out", tmp_path / "c.csv"])
         assert code == 1
         assert "'bootstrap:x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,methods", [("coverage", ","), ("bench", " ")])
+    def test_empty_methods_is_validation_error(self, tmp_path, capsys, command, methods):
+        # Refused before any trial runs: no output, no manifest.
+        trials = ["--trials", "1"] if command == "coverage" else []
+        code = run(["--quiet", command, "--n", "300", "--d", "6", *trials,
+                    "--methods", methods, "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "--methods names no method" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBenchCommand:

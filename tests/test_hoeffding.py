@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ojainfer import (
     oja_run,
     residual_decomposition,
 )
+from ojainfer.io import write_json
 from ojainfer.synth import sample
 
 from conftest import random_unit
@@ -189,15 +192,14 @@ class TestResidualDecomposition:
         with pytest.raises(ValueError):
             residual_decomposition(mats, sigma, eigen, 0.1, u0, eigen.leading)
 
-    def test_json_round_trip(self, synth3):
+    def test_json_round_trip(self, synth3, tmp_path):
         sigma, eigen, root = synth3
         rng = SeedSpec(95).rng()
         x = sample(root, 4, rng=rng).samples
         mats = x[:, :, None] * x[:, None, :]
         report = residual_decomposition(mats, sigma, eigen, 0.05, random_unit(rng, 3), eigen.leading)
-        import json
-
-        payload = json.loads(json.dumps(report.to_dict()))
+        write_json(tmp_path / "report.json", report)
+        payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["n"] == 4 and payload["d"] == 3
         np.testing.assert_allclose(np.asarray(payload["e1"]), report.e1)
 

@@ -61,14 +61,11 @@ class TestBuildCi:
         data = sample(root, 400, rng=SeedSpec(170).rng())
         eta_n = learning_rate(data.n, eigen.gap, 2.0)
         args = ("ojavarest", data, eigen.leading, eigen.gap, 2.0, SeedSpec(170), 0.05, 2, 2)
-        batch_s2, result = method_variance(*args, ci_scale="batch")
-        full_s2, _ = method_variance(*args, ci_scale="full")
-        batch = build_ci(eigen.leading, batch_s2, 0.95)
+        full_s2, result = method_variance(*args)
+        batch = build_ci(eigen.leading, result.batch_scale_sigma2(), 0.95)
         full = build_ci(eigen.leading, full_s2, 0.95)
         ratio = math.sqrt(eta_n / result.eta_b)
         np.testing.assert_allclose(full.half_width, batch.half_width * ratio, rtol=1e-12)
-        with pytest.raises(ValueError, match="unknown ci_scale 'half'"):
-            method_variance(*args, ci_scale="half")
 
     def test_symmetry_by_construction(self):
         rng = SeedSpec(171).rng()

@@ -32,7 +32,6 @@ class TestReadCsv:
         path.write_text("1,0\n0,1\n")
         data = read_csv(path)
         assert (data.n, data.d) == (2, 2)
-        assert data.provenance == "file"
         np.testing.assert_array_equal(data.samples, np.eye(2))
 
     def test_header_autodetected(self, tmp_path):
@@ -261,10 +260,11 @@ class TestWriteCsv:
 
 
 class TestWriteResults:
-    def test_empty_stream_header_only(self, tmp_path):
+    def test_empty_stream_is_refused(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_results([], path, fieldnames=["a", "b"])
-        assert path.read_text() == "a,b\n"
+        with pytest.raises(ValueError, match="empty record stream"):
+            write_results([], path)
+        assert not path.exists()
 
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.csv"

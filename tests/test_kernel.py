@@ -10,6 +10,7 @@ from ojainfer.bootstrap import _multipliers
 from ojainfer.experiments import residual_trials
 from ojainfer.oja import _block_size, gaussian_unit, learning_rate, oja_kernel
 from ojainfer.synth import sample
+from ojainfer.varest import batch_variance
 
 from oracle import oja_loop
 
@@ -146,13 +147,13 @@ class TestCallersMatchOracle:
     def test_varest_batch_runs(self, synth3):
         sigma, eigen, root = synth3
         data = sample(root, 700, rng=SeedSpec(153).rng())
-        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=3, m2=4, seed=SeedSpec(154),
-                           keep_batch_estimates=True)
+        result = ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=3, m2=4, seed=SeedSpec(154))
         batch = result.batch_size
-        for i, est in enumerate(result.batch_estimates):
-            u0 = gaussian_unit(SeedSpec(154).child(i).rng(), 3)
-            ref = oja_loop(data.samples[i * batch : (i + 1) * batch], result.eta_b, u0)
-            assert np.max(np.abs(est - ref)) <= TOL
+        refs = [oja_loop(data.samples[i * batch : (i + 1) * batch], result.eta_b,
+                         gaussian_unit(SeedSpec(154).child(i).rng(), 3)) for i in range(12)]
+        for ell in range(3):
+            ref = batch_variance(refs[ell * 4 : (ell + 1) * 4], eigen.leading)
+            assert np.max(np.abs(result.batch_sigma2[ell] - ref)) <= TOL
 
     def test_residual_trials_keep_their_streams(self, synth5):
         sigma, eigen, root = synth5
