@@ -24,8 +24,8 @@ from .core import (
 )
 from .oja import DEFAULT_ALPHA, OjaResult, learning_rate, oja_boosted, oja_run
 from .varest import PAPER_M1, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
-from .bootstrap import bootstrap_run, bootstrap_variance
-from .synth import build_sigma, mask_missing, sample
+from .bootstrap import bootstrap_run
+from .synth import build_sigma, sample
 from .asymvar import (
     AsymptoticVariance,
     MomentEstimates,
@@ -35,7 +35,7 @@ from .asymvar import (
     estimate_mtilde,
 )
 from .hoeffding import DecompositionReport, hajek_projection, hoeffding_term, matrix_product, residual_decomposition
-from .inference import ConfidenceBand, CoverageReport, build_ci, evaluate_coverage, normal_quantile
+from .inference import ConfidenceBand, CoverageReport, build_ci, normal_quantile
 
 __all__ = [
     "Dataset", "DegenerateGapError", "EigenSystem", "RegimeError", "SeedLabel", "SeedSpec",
@@ -43,13 +43,12 @@ __all__ = [
     "DEFAULT_ALPHA", "OjaResult", "learning_rate", "oja_boosted", "oja_run",
     "PAPER_M1", "VarEstResult", "batch_variance", "median_of_means",
     "ojavarest", "plan_schedule",
-    "bootstrap_run", "bootstrap_variance",
-    "build_sigma", "mask_missing", "sample",
+    "bootstrap_run",
+    "build_sigma", "sample",
     "AsymptoticVariance", "MomentEstimates", "build_r0_v", "build_rn",
     "empirical_hajek_covariance", "estimate_mtilde",
     "DecompositionReport", "hajek_projection", "hoeffding_term",
     "matrix_product", "residual_decomposition",
-    "ConfidenceBand", "CoverageReport", "build_ci", "evaluate_coverage",
-    "normal_quantile",
+    "ConfidenceBand", "CoverageReport", "build_ci", "normal_quantile",
     "__version__",
 ]

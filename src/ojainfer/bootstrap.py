@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import Dataset, SeedSpec, _check_unit
 from .oja import oja_kernel
-from .varest import batch_variance
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
 
@@ -59,14 +58,3 @@ def bootstrap_run(data: Dataset, b: int, eta: float, seed: SeedSpec, u0: np.ndar
             raise ValueError(f"replica {j}: {exc}") from exc
     return replicas
 
-
-def bootstrap_variance(replicas, vtilde: np.ndarray) -> np.ndarray:
-    """Per-coordinate mean squared residual of the replicas around a proxy.
-
-    Same output shape and semantics as the subsampling estimator's per-group
-    spread, so the two methods are directly comparable.
-    """
-    arr = np.atleast_2d(np.asarray(replicas, dtype=np.float64))
-    if arr.shape[0] < 1 or arr.size == 0:
-        raise ValueError("need at least one replica")
-    return batch_variance(arr, vtilde)

@@ -29,7 +29,7 @@ from .io import (
     write_results,
 )
 from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
-from .synth import build_sigma, mask_missing, sample, vector_sampler
+from .synth import build_sigma, sample, vector_sampler
 from .varest import DEFAULT_DELTA, PAPER_M1
 
 
@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.01)
     p.add_argument("--scale", type=float, default=5.0)
-    p.add_argument("--mask-rate", type=float, default=0.0)
     p.add_argument("--out", required=True)
 
     sub.add_parser("oja", parents=[on_file], help="single streaming pass over a CSV dataset")
@@ -99,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--methods", default="ojavarest,bootstrap:1,bootstrap:20")
+    p.add_argument("--methods", default=",".join(experiments.DEFAULT_METHODS))
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--m1", type=int, default=PAPER_M1)
     p.add_argument("--m2", type=int, default=None)
@@ -144,10 +143,10 @@ def _check_flags(args) -> None:
         raise ValueError(f"--level must lie in (0, 1) (got {args.level})")
     if getattr(args, "gap", None) is not None and args.gap <= 0:
         raise ValueError(f"--gap must be positive (got {args.gap})")
-    if args.subcommand == "synth" and not 0.0 <= args.mask_rate < 1.0:
-        raise ValueError(f"--mask-rate must lie in [0, 1) (got {args.mask_rate})")
     if args.subcommand in ("coverage", "bench") and not _methods(args):
         raise ValueError(f"--methods names no method (got {args.methods!r})")
+    if args.subcommand == "coverage":
+        _tracked(args)
     if args.subcommand == "varest":
         if args.delta is not None and (args.m1 is not None or args.preset) and not args.boosted:
             raise ValueError("--delta changes nothing once --m1 or --preset fixes m1 without --boosted")
@@ -164,6 +163,13 @@ def _methods(args) -> tuple[str, ...]:
     return tuple(m.strip() for m in args.methods.split(",") if m.strip())
 
 
+def _tracked(args) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in args.tracked.split(","))
+    except ValueError:
+        raise ValueError(f"--tracked must list integers (got {args.tracked!r})") from None
+
+
 def _load(args):
     """The --input dataset, centred with --center, and --gap or its plug-in estimate."""
     data = read_csv(args.input, center=args.center)
@@ -172,12 +178,8 @@ def _load(args):
 
 def _cmd_synth(args, seed: SeedSpec) -> dict:
     _, eigen, root = build_sigma(args.d, args.beta, args.c, args.scale)
-    data = sample(root, args.n, seed.rng())
-    if args.mask_rate > 0.0:
-        data = mask_missing(data, args.mask_rate, seed.child(SeedLabel.MASK))
-    write_csv(data, args.out)
-    return {"n": args.n, "d": args.d, "beta": args.beta, "c": args.c,
-            "scale": args.scale, "mask_rate": args.mask_rate,
+    write_csv(sample(root, args.n, seed.rng()), args.out)
+    return {"n": args.n, "d": args.d, "beta": args.beta, "c": args.c, "scale": args.scale,
             "gap": eigen.gap}
 
 
@@ -220,7 +222,7 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
-    tracked = tuple(int(c) for c in args.tracked.split(","))
+    tracked = _tracked(args)
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=_methods(args),
         level=args.level, seed=seed, m1=args.m1, m2=args.m2, tracked=tracked,

@@ -67,7 +67,6 @@ class SeedLabel:
     VAREST = 2           # ojavarest's batch start vectors
     BOOTSTRAP = 3        # (BOOTSTRAP, b): the multipliers of a b-replica bootstrap
     BOOTSTRAP_START = 4  # the bootstrap replicas' shared start vector
-    MASK = 5             # synth --mask-rate
     BENCH = 10           # BENCH + idx: method idx of a timing bench
     WARMUP = 99          # the timing bench's untimed warm-up pass
     MOMENTS = 1          # asymvar: Monte-Carlo moment draws

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import bootstrap_run, bootstrap_variance
+from .bootstrap import bootstrap_run
 from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
 from .inference import CoverageReport, band_hits, build_ci
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import build_sigma, sample
-from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, ojavarest
+from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -34,9 +34,15 @@ def parse_method(spec: str) -> tuple[str, int | None]:
         if b < 1:
             raise ValueError(f"method {spec!r}: bootstrap replica count must be >= 1 (got {b})")
         return "bootstrap", b
-    if spec == "bootstrap":
-        return "bootstrap", 20
     raise ValueError(f"unknown method {spec!r}; expected 'ojavarest' or 'bootstrap:<b>'")
+
+
+def parse_methods(specs: tuple[str, ...]) -> dict[str, int | None]:
+    """Parse every spec before any work runs: {spec: replica count}, refusing repeats."""
+    counts = {m: parse_method(m)[1] for m in specs}
+    if len(counts) < len(specs):
+        raise ValueError(f"methods repeat: {list(specs)}")
+    return counts
 
 
 def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
@@ -71,7 +77,7 @@ def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, 
     if name == "bootstrap":
         u0 = gaussian_unit(stream.child(SeedLabel.BOOTSTRAP_START).rng(), data.d)
         replicas = bootstrap_run(data, b, eta_n, stream.child(SeedLabel.BOOTSTRAP, b), u0, law)
-        return bootstrap_variance(replicas, vtilde), replicas
+        return batch_variance(replicas, vtilde), replicas
     result = ojavarest(data, delta, vtilde, gap, m1=m1, m2=m2, alpha=alpha,
                        seed=stream.child(SeedLabel.VAREST))
     return result.batch_scale_sigma2() * (eta_n / result.eta_b), result
@@ -98,7 +104,6 @@ class ExperimentRecord:
     estimate_ms: float
 
     def __post_init__(self) -> None:
-        parse_method(self.method)
         if self.vtilde_ms < 0.0 or self.estimate_ms < 0.0:
             raise ValueError("wall-clock fields must be nonnegative")
         if len(self.hits) != len(self.tracked):
@@ -165,9 +170,7 @@ def run_coverage_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    replica_counts = {m: parse_method(m)[1] for m in methods}
-    if len(replica_counts) < len(methods):
-        raise ValueError(f"methods repeat: {list(methods)}")
+    replica_counts = parse_methods(methods)
     tracked = tuple(tracked)
     for c in tracked:
         if not 1 <= c <= d:
@@ -230,7 +233,9 @@ def run_bench(
     the estimators take the proxy as an input, so ``estimate_ms`` is the
     apples-to-apples cost of the uncertainty step itself. An untimed warmup
     pass runs first so the earliest method is not charged for cache faults.
+    Every spec is parsed, and a repeat refused, before any of that runs.
     """
+    parse_methods(methods)
     _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
     data = sample(root, n, seed.child(SeedLabel.DATA).rng())

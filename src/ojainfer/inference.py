@@ -107,14 +107,6 @@ def band_hits(band: ConfidenceBand, truth: np.ndarray) -> np.ndarray:
     return (np.abs(truth - center) <= band.half_width).astype(np.int64)
 
 
-def evaluate_coverage(bands: list[ConfidenceBand], truth: np.ndarray) -> CoverageReport:
-    """Count, per coordinate, how often the bands contain the truth (sum of :func:`band_hits`)."""
-    if not bands:
-        raise ValueError("need at least one confidence band")
-    hits = sum(band_hits(band, truth) for band in bands)
-    return CoverageReport(trials=len(bands), hits=hits)
-
-
 def anderson_darling(values: np.ndarray) -> float:
     """Anderson-Darling normality statistic on standardized values.
 

@@ -265,26 +265,6 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def read_results_csv(path) -> list[dict]:
-    """Parse a record CSV back into dicts (numbers where possible)."""
-    out: list[dict] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            parsed = {}
-            for key, val in row.items():
-                if val == "":
-                    parsed[key] = None
-                    continue
-                try:
-                    num = float(val)
-                    parsed[key] = int(num) if num.is_integer() and "." not in val and "e" not in val.lower() else num
-                except ValueError:
-                    parsed[key] = val
-            out.append(parsed)
-    return out
-
-
 def content_hash_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Dataset, EigenSystem, SeedSpec, eigendecompose, psd_sqrt
+from .core import Dataset, EigenSystem, eigendecompose, psd_sqrt
 
 HALF_WIDTH = math.sqrt(3.0)
 
@@ -95,17 +95,3 @@ def vector_sampler(root: np.ndarray):
 
     return draw
 
-
-def mask_missing(data: Dataset, rate: float, seed: SeedSpec) -> Dataset:
-    """Zero out each entry independently with probability ``rate``.
-
-    Returns a new Dataset; the input is untouched. ``rate`` must lie in
-    [0, 1) since fully-masked data carries no information.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"mask rate must lie in [0, 1) (got {rate})")
-    if rate == 0.0:
-        return Dataset(data.samples.copy())
-    rng = seed.rng()
-    keep = rng.random(data.samples.shape) >= rate
-    return Dataset(data.samples * keep)

@@ -91,6 +91,8 @@ def batch_variance(batch_vectors, vtilde: np.ndarray) -> np.ndarray:
     """
     vt = _check_unit(vtilde, "vtilde")
     vecs = np.atleast_2d(np.asarray(batch_vectors, dtype=np.float64))
+    if vecs.shape[0] == 0:
+        raise ValueError("need at least one vector")
     if vecs.shape[1] != vt.shape[0]:
         raise ValueError(f"vectors have d={vecs.shape[1]}, proxy has d={vt.shape[0]}")
     norms = np.linalg.norm(vecs, axis=1)

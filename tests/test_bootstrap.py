@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ojainfer import Dataset, SeedSpec, bootstrap_run, bootstrap_variance, oja_run
+from ojainfer import Dataset, SeedSpec, batch_variance, bootstrap_run, oja_run
 from ojainfer.bootstrap import _multipliers
 from ojainfer.synth import sample
 
@@ -69,26 +69,28 @@ class TestBootstrapRun:
 
 
 class TestBootstrapVariance:
+    """The bootstrap's variance is batch_variance of its replicas around the proxy."""
+
     def test_zero_when_replicas_match_proxy(self):
         vt = np.array([0.0, 1.0])
-        np.testing.assert_array_equal(bootstrap_variance([vt, vt], vt), np.zeros(2))
+        np.testing.assert_array_equal(batch_variance([vt, vt], vt), np.zeros(2))
 
     def test_single_replica_squared_residual(self):
         vt = np.array([1.0, 0.0])
         rep = np.array([0.6, 0.8])
         resid = rep - (rep @ vt) * vt
-        np.testing.assert_allclose(bootstrap_variance([rep], vt), resid**2, rtol=1e-15)
+        np.testing.assert_allclose(batch_variance([rep], vt), resid**2, rtol=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_variance(np.empty((0, 3)), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="need at least one vector"):
+            batch_variance(np.empty((0, 3)), np.array([1.0, 0.0, 0.0]))
 
     def test_invariant_under_replica_permutation(self, synth3):
         sigma, eigen, root = synth3
         data = sample(root, 120, rng=SeedSpec(144).rng())
         replicas = bootstrap_run(data, 6, 0.005, SeedSpec(145), random_unit(SeedSpec(146).rng(), 3),
                                  law="exponential")
-        base = bootstrap_variance(replicas, eigen.leading)
+        base = batch_variance(replicas, eigen.leading)
         perm = SeedSpec(147).rng().permutation(6)
-        shuffled = bootstrap_variance(replicas[perm], eigen.leading)
+        shuffled = batch_variance(replicas[perm], eigen.leading)
         assert np.max(np.abs(base - shuffled)) <= 1e-12

@@ -1,16 +1,22 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, build_sigma, cli
+from ojainfer import SeedSpec, build_sigma, cli, experiments
 from ojainfer.cli import cli_dispatch
-from ojainfer.io import read_csv, read_results_csv
+from ojainfer.io import read_csv
 from ojainfer.synth import HALF_WIDTH
 
 
 def run(argv):
     return cli_dispatch([str(a) for a in argv])
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture()
@@ -43,19 +49,6 @@ class TestSynthCommand:
         monkeypatch.setenv("OJA_INFER_SEED", "77")
         assert run(["--quiet", "synth", "--n", "20", "--d", "3", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_mask_rate(self, tmp_path):
-        out = tmp_path / "masked.csv"
-        assert run(["--quiet", "synth", "--n", "200", "--d", "5", "--mask-rate", "0.3", "--out", out]) == 0
-        data = read_csv(out)
-        assert np.mean(data.samples == 0.0) > 0.2
-
-    @pytest.mark.parametrize("rate", ["-0.3", "1", "nan"])
-    def test_mask_rate_out_of_range_is_validation_error(self, tmp_path, capsys, rate):
-        out = tmp_path / "masked.csv"
-        assert run(["--quiet", "synth", "--n", "20", "--d", "3", "--mask-rate", rate, "--out", out]) == 1
-        assert "--mask-rate" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_draws_from_the_root_stream(self, tmp_path):
         # The samples are Z @ Sigma^{1/2} with Z from the --seed root stream itself.
@@ -205,10 +198,12 @@ def test_json_top_level_keys(tmp_path, small_csv, command):
     assert list(json.loads(out.read_text())) == keys
 
 
-@pytest.mark.parametrize("flag", [["--format", "json"], ["--ci-scale", "full"]])
+@pytest.mark.parametrize("flag", [["varest", "--format", "json"], ["varest", "--ci-scale", "full"],
+                                  ["synth", "--n", "20", "--d", "3", "--mask-rate", "0.1"]])
 def test_removed_flags_are_refused(tmp_path, small_csv, flag):
     out = tmp_path / "v.json"
-    assert run(["--quiet", "varest", "--input", small_csv, *flag, "--out", out]) == 1
+    on_file = ["--input", small_csv] if flag[0] == "varest" else []
+    assert run(["--quiet", *flag, *on_file, "--out", out]) == 1
     assert not out.exists()
 
 
@@ -228,10 +223,10 @@ class TestCoverageCommand:
         code = run(["--quiet", "--seed", "11", "coverage", "--n", "400", "--d", "8",
                     "--trials", "3", "--methods", "ojavarest,bootstrap:2", "--out", out])
         assert code == 0
-        table = read_results_csv(out)
-        assert {r["coordinate"] for r in table} == {1, 2}
+        table = read_rows(out)
+        assert {int(r["coordinate"]) for r in table} == {1, 2}
         assert "ojavarest" in table[0] and "bootstrap:2" in table[0]
-        records = read_results_csv(tmp_path / "coverage.csv.records.csv")
+        records = read_rows(tmp_path / "coverage.csv.records.csv")
         assert len(records) == 6  # 3 trials x 2 methods
 
     def test_numeric_determinism(self, tmp_path):
@@ -249,6 +244,13 @@ class TestCoverageCommand:
         assert code == 1
         assert f"tracked coordinate {coord} is outside 1..6" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_tracked_not_an_integer_names_the_flag(self, tmp_path, capsys):
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "1",
+                    "--methods", "ojavarest", "--tracked", "1,x", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "--tracked must list integers (got '1,x')" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_level_outside_unit_interval_is_validation_error(self, tmp_path, capsys):
         code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "1",
@@ -280,9 +282,22 @@ class TestBenchCommand:
         code = run(["--quiet", "bench", "--n", "400", "--d", "10",
                     "--methods", "ojavarest,bootstrap:2", "--out", out])
         assert code == 0
-        rows = read_results_csv(out)
+        rows = read_rows(out)
         assert [r["method"] for r in rows] == ["ojavarest", "bootstrap:2"]
-        assert all(r["total_ms"] >= 0 for r in rows)
+        assert all(float(r["total_ms"]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize("methods,error", [("ojavarest,bootstrap:2,bootstrap:2", "methods repeat"),
+                                               ("ojavarest,bootstrap:2,bootstrap:x", "'bootstrap:x'")])
+    def test_bad_method_list_is_refused_before_any_pass(self, tmp_path, capsys, monkeypatch, methods, error):
+        calls = []
+        real = experiments.proxy
+        monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1) or real(*a, **k))
+        code = run(["--quiet", "bench", "--n", "400", "--d", "10", "--methods", methods,
+                    "--out", tmp_path / "t.csv"])
+        assert code == 1
+        assert error in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracleCommand:

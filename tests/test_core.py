@@ -68,7 +68,7 @@ def test_seed_labels_are_named_in_one_table():
             if literal.search(line)]
     assert hits == []
     run_labels = [SeedLabel.DATA, SeedLabel.START, SeedLabel.VAREST, SeedLabel.BOOTSTRAP,
-                  SeedLabel.BOOTSTRAP_START, SeedLabel.MASK, SeedLabel.BENCH, SeedLabel.WARMUP]
+                  SeedLabel.BOOTSTRAP_START, SeedLabel.BENCH, SeedLabel.WARMUP]
     assert len(set(run_labels)) == len(run_labels)
 
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from ojainfer import SeedLabel, SeedSpec, bootstrap_run, bootstrap_variance, learning_rate
-from ojainfer.experiments import ExperimentRecord, method_variance, parse_method, proxy, run_coverage_experiment
+from ojainfer import SeedLabel, SeedSpec, batch_variance, bootstrap_run, learning_rate
+from ojainfer.experiments import (
+    method_variance,
+    parse_method,
+    parse_methods,
+    proxy,
+    run_coverage_experiment,
+)
 from ojainfer.oja import gaussian_unit
 from ojainfer.synth import sample
 
@@ -11,7 +17,8 @@ class TestParseMethod:
     def test_known_specs(self):
         assert parse_method("ojavarest") == ("ojavarest", None)
         assert parse_method("bootstrap:7") == ("bootstrap", 7)
-        assert parse_method("bootstrap") == ("bootstrap", 20)
+        with pytest.raises(ValueError, match="unknown method 'bootstrap'"):
+            parse_method("bootstrap")
 
     @pytest.mark.parametrize("spec", ["bootstrap:x", "bootstrap:", "bootstrap:0", "bootstrap:-3"])
     def test_bad_count_names_the_spec(self, spec):
@@ -22,12 +29,18 @@ class TestParseMethod:
         with pytest.raises(ValueError, match="unknown method 'magic'"):
             parse_method("magic")
 
+    def test_list_maps_each_spec_to_its_replica_count(self):
+        assert parse_methods(("ojavarest", "bootstrap:3")) == {"ojavarest": None, "bootstrap:3": 3}
+
     def test_record_uses_the_same_names(self):
+        # Records carry the specs, and the replica counts, that parse_methods gave;
+        # a spec it refuses stops the experiment before any trial.
+        methods = ("ojavarest", "bootstrap:2")
+        outcome = run_coverage_experiment(methods=methods, seed=SeedSpec(34), **SMALL)
+        assert {(r.method, r.b) for r in outcome.records} == set(parse_methods(methods).items())
         for method in ("bootstrap:x", "bootstrap:0", "ojavarest:2"):
-            with pytest.raises(ValueError):
-                ExperimentRecord(trial=0, method=method, n=1, d=1, beta=1.0, b=None,
-                                 tracked=(1,), hits=(1,), sin2_error=0.0,
-                                 vtilde_ms=0.0, estimate_ms=0.0)
+            with pytest.raises(ValueError, match=f"'{method}'"):
+                run_coverage_experiment(methods=("ojavarest", method), **SMALL)
 
 
 SMALL = dict(n=300, d=6, beta=1.0, trials=3, m1=2, m2=2)
@@ -70,4 +83,4 @@ class TestMethodVariance:
         u0 = gaussian_unit(stream.child(SeedLabel.BOOTSTRAP_START).rng(), data.d)
         np.testing.assert_array_equal(
             replicas, bootstrap_run(data, 3, eta_n, stream.child(SeedLabel.BOOTSTRAP, 3), u0))
-        np.testing.assert_array_equal(boot, bootstrap_variance(replicas, vt))
+        np.testing.assert_array_equal(boot, batch_variance(replicas, vt))

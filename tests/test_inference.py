@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ojainfer import ConfidenceBand, SeedSpec, build_ci, evaluate_coverage, normal_quantile
+from ojainfer import ConfidenceBand, SeedSpec, build_ci, normal_quantile
 from ojainfer.experiments import method_variance
 from ojainfer.inference import (
     AD_CRITICAL,
@@ -82,46 +82,33 @@ class TestBuildCi:
 
 
 class TestEvaluateCoverage:
+    """A band is scored against the truth by band_hits, one 0/1 per coordinate."""
+
     def test_infinite_width_covers_everything(self):
         rng = SeedSpec(173).rng()
         truth = random_unit(rng, 4)
-        bands = [ConfidenceBand(random_unit(rng, 4), np.full(4, np.inf), 0.95) for _ in range(5)]
-        report = evaluate_coverage(bands, truth)
-        np.testing.assert_array_equal(report.rates, np.ones(4))
+        for _ in range(5):
+            band = ConfidenceBand(random_unit(rng, 4), np.full(4, np.inf), 0.95)
+            np.testing.assert_array_equal(band_hits(band, truth), np.ones(4))
 
     def test_zero_width_wrong_center_misses(self):
         truth = np.array([1.0, 0.0])
         off = np.array([0.6, 0.8])
-        report = evaluate_coverage([ConfidenceBand(off, np.zeros(2), 0.95)], truth)
-        np.testing.assert_array_equal(report.rates, np.zeros(2))
+        np.testing.assert_array_equal(band_hits(ConfidenceBand(off, np.zeros(2), 0.95), truth), np.zeros(2))
 
     def test_sign_alignment_applied(self):
         truth = np.array([0.6, 0.8])
-        report = evaluate_coverage([ConfidenceBand(-truth, np.zeros(2), 0.95)], truth)
-        np.testing.assert_array_equal(report.rates, np.ones(2))
+        np.testing.assert_array_equal(band_hits(ConfidenceBand(-truth, np.zeros(2), 0.95), truth), np.ones(2))
 
     def test_doubling_widths_never_decreases_coverage(self):
         rng = SeedSpec(179).rng()
         truth = random_unit(rng, 5)
-        bands, wider = [], []
         for _ in range(40):
             center = random_unit(rng, 5)
             hw = rng.uniform(0.0, 0.5, 5)
-            bands.append(ConfidenceBand(center, hw, 0.95))
-            wider.append(ConfidenceBand(center, 2.0 * hw, 0.95))
-        a = evaluate_coverage(bands, truth)
-        b = evaluate_coverage(wider, truth)
-        assert np.all(b.rates >= a.rates)
-
-    def test_report_sums_band_hits(self):
-        rng = SeedSpec(180).rng()
-        truth = random_unit(rng, 6)
-        bands = [ConfidenceBand(random_unit(rng, 6), rng.uniform(0.0, 0.6, 6), 0.95)
-                 for _ in range(30)]
-        report = evaluate_coverage(bands, truth)
-        per_band = [band_hits(band, truth) for band in bands]
-        assert all(h.shape == (6,) and set(h.tolist()) <= {0, 1} for h in per_band)
-        np.testing.assert_array_equal(report.hits, np.sum(per_band, axis=0))
+            narrow = band_hits(ConfidenceBand(center, hw, 0.95), truth)
+            wide = band_hits(ConfidenceBand(center, 2.0 * hw, 0.95), truth)
+            assert np.all(wide >= narrow)
 
     def test_band_hits_dimension_mismatch(self):
         with pytest.raises(ValueError):

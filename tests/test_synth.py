@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, build_sigma, eigendecompose, mask_missing, psd_sqrt, sample, sample_covariance
+from ojainfer import SeedSpec, build_sigma, eigendecompose, psd_sqrt, sample, sample_covariance
 from ojainfer import core, synth
 from ojainfer.synth import HALF_WIDTH
 
@@ -93,30 +93,3 @@ class TestSample:
         sigma, eigen, root = synth3
         with pytest.raises(ValueError):
             sample(root, 0, SeedSpec(0).rng())
-
-
-class TestMaskMissing:
-    def test_zero_rate_identity(self, synth3):
-        sigma, eigen, root = synth3
-        data = sample(root, 50, rng=SeedSpec(156).rng())
-        masked = mask_missing(data, 0.0, SeedSpec(157))
-        np.testing.assert_array_equal(masked.samples, data.samples)
-        assert masked is not data
-
-    def test_masked_fraction_concentrates(self, synth3):
-        sigma, eigen, root = synth3
-        rng = SeedSpec(158).rng()
-        base = rng.uniform(1.0, 2.0, size=(200_000, 5))  # no zeros to start
-        from ojainfer import Dataset
-
-        data = Dataset(base)
-        masked = mask_missing(data, 0.1, SeedSpec(159))
-        frac = np.mean(masked.samples == 0.0)
-        assert 0.097 <= frac <= 0.103
-        np.testing.assert_array_equal(data.samples, base)  # original untouched
-
-    def test_rate_one_rejected(self, synth3):
-        sigma, eigen, root = synth3
-        data = sample(root, 10, rng=SeedSpec(160).rng())
-        with pytest.raises(ValueError):
-            mask_missing(data, 1.0, SeedSpec(161))
