@@ -20,8 +20,9 @@ step size eta is
 and satisfies E[Psi Psi^T] = eta^2 Vp Rn Vp^T for the order-1 term Psi.
 
 Mt is estimated by Monte Carlo because the fourth-moment structure of the
-sampler is distribution-specific; sample counts, seeds, and per-entry
-standard errors are always recorded.
+sampler is distribution-specific. A sampler gives (m, d) rows x, each the
+draw A = x x^T; sample counts, seeds, and per-entry standard errors are
+always recorded.
 """
 
 from __future__ import annotations
@@ -45,15 +46,10 @@ def _sigma_matrix(eigen: EigenSystem) -> np.ndarray:
 
 
 def _draw(sampler, rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """The sampler's next m rows x_i, each standing for the draw A_i = x_i x_i^T."""
     out = np.asarray(sampler(rng, m), dtype=np.float64)
-    if out.ndim == 2:
-        if out.shape != (m, d):
-            raise ValueError(f"sampler returned shape {out.shape}, expected ({m}, {d})")
-    elif out.ndim == 3:
-        if out.shape != (m, d, d):
-            raise ValueError(f"sampler returned shape {out.shape}, expected ({m}, {d}, {d})")
-    else:
-        raise ValueError(f"sampler must return (m, d) rows or (m, d, d) matrices, got {out.shape}")
+    if out.shape != (m, d):
+        raise ValueError(f"sampler returned shape {out.shape}, expected ({m}, {d}) rows")
     return out
 
 
@@ -105,28 +101,24 @@ class AsymptoticVariance:
         return np.diag(self.v).copy()
 
 
-def _operator_norms(x_or_a: np.ndarray, sigma: np.ndarray, eigen: EigenSystem,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Operator norm of A_i - Sigma for each draw, by batched power iteration.
+def _operator_norms(x: np.ndarray, eigen: EigenSystem, rng: np.random.Generator) -> np.ndarray:
+    """Operator norm of x_i x_i^T - Sigma for each row x_i, by batched power iteration.
 
-    Row draws iterate in Sigma's eigenbasis, where z Sigma is lam * z, on
+    The iteration runs in Sigma's eigenbasis, where z Sigma is lam * z, on
     (d, rows) blocks of about ``_BLOCK_ELEMS`` entries that stay in cache.
     """
-    if x_or_a.ndim == 3:
-        vals = np.linalg.eigvalsh(x_or_a - sigma[None, :, :])
-        return np.max(np.abs(vals), axis=1)
-    m, d = x_or_a.shape
+    m, d = x.shape
     z = rng.standard_normal((m, d))
     q, lam = eigen.eigenvectors, eigen.eigenvalues[:, None]
     step = max(1, _BLOCK_ELEMS // d)
     out = np.empty(m)
     for lo in range(0, m, step):
-        x = q.T @ x_or_a[lo:lo + step].T
+        xb = q.T @ x[lo:lo + step].T
         zb = q.T @ z[lo:lo + step].T
         zb /= np.sqrt(np.einsum("ij,ij->j", zb, zb))
         y = np.empty_like(zb)
         for _ in range(POWER_ITERS + 1):    # the last pass gives the norms
-            np.multiply(x, np.einsum("ij,ij->j", x, zb), out=y)
+            np.multiply(xb, np.einsum("ij,ij->j", xb, zb), out=y)
             zb *= lam
             y -= zb
             nrm = np.sqrt(np.einsum("ij,ij->j", y, y))
@@ -140,9 +132,9 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
 
     Parameters
     ----------
-    sampler : callable (rng, m) -> array
-        Either (m, d) sample rows x (so A = x x^T) or (m, d, d) explicit
-        symmetric matrices A.
+    sampler : callable (rng, m) -> (m, d) array
+        Sample rows x, each giving the draw A = x x^T. Any other shape is a
+        ValueError.
     eigen : EigenSystem
         Decomposition of the sampler's population second moment; its gap must
         be non-degenerate for the projection to be well defined.
@@ -168,27 +160,19 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
     sum_q4 = 0.0
     sum_a = np.zeros((d, d))
     sum_asq = np.zeros((d, d))
-    vector_path = True
     done = 0
     while done < mc_samples:
         m = min(_CHUNK, mc_samples - done)
-        draw = _draw(sampler, rng, m, d)
-        vector_path = draw.ndim == 2
-        if vector_path:
-            x = draw
-            t = x @ v1
-            w = (x * t[:, None] - sigma_v1) @ vp      # rows Vp^T (A_i - Sigma) v1
-            nrm2 = np.einsum("ij,ij->i", x, x)
-            sum_a += x.T @ x
-            sum_asq += (x * nrm2[:, None]).T @ x      # sum of ||x||^2 x x^T
-        else:
-            diff = draw - sigma[None, :, :]
-            w = (diff @ v1) @ vp
-            sum_asq += np.einsum("nij,njk->ik", diff, diff)
+        x = _draw(sampler, rng, m, d)
+        t = x @ v1
+        w = (x * t[:, None] - sigma_v1) @ vp          # rows Vp^T (A_i - Sigma) v1
+        nrm2 = np.einsum("ij,ij->i", x, x)
+        sum_a += x.T @ x
+        sum_asq += (x * nrm2[:, None]).T @ x          # sum of ||x||^2 x x^T
         w2 = w * w
         sum_w += w.T @ w                              # sum of w w^T, O(d^2) memory
         sum_w2 += w2.T @ w2                           # sum of (w w^T)**2, entrywise
-        q = _operator_norms(draw, sigma, eigen, rng)
+        q = _operator_norms(x, eigen, rng)
         sum_q2 += float((q**2).sum())
         sum_q4 += float((q**4).sum())
         done += m
@@ -198,12 +182,9 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
     var_w = np.maximum(sum_w2 / mc_samples - (sum_w / mc_samples) ** 2, 0.0)
     stderr = np.sqrt(var_w / mc_samples)
 
-    if vector_path:
-        # E[(A - Sigma)^2] from the raw accumulators of A = x x^T draws.
-        mean_a = sum_a / mc_samples
-        sq = sum_asq / mc_samples - mean_a @ sigma - sigma @ mean_a + sigma @ sigma
-    else:
-        sq = sum_asq / mc_samples
+    # E[(A - Sigma)^2] from the raw accumulators of A = x x^T draws.
+    mean_a = sum_a / mc_samples
+    sq = sum_asq / mc_samples - mean_a @ sigma - sigma @ mean_a + sigma @ sigma
     sq = (sq + sq.T) / 2.0
     vstat = float(np.max(np.abs(np.linalg.eigvalsh(sq))))
 
@@ -282,9 +263,10 @@ def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,
                                trials: int, seed: SeedSpec) -> EmpiricalCovariance:
     """Monte-Carlo covariance of the order-1 fluctuation term over fresh data.
 
-    Each trial draws n fresh samples and evaluates the explicit order-1 sum;
-    the global sign is irrelevant for the outer product, so no initial vector
-    enters. Matches eta^2 Vp Rn Vp^T in expectation.
+    Each trial draws n fresh (n, d) rows from ``sampler`` and evaluates the
+    explicit order-1 sum; the global sign is irrelevant for the outer
+    product, so no initial vector enters. Matches eta^2 Vp Rn Vp^T in
+    expectation.
     """
     eigen.require_gap()
     if trials < 1:
@@ -298,9 +280,8 @@ def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,
     sum_m2 = np.zeros((d, d))
     for t in range(trials):
         rng = seed.child(t).rng()
-        draw = _draw(sampler, rng, n, d)
-        a_v1 = draw * (draw @ v1)[:, None] if draw.ndim == 2 else draw @ v1
-        psi = contract((a_v1 - sigma_v1) @ vp)
+        x = _draw(sampler, rng, n, d)
+        psi = contract((x * (x @ v1)[:, None] - sigma_v1) @ vp)
         outer = np.outer(psi, psi)
         sum_m += outer
         sum_m2 += outer**2

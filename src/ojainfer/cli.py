@@ -147,11 +147,17 @@ def _check_flags(args) -> None:
         raise ValueError(f"--methods names no method (got {args.methods!r})")
     if args.subcommand == "coverage":
         _tracked(args)
+    if args.subcommand == "bootstrap" and args.b < 1:
+        raise ValueError(f"--b must be at least 1 (got {args.b})")
+    if args.subcommand == "oracle" and not args.eta > 0.0:
+        raise ValueError(f"--eta must be positive (got {args.eta})")
     if args.subcommand == "varest":
         if args.delta is not None and (args.m1 is not None or args.preset) and not args.boosted:
             raise ValueError("--delta changes nothing once --m1 or --preset fixes m1 without --boosted")
         args.delta = DEFAULT_DELTA if args.delta is None else args.delta
     elif args.subcommand == "asymvar":
+        if args.trials < 0:
+            raise ValueError(f"--trials must be at least 0 (got {args.trials})")
         if args.trials > 0 and args.n is None:
             raise ValueError("--trials needs --n: the empirical check runs at that horizon")
         if args.alpha is not None and args.n is None:

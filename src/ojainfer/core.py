@@ -42,10 +42,7 @@ class SeedSpec:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.stream, int):
-            object.__setattr__(self, "stream", (self.stream,))
-        else:
-            object.__setattr__(self, "stream", tuple(int(s) for s in self.stream))
+        object.__setattr__(self, "stream", tuple(int(s) for s in self.stream))
         if not 0 <= int(self.master) < 2**64:
             raise ValueError("master seed must be a 64-bit unsigned integer")
 
@@ -163,10 +160,14 @@ def require_gap(gap: float) -> float:
     return gap
 
 
-def _check_unit(v: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
+# Largest | ||v|| - 1 | that _check_unit accepts as a unit vector.
+UNIT_TOL = 1e-8
+
+
+def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"{name} must be unit norm (got ||{name}|| = {nrm!r})")
     return v
 

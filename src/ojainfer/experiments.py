@@ -156,7 +156,6 @@ def run_coverage_experiment(
     seed: SeedSpec = SeedSpec(0),
     m1: int | None = PAPER_M1,
     m2: int | None = None,
-    alpha: float = DEFAULT_ALPHA,
     tracked: tuple[int, ...] = (1, 2),
 ) -> CoverageOutcome:
     """Repeated-trial coverage of per-coordinate intervals on synthetic data.
@@ -164,9 +163,9 @@ def run_coverage_experiment(
     Every trial draws a fresh dataset from the family, computes one shared
     proxy vector by a full streaming pass, builds one interval per method
     around it, and scores the intervals against the known leading
-    eigenvector. Reports aggregate per coordinate over all trials. ``alpha``
-    sets every step, as in :func:`method_variance`; ``m1``/``m2`` fix
-    ojavarest's schedule.
+    eigenvector. Reports aggregate per coordinate over all trials. Every
+    step takes ``DEFAULT_ALPHA``, as in :func:`method_variance`; ``m1``/``m2``
+    fix ojavarest's schedule.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -183,12 +182,12 @@ def run_coverage_experiment(
         st = seed.child(trial)
         data = sample(root, n, st.child(SeedLabel.DATA).rng())
         t0 = time.perf_counter()
-        vtilde, _ = proxy(data, gap, alpha, st)
+        vtilde, _ = proxy(data, gap, DEFAULT_ALPHA, st)
         vtilde_ms = (time.perf_counter() - t0) * 1e3
         accuracy = sin2(vtilde, eigen.leading)
         for method_spec in methods:
             t1 = time.perf_counter()
-            sigma2, _ = method_variance(method_spec, data, vtilde, gap, alpha, st, m1=m1, m2=m2)
+            sigma2, _ = method_variance(method_spec, data, vtilde, gap, DEFAULT_ALPHA, st, m1=m1, m2=m2)
             band = build_ci(vtilde, sigma2, level)
             estimate_ms = (time.perf_counter() - t1) * 1e3
             trial_hits = band_hits(band, eigen.leading)
@@ -201,7 +200,7 @@ def run_coverage_experiment(
             ))
     config = {
         "n": n, "d": d, "beta": beta, "trials": trials, "level": level,
-        "methods": list(methods), "m1": m1, "m2": m2, "alpha": alpha,
+        "methods": list(methods), "m1": m1, "m2": m2, "alpha": DEFAULT_ALPHA,
         "seed": seed.master, "tracked": list(tracked),
     }
     reports = {m: CoverageReport(trials=trials, hits=hits[m]) for m in methods}
@@ -268,15 +267,15 @@ def residual_trials(
     n: int,
     trials: int,
     seed: SeedSpec = SeedSpec(0),
-    alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
     """Draw (trials, d) residuals of fresh streaming runs against the truth.
 
     Each row is v_est - (v1 . v_est) v1 for one independent dataset and
-    initial vector; used by the concentration and limit-distribution checks.
+    initial vector, at the step of ``DEFAULT_ALPHA``; used by the
+    concentration and limit-distribution checks.
     """
     gap = eigen.require_gap()
-    eta_n = learning_rate(n, gap, alpha)
+    eta_n = learning_rate(n, gap, DEFAULT_ALPHA)
     v1 = eigen.leading
     rows = np.empty((trials, eigen.d))
     for lo in range(0, trials, _TRIAL_CHUNK):

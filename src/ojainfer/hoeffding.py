@@ -27,6 +27,8 @@ from .core import EigenSystem, _check_unit
 
 # C(14, 7) subsets keep full enumeration sub-second at oracle sizes.
 ENUMERATION_CAP = 14
+# Largest defect DecompositionReport.validate allows in either exact identity.
+IDENTITY_TOL = 1e-9
 
 
 def _as_matrix_stack(samples, dim: int | None) -> np.ndarray:
@@ -179,15 +181,15 @@ class DecompositionReport:
     def residual_target(self) -> np.ndarray:
         return self.v_est - float(self.vtilde @ self.v_est) * self.vtilde
 
-    def validate(self, product_tol: float = 1e-9, residual_tol: float = 1e-9) -> None:
-        """Assert the two exact identities the report is built on."""
+    def validate(self) -> None:
+        """Assert the two exact identities the report is built on, each to ``IDENTITY_TOL``."""
         if self.terms is not None:
             err = np.linalg.norm(self.b_matrix - sum(self.terms), "fro")
             rel = err / np.linalg.norm(self.b_matrix, "fro")
-            if rel > product_tol:
+            if rel > IDENTITY_TOL:
                 raise AssertionError(f"term expansion misses the product: rel err {rel:.3e}")
         gap = float(np.linalg.norm(self.residual_target() - self.residual_sum()))
-        if gap > residual_tol:
+        if gap > IDENTITY_TOL:
             raise AssertionError(f"residual pieces do not sum to the residual: {gap:.3e}")
 
 

@@ -15,9 +15,14 @@ import numpy as np
 
 from .core import sign_align, _check_unit
 
-# Anderson-Darling critical values for normality with estimated mean and
-# variance (statistic modified by (1 + 0.75/n + 2.25/n^2)).
-AD_CRITICAL = {0.15: 0.576, 0.10: 0.656, 0.05: 0.787, 0.025: 0.918, 0.01: 1.035}
+# Anderson-Darling critical value for normality at significance AD_SIGNIFICANCE,
+# with estimated mean and variance (statistic modified by (1 + 0.75/n + 2.25/n^2)).
+AD_SIGNIFICANCE = 0.01
+AD_CRITICAL = 1.035
+# check_entrywise_bound flags a scaled residual above ENTRYWISE_THRESHOLD, and
+# leaves out a coordinate whose limit variance is at most NEGLIGIBLE_VARIANCE.
+ENTRYWISE_THRESHOLD = 3.0
+NEGLIGIBLE_VARIANCE = 1e-12
 
 
 def normal_cdf(z: float) -> float:
@@ -143,16 +148,15 @@ class EntrywiseBoundReport:
 
 
 def check_entrywise_bound(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float,
-                          gap: float, threshold: float = 3.0,
-                          variance_floor: float = 1e-12) -> EntrywiseBoundReport:
+                          gap: float) -> EntrywiseBoundReport:
     """Check that residual coordinates stay within their predicted scale.
 
-    For each coordinate k with limit variance above ``variance_floor``,
+    For each coordinate k with limit variance above ``NEGLIGIBLE_VARIANCE``,
     reports the 75th percentile over trials of
 
         |r_k| / sqrt(eta_n * gap * V_kk * ln d)
 
-    and flags coordinates exceeding ``threshold``. Coordinates with
+    and flags coordinates exceeding ``ENTRYWISE_THRESHOLD``. Coordinates with
     negligible limit variance are listed separately rather than scored.
     """
     res = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
@@ -169,16 +173,16 @@ def check_entrywise_bound(residuals: np.ndarray, v_diag: np.ndarray, eta_n: floa
     flagged: list[int] = []
     excluded: list[int] = []
     for k in range(d):
-        if v_diag[k] <= variance_floor:
+        if v_diag[k] <= NEGLIGIBLE_VARIANCE:
             excluded.append(k)
             continue
         scale = math.sqrt(eta_n * gap * v_diag[k] * log_d)
         ratio = float(np.percentile(np.abs(res[:, k]), 75.0)) / scale
         ratios[k] = ratio
-        if ratio > threshold:
+        if ratio > ENTRYWISE_THRESHOLD:
             flagged.append(k)
     return EntrywiseBoundReport(ratios=ratios, flagged=flagged, excluded=excluded,
-                                threshold=threshold, trials=trials)
+                                threshold=ENTRYWISE_THRESHOLD, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -194,13 +198,14 @@ class CltReport:
 
 
 def check_clt(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float, gap: float,
-              variance_floor: float, significance: float = 0.01) -> CltReport:
+              variance_floor: float) -> CltReport:
     """Compare residual coordinate distributions against their Gaussian limit.
 
     Restricted to J = {k : V_kk >= variance_floor}. For each such k, the
     empirical variance of r_k / sqrt(eta_n * gap) is reported as a ratio to
-    V_kk, together with an Anderson-Darling normality statistic; the
-    normality outcome is informational, not a hard gate.
+    V_kk, together with an Anderson-Darling normality statistic tested at
+    ``AD_SIGNIFICANCE``; the normality outcome is informational, not a hard
+    gate.
     """
     res = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
     trials, d = res.shape
@@ -212,9 +217,6 @@ def check_clt(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float, gap: floa
     coords = [k for k in range(d) if v_diag[k] >= variance_floor]
     if not coords:
         raise ValueError(f"no coordinate has limit variance >= {variance_floor}")
-    if significance not in AD_CRITICAL:
-        raise ValueError(f"significance must be one of {sorted(AD_CRITICAL)}")
-    critical = AD_CRITICAL[significance]
     scale = math.sqrt(eta_n * gap)
     ratios: dict[int, float] = {}
     stats: dict[int, float] = {}
@@ -224,6 +226,6 @@ def check_clt(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float, gap: floa
         ratios[k] = float(np.var(scaled)) / float(v_diag[k])
         stat = anderson_darling(scaled)
         stats[k] = stat
-        passes[k] = stat < critical
+        passes[k] = stat < AD_CRITICAL
     return CltReport(coords=coords, variance_ratios=ratios, ad_statistics=stats,
-                     ad_pass=passes, significance=significance, trials=trials)
+                     ad_pass=passes, significance=AD_SIGNIFICANCE, trials=trials)

@@ -89,37 +89,35 @@ def _segments(blocks, rows: int):
         start += len(chunk)
 
 
-def _advance(U: np.ndarray, X: np.ndarray, ew, start: int) -> None:
+def _advance(U: np.ndarray, X: np.ndarray, ew: np.ndarray, start: int) -> None:
     """Apply the (K, blocks, k, d) samples ``X`` to the (K, d, 1) states ``U``.
 
-    ``ew`` is eta times the multipliers, a scalar or (K, blocks, k). With L
-    the strict lower triangle of X X^T, a block moves u to u + X^T c where
+    ``ew`` is the (K, blocks, k) steps, eta times the multipliers. With L the
+    strict lower triangle of X X^T, a block moves u to u + X^T c where
     (I - eta W L) c = eta W X u: the k updates without their normalisations,
     which only rescale. The factors (I - eta W L)^-1 eta W of all blocks are
     built first, by forward substitution across the stack.
     """
     K, nb, k, d = X.shape
-    scalar = np.ndim(ew) == 0
-    T, sizes = np.ones((K, nb, 1, 1)), np.ones(nb, dtype=int)
+    sizes = np.ones(nb, dtype=int)
     # Overflow and NaN run on into U, and are reported below at their first part.
     with np.errstate(all="ignore"):
-        if k > 1:
-            G = np.matmul(X, X.swapaxes(-1, -2))
-            N = G * (np.tri(k, k, -1) * (ew if scalar else ew[..., None]))
-            # Each block takes the largest of k, k/2, ... whose parts fit the bound; NaN fits none.
-            load = np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)
-            for size in [k >> h for h in range(k.bit_length()) if k % (k >> h) == 0]:
-                fit = load.reshape(K, nb, -1, size).sum(-1).max(axis=(0, 2)) <= _BLOCK_BOUND
-                sizes[(sizes == 1) & fit] = size
-                if sizes.min() > 1:
-                    break
-            for j in np.flatnonzero(sizes < k):
-                part = np.arange(k) // sizes[j]
-                N[:, j, part[:, None] != part[None, :]] = 0.0
-            T = np.zeros_like(N) + np.eye(k)
-            for i in range(1, k):
-                T[..., i : i + 1, :i] = np.matmul(N[..., i : i + 1, :i], T[..., :i, :i])
-        M = T * (ew if scalar else ew[..., None, :])
+        G = np.matmul(X, X.swapaxes(-1, -2))
+        N = G * (np.tri(k, k, -1) * ew[..., None])
+        # Each block takes the largest of k, k/2, ... whose parts fit the bound; NaN fits none.
+        load = np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)
+        for size in [k >> h for h in range(k.bit_length()) if k % (k >> h) == 0]:
+            fit = load.reshape(K, nb, -1, size).sum(-1).max(axis=(0, 2)) <= _BLOCK_BOUND
+            sizes[(sizes == 1) & fit] = size
+            if sizes.min() > 1:
+                break
+        for j in np.flatnonzero(sizes < k):
+            part = np.arange(k) // sizes[j]
+            N[:, j, part[:, None] != part[None, :]] = 0.0
+        T = np.zeros_like(N) + np.eye(k)
+        for i in range(1, k):
+            T[..., i : i + 1, :i] = np.matmul(N[..., i : i + 1, :i], T[..., :i, :i])
+        M = T * ew[..., None, :]
         XT, Ut = X.swapaxes(-1, -2), U.transpose(0, 2, 1)
         parts = [(j, lo, lo + size) for j, size in enumerate(sizes) for lo in range(0, k, size)]
         norms = np.empty((len(parts), K, 1, 1))
@@ -141,9 +139,10 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     ``blocks`` is a (K, n, d) array, state i reading ``blocks[i]`` in order,
     or for one state an (n, d) array (not copied) or an iterable of rows (read
     once, O(k) rows at a time). ``weights`` are (K, n) multipliers for an
-    array, None for all 1. Returns the final (K, d) unit rows, equal to the
-    per-sample loop up to rounding, and the samples each state read. A zero
-    or non-finite iterate raises ValueError naming the samples.
+    array, None for all 1: every sample's step eta * w goes to the block
+    update as one (K, n) array. Returns the final (K, d) unit rows, equal to
+    the per-sample loop up to rounding, and the samples each state read. A
+    zero or non-finite iterate raises ValueError naming the samples.
     """
     U = np.array(U0, dtype=np.float64, ndmin=2)[:, :, None]
     K, d, _ = U.shape
@@ -156,12 +155,12 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
         m = x.shape[1]
         if x.ndim != 3 or x.shape[0] != K or x.shape[2] != d:
             raise ValueError(f"samples {start}..{start + m - 1} have shape {x.shape}, expected ({K}, {m}, {d})")
-        ew = eta if w is None else eta * w[:, start : start + m]
+        ew = np.full((K, m), eta, dtype=np.float64) if w is None else eta * w[:, start : start + m]
         full = m - m % k
         for lo, hi, size in ((0, full, k), (full, m, m - full)):
             if hi > lo:
-                _advance(U, x[:, lo:hi].reshape(K, -1, size, d),
-                         ew if w is None else ew[:, lo:hi].reshape(K, -1, size), start + lo)
+                _advance(U, x[:, lo:hi].reshape(K, -1, size, d), ew[:, lo:hi].reshape(K, -1, size),
+                         start + lo)
         n += m
     return U[:, :, 0], n
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,13 +28,15 @@ from ojainfer.synth import vector_sampler
 from oracle import hajek_vector, operator_norms_rows
 
 
-def constant_matrix_sampler(sigma):
-    d = sigma.shape[0]
+def rank_one(lam, v):
+    """Sigma = lam v v^T and a sampler whose every row is sqrt(lam) v, so that every A is Sigma."""
+    v = np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
+    row = math.sqrt(lam) * v
 
     def draw(rng, m):
-        return np.broadcast_to(sigma, (m, d, d)).copy()
+        return np.tile(row, (m, 1))
 
-    return draw
+    return lam * np.outer(v, v), draw
 
 
 def closed_form_mtilde(sigma, root, eigen):
@@ -52,9 +55,10 @@ def closed_form_mtilde(sigma, root, eigen):
 
 
 class TestEstimateMtilde:
-    def test_degenerate_sampler_gives_zero(self, synth3):
-        sigma, eigen, root = synth3
-        mom = estimate_mtilde(constant_matrix_sampler(sigma), eigen, 200, SeedSpec(1))
+    def test_degenerate_sampler_gives_zero(self):
+        sigma, sampler = rank_one(2.5, [1.0, 2.0, 2.0])
+        eigen = eigendecompose(sigma)
+        mom = estimate_mtilde(sampler, eigen, 200, SeedSpec(1))
         np.testing.assert_allclose(mom.mtilde, np.zeros((2, 2)), atol=1e-12)
         np.testing.assert_allclose(mom.mc_stderr, np.zeros((2, 2)), atol=1e-12)
         assert mom.m2 <= 1e-10 and mom.m4 <= 1e-10 and mom.vstat <= 1e-12
@@ -62,7 +66,7 @@ class TestEstimateMtilde:
     def test_degenerate_gap_rejected(self):
         eigen = eigendecompose(np.eye(2))
         with pytest.raises(DegenerateGapError):
-            estimate_mtilde(constant_matrix_sampler(np.eye(2)), eigen, 200, SeedSpec(2))
+            estimate_mtilde(rank_one(1.0, [1.0, 0.0])[1], eigen, 200, SeedSpec(2))
 
     def test_sample_count_floor(self, synth3):
         sigma, eigen, root = synth3
@@ -225,44 +229,42 @@ class TestBuildRn:
 
 
 class TestEmpiricalHajekCovariance:
-    def test_degenerate_sampler(self, synth3):
-        sigma, eigen, root = synth3
-        emp = empirical_hajek_covariance(constant_matrix_sampler(sigma), eigen, 10, 0.01,
-                                         trials=5, seed=SeedSpec(13))
+    def test_degenerate_sampler(self):
+        sigma, sampler = rank_one(2.5, [1.0, 2.0, 2.0])
+        eigen = eigendecompose(sigma)
+        emp = empirical_hajek_covariance(sampler, eigen, 10, 0.01, trials=5, seed=SeedSpec(13))
         np.testing.assert_allclose(emp.matrix, np.zeros((3, 3)), atol=1e-14)
 
     def test_single_trial_is_one_outer_product(self):
-        # Diagonal instance: the eigendecomposition is exact, so the mean of
-        # one trial must equal the single outer product bit for bit.
+        # Diagonal instance: the eigendecomposition is exact and v1 is a unit
+        # axis, so x (x . v1) and (x x^T) v1 round alike, and the mean of one
+        # trial must equal the matrix-form oracle's outer product bit for bit.
         sigma = np.diag([3.0, 1.0, 0.5])
         eigen = eigendecompose(sigma)
         n, eta = 7, 0.01
-        rng = SeedSpec(14).rng()
-        fixed = rng.standard_normal((n, 3, 3))
-        fixed = (fixed + fixed.transpose(0, 2, 1)) / 2.0
+        fixed = SeedSpec(14).rng().standard_normal((n, 3))
 
         def sampler(rng_, m):
             return fixed
 
         emp = empirical_hajek_covariance(sampler, eigen, n, eta, trials=1, seed=SeedSpec(14))
-        psi = hajek_projection(fixed, sigma, eigen, eta, eigen.leading)
+        psi = hajek_projection(fixed[:, :, None] * fixed[:, None, :], sigma, eigen, eta, eigen.leading)
         np.testing.assert_array_equal(emp.matrix, np.outer(psi, psi))
         np.testing.assert_array_equal(emp.stderr, np.zeros((3, 3)))
 
-    def test_vector_path_matches_matrix_path(self, synth3):
-        sigma, eigen, root = synth3
-        n, eta = 9, 0.002
-        x = vector_sampler(root)(SeedSpec(15).child(0).rng(), n)
 
-        def fixed_vec(rng, m):
-            return x
+@pytest.mark.parametrize("estimator", [
+    lambda sampler, eigen: estimate_mtilde(sampler, eigen, 200, SeedSpec(18)),
+    lambda sampler, eigen: empirical_hajek_covariance(sampler, eigen, 6, 0.01, 1, SeedSpec(18)),
+], ids=["estimate_mtilde", "empirical_hajek_covariance"])
+def test_matrix_draws_are_refused(estimator):
+    sigma = np.diag([3.0, 1.0, 0.5])
 
-        def fixed_mat(rng, m):
-            return x[:, :, None] * x[:, None, :]
+    def matrices(rng, m):
+        return np.broadcast_to(sigma, (m, 3, 3))
 
-        a = empirical_hajek_covariance(fixed_vec, eigen, n, eta, 1, SeedSpec(16))
-        b = empirical_hajek_covariance(fixed_mat, eigen, n, eta, 1, SeedSpec(16))
-        np.testing.assert_allclose(a.matrix, b.matrix, rtol=1e-10, atol=1e-18)
+    with pytest.raises(ValueError, match=r"sampler returned shape \((200|6), 3, 3\)"):
+        estimator(matrices, eigendecompose(sigma))
 
 
 class TestCkDiagnostic:
@@ -307,7 +309,7 @@ class TestOperatorNormsAgainstOracle:
         x = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0, size=d)
         if zero_row:
             x[rng.integers(m)] = 0.0
-        got = _operator_norms(x, sigma, eigen, SeedSpec(seed, (1,)).rng())
+        got = _operator_norms(x, eigen, SeedSpec(seed, (1,)).rng())
         ref = operator_norms_rows(x, sigma, SeedSpec(seed, (1,)).rng())
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
@@ -315,7 +317,7 @@ class TestOperatorNormsAgainstOracle:
         eigen = random_eigen(SeedSpec(3).rng(), 4, null=True)
         x = np.zeros((3, 4))
         x[1] = [1.0, -2.0, 0.5, 3.0]
-        got = _operator_norms(x, np.zeros((4, 4)), eigen, SeedSpec(4).rng())
+        got = _operator_norms(x, eigen, SeedSpec(4).rng())
         assert got[0] == 0.0 and got[2] == 0.0
         assert got[1] == pytest.approx(float(x[1] @ x[1]), rel=1e-12)
 
@@ -327,7 +329,7 @@ class TestOperatorNormsAgainstOracle:
         mc = _CHUNK + 777
         fast = estimate_mtilde(vector_sampler(root), eigen, mc, SeedSpec(21))
         monkeypatch.setattr(asymvar, "_operator_norms",
-                            lambda draw, sig, eig, rng: operator_norms_rows(draw, sig, rng))
+                            lambda x, eig, rng: operator_norms_rows(x, _sigma_matrix(eig), rng))
         ref = estimate_mtilde(vector_sampler(root), eigen, mc, SeedSpec(21))
         np.testing.assert_array_equal(fast.mtilde, ref.mtilde)
         np.testing.assert_array_equal(fast.mc_stderr, ref.mc_stderr)

@@ -137,6 +137,11 @@ class TestBootstrapCommand:
         payload = json.loads(out.read_text())
         assert len(payload["sigma2"]) == 4 and payload["b"] == 3
 
+    def test_no_replicas_is_refused_before_the_input_is_read(self, tmp_path, capsys):
+        assert run(["--quiet", "bootstrap", "--input", tmp_path / "nope.csv", "--b", "0",
+                    "--out", tmp_path / "boot.json"]) == 1
+        assert "--b must be at least 1" in capsys.readouterr().err
+
 
 # Each command's manifest config beyond the flags that the three share.
 _FILE_CONFIG = {
@@ -308,6 +313,13 @@ class TestOracleCommand:
         assert payload["n"] == 6 and payload["d"] == 3
         assert len(payload["terms"]) == 7
 
+    @pytest.mark.parametrize("eta", ["-1", "0", "nan"])
+    def test_nonpositive_eta_is_validation_error(self, tmp_path, capsys, eta):
+        out = tmp_path / "report.json"
+        assert run(["--quiet", "oracle", "--eta", eta, "--out", out]) == 1
+        assert "--eta must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAsymvarCommand:
     def test_payload_shape(self, tmp_path):
@@ -325,6 +337,13 @@ class TestAsymvarCommand:
         assert run(["--quiet", "asymvar", "--d", "4", "--mc-samples", "2000",
                     "--trials", "20", "--out", out]) == 1
         assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_trials_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "asym.json"
+        assert run(["--quiet", "asymvar", "--d", "4", "--mc-samples", "2000", "--n", "100",
+                    "--trials", "-1", "--out", out]) == 1
+        assert "--trials must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_alpha_without_n_is_validation_error(self, tmp_path, capsys):
