@@ -8,6 +8,7 @@ the environment variable OJA_INFER_SEED as a fallback.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -141,8 +142,10 @@ def _check_flags(args) -> None:
     """
     if getattr(args, "level", None) is not None and not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must lie in (0, 1) (got {args.level})")
-    if getattr(args, "gap", None) is not None and args.gap <= 0:
-        raise ValueError(f"--gap must be positive (got {args.gap})")
+    if getattr(args, "gap", None) is not None and not 0.0 < args.gap < math.inf:
+        raise ValueError(f"--gap must be positive and finite (got {args.gap})")
+    if getattr(args, "alpha", None) is not None and not 1.0 < args.alpha < math.inf:
+        raise ValueError(f"--alpha must exceed 1 and be finite (got {args.alpha})")
     if args.subcommand in ("coverage", "bench") and not _methods(args):
         raise ValueError(f"--methods names no method (got {args.methods!r})")
     if args.subcommand == "coverage":
@@ -152,6 +155,8 @@ def _check_flags(args) -> None:
     if args.subcommand == "oracle" and not args.eta > 0.0:
         raise ValueError(f"--eta must be positive (got {args.eta})")
     if args.subcommand == "varest":
+        if args.preset and args.m1 is not None:
+            raise ValueError("--m1 and --preset both set m1: give one of them")
         if args.delta is not None and (args.m1 is not None or args.preset) and not args.boosted:
             raise ValueError("--delta changes nothing once --m1 or --preset fixes m1 without --boosted")
         args.delta = DEFAULT_DELTA if args.delta is None else args.delta
@@ -204,7 +209,7 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
     data, gap = _load(args)
-    m1 = PAPER_M1 if args.preset and args.m1 is None else args.m1
+    m1 = PAPER_M1 if args.preset else args.m1
     vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
     sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, args.alpha, seed,
                                                  args.delta, m1, args.m2)
@@ -249,10 +254,9 @@ def _cmd_bench(args, seed: SeedSpec) -> dict:
 def _cmd_oracle(args, seed: SeedSpec) -> dict:
     sigma, eigen, root = build_sigma(args.d, args.beta)
     data = sample(root, args.n, seed.child(SeedLabel.DATA).rng())
-    mats = data.samples[:, :, None] * data.samples[:, None, :]
     u0 = gaussian_unit(seed.child(SeedLabel.START).rng(), args.d)
     vtilde = eigendecompose(sample_covariance(data)).leading
-    report = residual_decomposition(mats, sigma, eigen, args.eta, u0, vtilde)
+    report = residual_decomposition(data.samples, sigma, eigen, args.eta, u0, vtilde)
     report.validate()
     write_json(args.out, report)
     return {"n": args.n, "d": args.d, "eta": args.eta, "beta": args.beta}
@@ -292,8 +296,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _check_flags(args)
-        config_echo = {k: v for k, v in vars(args).items() if k != "quiet"}
         seed = _resolve_seed(args)
+        # The seed actually used, also when it came from the environment, so that it is hashed.
+        config_echo = {k: v for k, v in vars(args).items() if k != "quiet"} | {"seed": seed.master}
         if getattr(args, "input", None):
             digest = config_echo["input_sha256"] = content_hash_file(args.input)
         else:

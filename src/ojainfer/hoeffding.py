@@ -1,5 +1,6 @@
 """Exact small-instance oracles for the update-product expansion.
 
+Every function takes the samples as (n, d) rows x_i, with A_i = x_i x_i^T.
 The product B_n = (I + eta*A_n) ... (I + eta*A_1) admits an exact expansion
 into terms T_{n,k} indexed by which of the n factors contribute a centered
 matrix eta*(A_i - Sigma) instead of the constant factor (I + eta*Sigma):
@@ -31,30 +32,24 @@ ENUMERATION_CAP = 14
 IDENTITY_TOL = 1e-9
 
 
-def _as_matrix_stack(samples, dim: int | None) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        if dim is None and (arr.ndim != 3 or arr.shape[1] < 1):
-            raise ValueError("empty sample list needs an explicit dim")
-        d = dim if dim is not None else arr.shape[1]
-        return np.empty((0, d, d))
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"expected n square matrices, got shape {arr.shape}")
-    if dim is not None and arr.shape[1] != dim:
-        raise ValueError(f"matrices are {arr.shape[1]}x{arr.shape[1]}, expected {dim}")
-    return arr
+def _outer_products(samples, dim: int | None = None) -> np.ndarray:
+    """The (n, d, d) stack A_i = x_i x_i^T of (n, d) sample rows, d = ``dim`` if given."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"expected (n, d) sample rows, got shape {x.shape}")
+    if dim is not None and x.shape[1] != dim:
+        raise ValueError(f"sample rows have length {x.shape[1]}, expected {dim}")
+    return x[:, :, None] * x[:, None, :]
 
 
-def matrix_product(samples, eta: float, dim: int | None = None) -> np.ndarray:
-    """Ordered product (I + eta*A_n) ... (I + eta*A_1); empty input gives I.
+def matrix_product(samples, eta: float) -> np.ndarray:
+    """Ordered product (I + eta*A_n) ... (I + eta*A_1) of the (n, d) rows x_i; n = 0 gives I.
 
-    The left-most factor belongs to the latest sample, matching how the
-    streaming update composes. ``dim`` is only needed when ``samples`` is
-    empty and its dimension cannot be inferred.
+    A_i = x_i x_i^T. The left-most factor belongs to the latest sample,
+    matching how the streaming update composes.
     """
-    arr = _as_matrix_stack(samples, dim)
-    d = arr.shape[1]
-    out = np.eye(d)
+    arr = _outer_products(samples)
+    out = np.eye(arr.shape[1])
     for a in arr:
         out = out + eta * (a @ out)
     return out
@@ -65,8 +60,8 @@ def hoeffding_term(samples, sigma: np.ndarray, eta: float, k: int) -> np.ndarray
 
     Parameters
     ----------
-    samples : n square matrices
-        The A_1 ... A_n factors, in stream order.
+    samples : (n, d) array
+        The sample rows x_1 ... x_n, in stream order; A_i = x_i x_i^T.
     sigma : (d, d) array
         Centering matrix (the population second moment).
     eta : float
@@ -80,7 +75,7 @@ def hoeffding_term(samples, sigma: np.ndarray, eta: float, k: int) -> np.ndarray
     The k=0 term is (I + eta*Sigma)^n exactly.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    arr = _as_matrix_stack(samples, sigma.shape[0])
+    arr = _outer_products(samples, sigma.shape[0])
     n, d = arr.shape[0], arr.shape[1]
     if n > ENUMERATION_CAP:
         raise ValueError(f"subset enumeration capped at n <= {ENUMERATION_CAP} (got n={n})")
@@ -116,7 +111,8 @@ def _sign(x: float) -> float:
 def hajek_projection(samples, sigma: np.ndarray, eigen: EigenSystem, eta: float, u0: np.ndarray) -> np.ndarray:
     """Leading fluctuation term as an explicit sum of independent vectors.
 
-    Evaluates eta * sum_j X_j with
+    Evaluates, for the (n, d) sample rows x_j and A_j = x_j x_j^T,
+    eta * sum_j X_j with
 
         X_j = sign(v1 . u0)/(1 + eta*l1) * Vp L^(n-j) Vp^T (A_j - Sigma) v1,
 
@@ -126,15 +122,11 @@ def hajek_projection(samples, sigma: np.ndarray, eigen: EigenSystem, eta: float,
     """
     eigen.require_gap()
     sigma = np.asarray(sigma, dtype=np.float64)
-    arr = _as_matrix_stack(samples, sigma.shape[0])
-    n = arr.shape[0]
+    arr = _outer_products(samples, sigma.shape[0])
     u0 = _check_unit(u0, "u0")
     v1 = eigen.leading
-    vp = eigen.tail_basis
-    if n == 0:
-        return np.zeros(sigma.shape[0])
-    g = (arr @ v1 - sigma @ v1) @ vp            # rows: Vp^T (A_j - Sigma) v1
-    return _sign(float(v1 @ u0)) * order1_contraction(eigen, eta, n)(g)
+    g = (arr @ v1 - sigma @ v1) @ eigen.tail_basis    # rows: Vp^T (A_j - Sigma) v1
+    return _sign(float(v1 @ u0)) * order1_contraction(eigen, eta, len(arr))(g)
 
 
 def order1_contraction(eigen: EigenSystem, eta: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -203,7 +195,7 @@ def residual_decomposition(
     include_terms: bool | None = None,
     exact_e2: bool = False,
 ) -> DecompositionReport:
-    """Exact five-piece split of the residual of the normalized product.
+    """Exact five-piece split of the residual of the normalized product of (n, d) rows.
 
     The pieces are: recentering against the proxy vector (e0), the leading
     fluctuation term (e1), higher-order expansion terms (e2), the
@@ -217,8 +209,7 @@ def residual_decomposition(
     """
     eigen.require_gap()
     sigma = np.asarray(sigma, dtype=np.float64)
-    arr = _as_matrix_stack(samples, sigma.shape[0])
-    n, d = arr.shape[0], arr.shape[1]
+    n, d = _outer_products(samples, sigma.shape[0]).shape[:2]
     u0 = _check_unit(u0, "u0")
     vtilde = _check_unit(vtilde, "vtilde")
     v1 = eigen.leading
@@ -234,18 +225,18 @@ def residual_decomposition(
         raise ValueError(f"(1 + eta*lambda_1)^n overflowed at n={n}")
     c_n = abs(align) * denom
 
-    b = matrix_product(arr, eta)
+    b = matrix_product(samples, eta)
     b_u0 = b @ u0
     norm_bu0 = float(np.linalg.norm(b_u0))
     v_est = b_u0 / norm_bu0
 
     e0 = float(v1 @ v_est) * v1 - float(vtilde @ v_est) * vtilde
-    e1 = hajek_projection(arr, sigma, eigen, eta, u0)
+    e1 = hajek_projection(samples, sigma, eigen, eta, u0)
 
     if exact_e2:
         if n > ENUMERATION_CAP:
             raise ValueError(f"exact_e2 needs n <= {ENUMERATION_CAP} (got n={n})")
-        higher = sum(hoeffding_term(arr, sigma, eta, k) for k in range(2, n + 1))
+        higher = sum(hoeffding_term(samples, sigma, eta, k) for k in range(2, n + 1))
         higher = higher if n >= 2 else np.zeros((d, d))
         e2 = (sgn / denom) * (vp @ (vp.T @ (higher @ v1)))
     else:
@@ -261,7 +252,7 @@ def residual_decomposition(
     if include_terms is None:
         include_terms = n <= ENUMERATION_CAP
     if include_terms:
-        terms = [hoeffding_term(arr, sigma, eta, k) for k in range(n + 1)]
+        terms = [hoeffding_term(samples, sigma, eta, k) for k in range(n + 1)]
 
     return DecompositionReport(
         n=n, d=d, eta=float(eta), b_matrix=b, terms=terms,

@@ -41,11 +41,11 @@ DEFAULT_ALPHA = 2.0
 
 def learning_rate(n: float, gap: float, alpha: float) -> float:
     """Constant step size alpha * ln(n) / (n * gap) for a pass of length n."""
-    if n < 2:
+    if not n >= 2:
         raise ValueError(f"need n >= 2 samples for a learning rate (got {n})")
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise ValueError(f"gap must be positive (got {gap})")
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1 (got {alpha})")
     return alpha * math.log(n) / (n * gap)
 
@@ -57,7 +57,7 @@ def gaussian_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 # Largest eta * sum |w_i| ||x_i||^2 of a block: the update's coefficients, and their
-# rounding errors, grow by up to exp of it. A block over it is split into parts.
+# rounding errors, grow by up to exp of it. A call with a block over it is halved.
 _BLOCK_BOUND = 4.0
 # Blocks per segment, the unit read from a stream and factored in one go.
 _SEGMENT_BLOCKS = 32
@@ -96,41 +96,34 @@ def _advance(U: np.ndarray, X: np.ndarray, ew: np.ndarray, start: int) -> None:
     strict lower triangle of X X^T, a block moves u to u + X^T c where
     (I - eta W L) c = eta W X u: the k updates without their normalisations,
     which only rescale. The factors (I - eta W L)^-1 eta W of all blocks are
-    built first, by forward substitution across the stack.
+    built first, by forward substitution across the stack. If any block of
+    the call is over ``_BLOCK_BOUND`` (NaN is over it), the whole call runs
+    again on the same samples in blocks of k/2, or of 1 when k is odd.
     """
     K, nb, k, d = X.shape
-    sizes = np.ones(nb, dtype=int)
-    # Overflow and NaN run on into U, and are reported below at their first part.
+    # Overflow and NaN run on into U, and are reported below at their first block.
     with np.errstate(all="ignore"):
         G = np.matmul(X, X.swapaxes(-1, -2))
+        load = (np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)).sum(-1)
+        if k > 1 and not (load <= _BLOCK_BOUND).all():
+            size = 1 if k % 2 else k // 2
+            return _advance(U, X.reshape(K, -1, size, d), ew.reshape(K, -1, size), start)
         N = G * (np.tri(k, k, -1) * ew[..., None])
-        # Each block takes the largest of k, k/2, ... whose parts fit the bound; NaN fits none.
-        load = np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)
-        for size in [k >> h for h in range(k.bit_length()) if k % (k >> h) == 0]:
-            fit = load.reshape(K, nb, -1, size).sum(-1).max(axis=(0, 2)) <= _BLOCK_BOUND
-            sizes[(sizes == 1) & fit] = size
-            if sizes.min() > 1:
-                break
-        for j in np.flatnonzero(sizes < k):
-            part = np.arange(k) // sizes[j]
-            N[:, j, part[:, None] != part[None, :]] = 0.0
         T = np.zeros_like(N) + np.eye(k)
         for i in range(1, k):
             T[..., i : i + 1, :i] = np.matmul(N[..., i : i + 1, :i], T[..., :i, :i])
         M = T * ew[..., None, :]
         XT, Ut = X.swapaxes(-1, -2), U.transpose(0, 2, 1)
-        parts = [(j, lo, lo + size) for j, size in enumerate(sizes) for lo in range(0, k, size)]
-        norms = np.empty((len(parts), K, 1, 1))
-        for (j, lo, hi), nrm in zip(parts, norms):
-            c = np.matmul(M[:, j, lo:hi, lo:hi], np.matmul(X[:, j, lo:hi], U))
-            U += np.matmul(XT[:, j, :, lo:hi], c)
+        norms = np.empty((nb, K, 1, 1))
+        for j, nrm in enumerate(norms):
+            c = np.matmul(M[:, j], np.matmul(X[:, j], U))
+            U += np.matmul(XT[:, j], c)
             U /= np.sqrt(np.matmul(Ut, U), out=nrm)
     bad = np.argwhere(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
-        p, i = bad[0, :2]
-        j, lo, hi = parts[p]
-        raise ValueError(f"iterate {i} degenerated in samples {start + j * k + lo}.."
-                         f"{start + j * k + hi - 1} (norm {float(norms[p, i, 0, 0])!r})")
+        j, i = bad[0, :2]
+        raise ValueError(f"iterate {i} degenerated in samples {start + j * k}..{start + j * k + k - 1}"
+                         f" (norm {float(norms[j, i, 0, 0])!r})")
 
 
 def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.ndarray, int]:

@@ -40,10 +40,12 @@ def build_sigma(d: int, beta: float, c: float = 0.01,
     """
     if d < 2:
         raise ValueError(f"need d >= 2 (got {d})")
-    if c <= 0.0:
-        raise ValueError(f"kernel decay c must be positive (got {c})")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive (got {scale})")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite (got {beta})")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"kernel decay c must be positive and finite (got {c})")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite (got {scale})")
     idx = np.arange(d)
     kernel = np.exp(-c * np.abs(idx[:, None] - idx[None, :]))
     scales = scale * (idx + 1.0) ** (-beta)

@@ -138,8 +138,6 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
     :func:`oja_kernel` call. Raises RegimeError when eta_B * lambda_1 >= 1,
     with lambda_1 read off as the proxy's Rayleigh quotient on the used samples.
     """
-    if gap <= 0.0:
-        raise ValueError(f"gap must be positive (got {gap})")
     vt = _check_unit(vtilde, "vtilde")
     m1, m2, batch = plan_schedule(data.n, data.d, delta, m1, m2)
     eta_b = learning_rate(batch, gap, alpha)

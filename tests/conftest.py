@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -67,6 +68,17 @@ def no_child_left():
 def random_unit(rng, d):
     g = rng.standard_normal(d)
     return g / np.linalg.norm(g)
+
+
+def rank_one(lam, v):
+    """Sigma = lam v v^T and a sampler whose every row is sqrt(lam) v, so that every A is Sigma."""
+    v = np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
+    row = math.sqrt(lam) * v
+
+    def draw(rng, m):
+        return np.tile(row, (m, 1))
+
+    return lam * np.outer(v, v), draw
 
 
 # Property tests draw the same examples on every run, so a rerun of the suite

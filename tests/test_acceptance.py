@@ -71,11 +71,10 @@ def test_01_hoeffding_identity():
         d = int(rng.integers(2, 6))
         eta = float(rng.uniform(0.01, 0.2))
         x = rng.standard_normal((n, d))
-        mats = x[:, :, None] * x[:, None, :]
         a = rng.standard_normal((d, d))
         sigma = (a @ a.T) / d
-        b = matrix_product(mats, eta)
-        total = sum(hoeffding_term(mats, sigma, eta, k) for k in range(n + 1))
+        b = matrix_product(x, eta)
+        total = sum(hoeffding_term(x, sigma, eta, k) for k in range(n + 1))
         rel = np.linalg.norm(b - total, "fro") / np.linalg.norm(b, "fro")
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -93,7 +92,6 @@ def test_02_residual_decomposition_identity():
         eta = float(rng.uniform(0.01, 0.15))
         scales = rng.uniform(0.5, 2.0, size=d)
         x = rng.standard_normal((n, d)) * scales
-        mats = x[:, :, None] * x[:, None, :]
         base = rng.standard_normal((d, d))
         sigma = (base @ base.T) / d + np.diag(scales**2)
         from ojainfer import eigendecompose
@@ -102,7 +100,7 @@ def test_02_residual_decomposition_identity():
         u0 = random_unit(rng, d)
         vt = eigen.leading + 0.1 * rng.standard_normal(d)
         vt /= np.linalg.norm(vt)
-        rep = residual_decomposition(mats, sigma, eigen, eta, u0, vt, include_terms=False)
+        rep = residual_decomposition(x, sigma, eigen, eta, u0, vt, include_terms=False)
         direct = oja_run(x, eta, u0).estimate
         target = direct - float(vt @ direct) * vt
         worst = max(worst, float(np.linalg.norm(rep.residual_sum() - target)))
@@ -265,12 +263,11 @@ def test_10_micro_contracts():
     sig2 = batch_variance([np.array([0.0, 1.0]), np.array([0.6, 0.8])], np.array([1.0, 0.0]))
     checks.append(np.allclose(sig2, [0.0, 0.82], atol=1e-15))
     # Empty product and order-zero expansion term.
-    checks.append(np.array_equal(matrix_product([], 0.3, dim=3), np.eye(3)))
+    checks.append(np.array_equal(matrix_product(np.empty((0, 3)), 0.3), np.eye(3)))
     rng = SeedSpec(2010).rng()
     x = rng.standard_normal((4, 3))
-    mats = x[:, :, None] * x[:, None, :]
     s = np.eye(3) * 0.5
-    checks.append(np.allclose(hoeffding_term(mats, s, 0.1, 0),
+    checks.append(np.allclose(hoeffding_term(x, s, 0.1, 0),
                               np.linalg.matrix_power(np.eye(3) + 0.1 * s, 4), rtol=1e-12))
     elapsed = time.perf_counter() - t0
     report(10, "exact micro-contracts", all(checks) and elapsed < 5.0,

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -25,18 +24,8 @@ from ojainfer.core import EigenSystem
 from ojainfer.hoeffding import order1_contraction
 from ojainfer.synth import vector_sampler
 
+from conftest import rank_one
 from oracle import hajek_vector, operator_norms_rows
-
-
-def rank_one(lam, v):
-    """Sigma = lam v v^T and a sampler whose every row is sqrt(lam) v, so that every A is Sigma."""
-    v = np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
-    row = math.sqrt(lam) * v
-
-    def draw(rng, m):
-        return np.tile(row, (m, 1))
-
-    return lam * np.outer(v, v), draw
 
 
 def closed_form_mtilde(sigma, root, eigen):
@@ -248,7 +237,7 @@ class TestEmpiricalHajekCovariance:
             return fixed
 
         emp = empirical_hajek_covariance(sampler, eigen, n, eta, trials=1, seed=SeedSpec(14))
-        psi = hajek_projection(fixed[:, :, None] * fixed[:, None, :], sigma, eigen, eta, eigen.leading)
+        psi = hajek_projection(fixed, sigma, eigen, eta, eigen.leading)
         np.testing.assert_array_equal(emp.matrix, np.outer(psi, psi))
         np.testing.assert_array_equal(emp.stderr, np.zeros((3, 3)))
 

@@ -50,6 +50,19 @@ class TestSynthCommand:
         assert run(["--quiet", "synth", "--n", "20", "--d", "3", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_env_seed_is_hashed(self, tmp_path, monkeypatch):
+        # Without --seed the seed used comes from the environment; the config echo
+        # records it, so two environment seeds give two hashes.
+        hashes = []
+        for env_seed in ("77", "78"):
+            monkeypatch.setenv("OJA_INFER_SEED", env_seed)
+            out = tmp_path / f"e{env_seed}.csv"
+            assert run(["--quiet", "synth", "--n", "20", "--d", "3", "--out", out]) == 0
+            manifest = json.loads((tmp_path / f"e{env_seed}.csv.manifest.json").read_text())
+            assert manifest["config"]["seed"] == int(env_seed)
+            hashes.append(manifest["content_hash"])
+        assert hashes[0] != hashes[1]
+
     def test_draws_from_the_root_stream(self, tmp_path):
         # The samples are Z @ Sigma^{1/2} with Z from the --seed root stream itself.
         out = tmp_path / "data.csv"
@@ -156,6 +169,7 @@ _FILE_CONFIG = {
 def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     calls = []
     hash_file = cli.content_hash_file
+    monkeypatch.delenv("OJA_INFER_SEED", raising=False)
     monkeypatch.setattr(cli, "content_hash_file", lambda path: calls.append(path) or hash_file(path))
     out = tmp_path / "out.json"
     assert run(["--quiet", *argv, "--input", small_csv, "--out", out]) == 0
@@ -164,7 +178,8 @@ def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     assert manifest["content_hash"] == manifest["config"]["input_sha256"] == hash_file(small_csv)
     config = dict(manifest["config"])
     assert config.pop("gap") == pytest.approx(38.58385599038605, rel=1e-9)
-    assert config == {"seed": None, "subcommand": argv[0], "input": str(small_csv), "center": False,
+    # No --seed and no $OJA_INFER_SEED: the config records the seed used, 0.
+    assert config == {"seed": 0, "subcommand": argv[0], "input": str(small_csv), "center": False,
                       "alpha": 2.0, "out": str(out), "input_sha256": hash_file(small_csv),
                       **_FILE_CONFIG[argv[0]]}
 
@@ -219,6 +234,54 @@ def test_pure_noise_varest_exits_1_naming_the_step(tmp_path, capsys):
                 "--level", "0.95", "--out", out])
     assert code == 1
     assert "eta_B * lambda_1 = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oja", "--gap", "nan"], ["oja", "--gap", "inf"], ["oja", "--alpha", "inf"], ["oja", "--alpha", "nan"],
+    ["varest", "--alpha", "nan"], ["varest", "--alpha", "0.5"], ["bootstrap", "--alpha", "1"],
+], ids=" ".join)
+def test_flag_out_of_range_is_refused_before_the_input_is_read(tmp_path, capsys, argv):
+    # The input does not exist, so an error naming the flag was raised before any read.
+    out = tmp_path / "x.json"
+    assert run(["--quiet", *argv, "--input", tmp_path / "nope.csv", "--out", out]) == 1
+    assert f"error: {argv[1]} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "20", "--d", "3", "--beta", "nan"],
+    ["synth", "--n", "20", "--d", "3", "--c", "nan"],
+    ["synth", "--n", "20", "--d", "3", "--scale", "inf"],
+    ["coverage", "--n", "300", "--d", "4", "--trials", "1", "--beta", "nan"],
+    ["bench", "--n", "300", "--d", "4", "--beta", "nan"],
+    ["oracle", "--beta", "nan"],
+    ["asymvar", "--d", "4", "--mc-samples", "2000", "--beta", "nan"],
+], ids=" ".join)
+def test_non_finite_synth_parameter_is_refused_by_name(tmp_path, capsys, argv):
+    out = tmp_path / "x.out"
+    assert run(["--quiet", *argv, "--out", out]) == 1
+    assert f" {argv[-2][2:]} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_asymvar_nan_alpha_is_refused_before_the_moments(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "estimate_mtilde", lambda *a, **k: calls.append(a))
+    out = tmp_path / "asym.json"
+    assert run(["--quiet", "asymvar", "--d", "5", "--n", "100", "--alpha", "nan", "--out", out]) == 1
+    assert "error: --alpha must" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_preset_with_m1_is_refused(tmp_path, small_csv, capsys):
+    # --preset fixes m1 to the paper's value, so an --m1 beside it would be silently overridden or ignored.
+    out = tmp_path / "x.json"
+    assert run(["--quiet", "varest", "--input", small_csv, "--preset", "paper-experiments",
+                "--m1", "5", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "--m1" in err and "--preset" in err
     assert not out.exists()
 
 

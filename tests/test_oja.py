@@ -71,8 +71,7 @@ class TestOjaRun:
             eta = float(rng.uniform(0.01, 0.2))
             x = rng.standard_normal((n, d))
             u0 = random_unit(rng, d)
-            mats = x[:, :, None] * x[:, None, :]
-            b = matrix_product(mats, eta)
+            b = matrix_product(x, eta)
             oracle = b @ u0
             oracle /= np.linalg.norm(oracle)
             out = oja_run(x, eta, u0)
