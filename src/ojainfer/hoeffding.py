@@ -32,13 +32,17 @@ ENUMERATION_CAP = 14
 IDENTITY_TOL = 1e-9
 
 
+def _rows(samples, dim: int | None = None) -> np.ndarray:
+    """The samples as checked (n, d) float rows, d = ``dim`` if given."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 1 or dim not in (None, x.shape[1]):
+        raise ValueError(f"expected (n, {dim or 'd'}) sample rows, got shape {x.shape}")
+    return x
+
+
 def _outer_products(samples, dim: int | None = None) -> np.ndarray:
     """The (n, d, d) stack A_i = x_i x_i^T of (n, d) sample rows, d = ``dim`` if given."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError(f"expected (n, d) sample rows, got shape {x.shape}")
-    if dim is not None and x.shape[1] != dim:
-        raise ValueError(f"sample rows have length {x.shape[1]}, expected {dim}")
+    x = _rows(samples, dim)
     return x[:, :, None] * x[:, None, :]
 
 
@@ -209,7 +213,8 @@ def residual_decomposition(
     """
     eigen.require_gap()
     sigma = np.asarray(sigma, dtype=np.float64)
-    n, d = _outer_products(samples, sigma.shape[0]).shape[:2]
+    samples = _rows(samples, sigma.shape[0])
+    n, d = samples.shape
     u0 = _check_unit(u0, "u0")
     vtilde = _check_unit(vtilde, "vtilde")
     v1 = eigen.leading

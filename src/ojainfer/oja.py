@@ -57,7 +57,7 @@ def gaussian_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 # Largest eta * sum |w_i| ||x_i||^2 of a block: the update's coefficients, and their
-# rounding errors, grow by up to exp of it. A call with a block over it is halved.
+# rounding errors, grow by up to exp of it. Blocks over it are halved, with the blocks between them.
 _BLOCK_BOUND = 4.0
 # Blocks per segment, the unit read from a stream and factored in one go.
 _SEGMENT_BLOCKS = 32
@@ -89,25 +89,29 @@ def _segments(blocks, rows: int):
         start += len(chunk)
 
 
-def _advance(U: np.ndarray, X: np.ndarray, ew: np.ndarray, start: int) -> None:
+def _advance(U: np.ndarray, X: np.ndarray, ew: np.ndarray, start: int, G: np.ndarray | None = None) -> None:
     """Apply the (K, blocks, k, d) samples ``X`` to the (K, d, 1) states ``U``.
 
-    ``ew`` is the (K, blocks, k) steps, eta times the multipliers. With L the
-    strict lower triangle of X X^T, a block moves u to u + X^T c where
-    (I - eta W L) c = eta W X u: the k updates without their normalisations,
-    which only rescale. The factors (I - eta W L)^-1 eta W of all blocks are
-    built first, by forward substitution across the stack. If any block of
-    the call is over ``_BLOCK_BOUND`` (NaN is over it), the whole call runs
-    again on the same samples in blocks of k/2, or of 1 when k is odd.
+    ``ew`` is the (K, blocks, k) steps, eta times the multipliers, ``G`` the
+    blocks' X X^T if known. With L the strict lower triangle of X X^T, a block
+    moves u to u + X^T c where (I - eta W L) c = eta W X u: the k updates
+    without their normalisations, which only rescale. The factors
+    (I - eta W L)^-1 eta W of all blocks are built first, by forward
+    substitution across the stack. Blocks before the first over
+    ``_BLOCK_BOUND`` (NaN is over it) and after the last run at size k; the
+    run from the first to the last runs again in blocks of k/2, or 1 if k is odd.
     """
     K, nb, k, d = X.shape
     # Overflow and NaN run on into U, and are reported below at their first block.
     with np.errstate(all="ignore"):
-        G = np.matmul(X, X.swapaxes(-1, -2))
+        G = np.matmul(X, X.swapaxes(-1, -2)) if G is None else G
         load = (np.abs(ew) * np.diagonal(G, axis1=-2, axis2=-1)).sum(-1)
-        if k > 1 and not (load <= _BLOCK_BOUND).all():
-            size = 1 if k % 2 else k // 2
-            return _advance(U, X.reshape(K, -1, size, d), ew.reshape(K, -1, size), start)
+        over = np.flatnonzero(~(load <= _BLOCK_BOUND).all(0)) if k > 1 else ()
+        if len(over):
+            lo, hi, size = over[0], over[-1] + 1, 1 if k % 2 else k // 2
+            _advance(U, X[:, :lo], ew[:, :lo], start, G[:, :lo])
+            _advance(U, X[:, lo:hi].reshape(K, -1, size, d), ew[:, lo:hi].reshape(K, -1, size), start + lo * k)
+            return _advance(U, X[:, hi:], ew[:, hi:], start + hi * k, G[:, hi:])
         N = G * (np.tri(k, k, -1) * ew[..., None])
         T = np.zeros_like(N) + np.eye(k)
         for i in range(1, k):
