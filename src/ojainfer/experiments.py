@@ -7,8 +7,10 @@ around compute only and never feed back into results.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,7 +19,8 @@ from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
 from .inference import CoverageReport, band_hits, build_ci
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import build_sigma, sample
-from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest
+from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest, plan_schedule
+from .workers import Child, forked, os_threads, usable_cpus
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -165,7 +168,14 @@ def run_coverage_experiment(
     around it, and scores the intervals against the known leading
     eigenvector. Reports aggregate per coordinate over all trials. Every
     step takes ``DEFAULT_ALPHA``, as in :func:`method_variance`; ``m1``/``m2``
-    fix ojavarest's schedule.
+    fix ojavarest's schedule, which is checked before any trial runs.
+
+    In a process with one OS thread the trials are cut into one contiguous
+    range per usable CPU: range 0 runs here, each other range in a
+    :func:`forked` child that pickles its hits and records back. A range
+    whose child failed is run again here, so an error is raised as it would
+    be in-process. Outputs are those of the in-process loop, bar the
+    ``*_ms`` clocks, which time the process that ran the trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -174,30 +184,52 @@ def run_coverage_experiment(
     for c in tracked:
         if not 1 <= c <= d:
             raise ValueError(f"tracked coordinate {c} is outside 1..{d}")
+    if "ojavarest" in replica_counts:
+        plan_schedule(n, d, DEFAULT_DELTA, m1, m2)  # refuse a schedule before the first trial
     _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
-    hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
-    records: list[ExperimentRecord] = []
-    for trial in range(trials):
-        st = seed.child(trial)
-        data = sample(root, n, st.child(SeedLabel.DATA).rng())
-        t0 = time.perf_counter()
-        vtilde, _ = proxy(data, gap, DEFAULT_ALPHA, st)
-        vtilde_ms = (time.perf_counter() - t0) * 1e3
-        accuracy = sin2(vtilde, eigen.leading)
-        for method_spec in methods:
-            t1 = time.perf_counter()
-            sigma2, _ = method_variance(method_spec, data, vtilde, gap, DEFAULT_ALPHA, st, m1=m1, m2=m2)
-            band = build_ci(vtilde, sigma2, level)
-            estimate_ms = (time.perf_counter() - t1) * 1e3
-            trial_hits = band_hits(band, eigen.leading)
-            hits[method_spec] += trial_hits
-            records.append(ExperimentRecord(
-                trial=trial, method=method_spec, n=n, d=d, beta=beta,
-                b=replica_counts[method_spec], tracked=tracked,
-                hits=tuple(int(trial_hits[c - 1]) for c in tracked), sin2_error=accuracy,
-                vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
-            ))
+
+    def run_trials(lo: int, hi: int) -> tuple[dict[str, np.ndarray], list[ExperimentRecord]]:
+        """Trials lo..hi-1: their summed hits per method and their records, in order."""
+        hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
+        records = []
+        for trial in range(lo, hi):
+            st = seed.child(trial)
+            data = sample(root, n, st.child(SeedLabel.DATA).rng())
+            t0 = time.perf_counter()
+            vtilde, _ = proxy(data, gap, DEFAULT_ALPHA, st)
+            vtilde_ms = (time.perf_counter() - t0) * 1e3
+            accuracy = sin2(vtilde, eigen.leading)
+            for method_spec in methods:
+                t1 = time.perf_counter()
+                sigma2, _ = method_variance(method_spec, data, vtilde, gap, DEFAULT_ALPHA, st,
+                                            m1=m1, m2=m2)
+                band = build_ci(vtilde, sigma2, level)
+                estimate_ms = (time.perf_counter() - t1) * 1e3
+                trial_hits = band_hits(band, eigen.leading)
+                hits[method_spec] += trial_hits
+                records.append(ExperimentRecord(
+                    trial=trial, method=method_spec, n=n, d=d, beta=beta,
+                    b=replica_counts[method_spec], tracked=tracked,
+                    hits=tuple(int(trial_hits[c - 1]) for c in tracked), sin2_error=accuracy,
+                    vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
+                ))
+            del data  # else it stays alive while the next trial draws its own
+        return hits, records
+
+    # Fork only from one thread: a forked child restarts its BLAS pool, whose threads
+    # then spin on the parent's CPUs (with numpy's default pool the split ran twice
+    # as slow), and fork from a threaded process is unsafe.
+    workers = min(usable_cpus(), trials) if os_threads() == 1 else 1
+    ranges = [(trials * k // workers, trials * (k + 1) // workers) for k in range(workers)]
+    jobs = [partial(_send_trials, run_trials, lo, hi) for lo, hi in ranges[1:]]
+    with forked(jobs) as children:
+        parts = [run_trials(*ranges[0])]
+        for child, (lo, hi) in zip(children, ranges[1:]):
+            part = _received(child)
+            parts.append(run_trials(lo, hi) if part is None else part)
+    hits = {m: sum(part_hits[m] for part_hits, _ in parts) for m in methods}
+    records = [record for _, part_records in parts for record in part_records]
     config = {
         "n": n, "d": d, "beta": beta, "trials": trials, "level": level,
         "methods": list(methods), "m1": m1, "m2": m2, "alpha": DEFAULT_ALPHA,
@@ -205,6 +237,26 @@ def run_coverage_experiment(
     }
     reports = {m: CoverageReport(trials=trials, hits=hits[m]) for m in methods}
     return CoverageOutcome(reports=reports, records=records, config=config)
+
+
+def _send_trials(run_trials, lo: int, hi: int, wfd: int) -> None:
+    """Forked child's job: run trials lo..hi-1 and pickle their hits and records to ``wfd``."""
+    result = run_trials(lo, hi)
+    with open(wfd, "wb") as out:
+        pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _received(child: Child | None):
+    """What a child's job sent, or None if it did not fork, exited non-zero or sent a short pickle."""
+    if child is None:
+        return None
+    payload = child.stream.read()
+    if not child.succeeded():
+        return None
+    try:
+        return pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 @dataclass(frozen=True)

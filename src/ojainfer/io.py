@@ -14,16 +14,17 @@ import hashlib
 import json
 import math
 import os
-import signal
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import Dataset
+from .workers import forked, usable_cpus
 
 
 def _fmt(value) -> str:
@@ -44,13 +45,6 @@ _LOADTXT = dict(delimiter=",", ndmin=2, dtype=np.float64, comments=None, quotech
 # A file of at least this many bytes is parsed in line-aligned byte ranges,
 # one per usable CPU, the ranges after the first in forked children.
 _PIECE_BYTES = 8 << 20
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def read_csv(path, center: bool = False) -> Dataset:
@@ -89,16 +83,17 @@ def read_csv(path, center: bool = False) -> Dataset:
 def _read_pieces(path, skip: int) -> np.ndarray | None:
     """Parse the file as byte ranges cut at line starts, or return None.
 
-    Range 0 is parsed here, each other range in a forked child that sends
-    its (rows, cols) and raw float64 bytes down a pipe; they land in slices
-    of one (n, d) array. None (parse the whole file instead) for a file under
-    ``_PIECE_BYTES``, no ``fork``, a cut at EOF, a range that fails to parse
-    or ends inside a quoted field, a child that exits non-zero, or ranges
-    whose column counts differ. So every error message comes from the
-    whole-file parse, with its row numbers. No child outlives the call.
+    Range 0 is parsed here, each other range in a :func:`forked` child that
+    sends its (rows, cols) and raw float64 bytes down a pipe; they land in
+    slices of one (n, d) array, so no pickled copy adds to the peak. None
+    (parse the whole file instead) for a file under ``_PIECE_BYTES``, no
+    ``fork``, a cut at EOF, a child that fails to fork or exits non-zero, a
+    range that fails to parse or ends inside a quoted field, or ranges whose
+    column counts differ. So every error message comes from the whole-file
+    parse, with its row numbers. No child outlives the call.
     """
     size = os.path.getsize(path)
-    pieces = min(_usable_cpus(), size // _PIECE_BYTES)
+    pieces = min(usable_cpus(), size // _PIECE_BYTES)
     if pieces < 2 or not hasattr(os, "fork"):
         return None
     cuts = [0]
@@ -110,31 +105,18 @@ def _read_pieces(path, skip: int) -> np.ndarray | None:
     if cuts[-1] >= size:
         return None
     cuts.append(size)
-    children = {}  # pid -> read end of its pipe
-    try:
-        for k in range(1, pieces):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes or memory: parse the whole file
-                os.close(rfd)
-                os.close(wfd)
-                return None
-            if pid == 0:
-                os.close(rfd)
-                for src in children.values():
-                    os.close(src.fileno())
-                _send_range(path, cuts[k], cuts[k + 1], wfd)
-            os.close(wfd)
-            children[pid] = open(rfd, "rb", buffering=0)
+    jobs = [partial(_send_range, path, cuts[k], cuts[k + 1]) for k in range(1, pieces)]
+    with forked(jobs) as children:
+        if None in children:
+            return None
         try:
             head = _parse_range(path, 0, cuts[1], skip)
         except (ValueError, OSError):
             return None
         shapes = [head.shape]
-        for src in children.values():
+        for child in children:
             shape = np.empty(2, dtype=np.int64)
-            if not _fill(src, shape):
+            if not _fill(child.stream, shape):
                 return None
             shapes.append(tuple(shape))
         # A range of blank lines parses to (0, 1); it adds no row in either parse.
@@ -145,24 +127,13 @@ def _read_pieces(path, skip: int) -> np.ndarray | None:
         out[:len(head)] = head
         lo = len(head)
         del head
-        for src, (rows, _) in zip(children.values(), shapes[1:]):
-            if not _fill(src, out[lo:lo + rows]):
+        for child, (rows, _) in zip(children, shapes[1:]):
+            if not _fill(child.stream, out[lo:lo + rows]):
                 return None
             lo += rows
-        for pid in list(children):
-            status = os.waitpid(pid, 0)[1]
-            children.pop(pid).close()
-            if status != 0:
-                return None
+        if not all(child.succeeded() for child in children):
+            return None
         return out
-    finally:
-        for pid, src in children.items():
-            src.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
 
 
 def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray:
@@ -195,20 +166,11 @@ def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray:
 
 
 def _send_range(path, start: int, stop: int, wfd: int) -> None:
-    """Forked child: parse one range, write shape and bytes to ``wfd``, exit.
-
-    Any failure, an interrupt included, ends in ``os._exit(1)``: the child
-    must never return into its parent's stack or run its exit handlers.
-    """
-    code = 1
-    try:
-        arr = _parse_range(path, start, stop, 0)
-        with open(wfd, "wb") as out:
-            out.write(np.array(arr.shape, dtype=np.int64).tobytes())
-            out.write(arr.reshape(-1).view(np.uint8))
-        code = 0
-    finally:
-        os._exit(code)
+    """Forked child's job: parse one range, write its shape and raw bytes to ``wfd``."""
+    arr = _parse_range(path, start, stop, 0)
+    with open(wfd, "wb") as out:
+        out.write(np.array(arr.shape, dtype=np.int64).tobytes())
+        out.write(arr.reshape(-1).view(np.uint8))
 
 
 def _fill(src, arr: np.ndarray) -> bool:

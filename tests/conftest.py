@@ -56,7 +56,7 @@ def residuals5(synth5):
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Fail a test that leaves a child process unreaped (read_csv forks workers)."""
+    """Fail a test that leaves a child process unreaped (read_csv and run_coverage_experiment fork)."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -344,6 +344,20 @@ class TestCoverageCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("flag", ["--m1", "--m2"])
+    def test_collapsed_schedule_is_refused_before_the_first_trial(self, tmp_path, capsys,
+                                                                   monkeypatch, flag):
+        calls = []
+        real = experiments.proxy
+        monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1) or real(*a, **k))
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "2", flag, "0",
+                    "--methods", "bootstrap:2,ojavarest", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "schedule collapsed to" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBenchCommand:
     def test_timing_rows(self, tmp_path):
         out = tmp_path / "timing.csv"

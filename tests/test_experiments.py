@@ -1,7 +1,13 @@
+import os
+import pickle
+import signal
+import threading
+
 import numpy as np
 import pytest
 
-from ojainfer import SeedLabel, SeedSpec, batch_variance, bootstrap_run, learning_rate
+from ojainfer import SeedLabel, SeedSpec, batch_variance, bootstrap_run, experiments, learning_rate
+from ojainfer.core import RegimeError
 from ojainfer.experiments import (
     method_variance,
     parse_method,
@@ -66,6 +72,125 @@ class TestCoverageExperiment:
             assert outcome.reports[m].trials == SMALL["trials"]
             for c in tracked:
                 assert outcome.reports[m].hits[c - 1] == sum(row[f"hit_c{c}"] for row in rows)
+
+
+FORKED = dict(n=300, d=6, beta=1.0, m1=2, m2=2, methods=("ojavarest", "bootstrap:2"),
+              tracked=(1, 4), seed=SeedSpec(35))
+
+
+def _outputs(outcome):
+    """The coverage table and the records without their wall clocks."""
+    records = [{k: v for k, v in r.to_row().items() if not k.endswith("_ms")}
+               for r in outcome.records]
+    return outcome.table_rows(FORKED["tracked"]), records
+
+
+class TestForkedTrials:
+    """run_coverage_experiment's trials split over forked children, forced on by the probes."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the parent's os.fork calls; split(w) forces w workers, split(1) the in-process loop."""
+        calls = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+
+        def split(workers):
+            monkeypatch.setattr(experiments, "os_threads", lambda: 1)
+            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+
+        return calls, split
+
+    @staticmethod
+    def _at_trial(monkeypatch, trial, action):
+        """Run ``action(pid)`` when the proxy pass of ``trial`` starts, in whichever process runs it."""
+        real = experiments.proxy
+
+        def proxy(data, gap, alpha, stream, *args):
+            if stream.stream[-1] == trial:
+                action(os.getpid())
+            return real(data, gap, alpha, stream, *args)
+
+        monkeypatch.setattr(experiments, "proxy", proxy)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_outputs_match_the_in_process_loop(self, forks, trials, workers):
+        calls, split = forks
+        split(1)
+        want = _outputs(run_coverage_experiment(trials=trials, **FORKED))
+        assert calls == []
+        split(workers)
+        assert _outputs(run_coverage_experiment(trials=trials, **FORKED)) == want
+        assert len(calls) == min(workers, trials) - 1
+
+    def test_error_in_a_child_is_raised_as_in_process(self, forks, monkeypatch):
+        calls, split = forks
+
+        def degenerate(pid):
+            raise RegimeError("iterate 3 degenerated")
+
+        self._at_trial(monkeypatch, 3, degenerate)
+        raised = []
+        for workers in (1, 2):  # 2 workers: trials 2..4 run in the child
+            split(workers)
+            with pytest.raises(Exception) as info:
+                run_coverage_experiment(trials=5, **FORKED)
+            raised.append((info.type, str(info.value)))
+        assert raised == [(RegimeError, "iterate 3 degenerated")] * 2
+        assert len(calls) == 1
+
+    @staticmethod
+    def _short_pickle(run_trials, lo, hi, wfd):
+        with open(wfd, "wb") as out:
+            out.write(pickle.dumps(run_trials(lo, hi))[:-8])
+
+    @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle"])
+    def test_failed_child_is_recomputed_here(self, forks, monkeypatch, death):
+        calls, split = forks
+        split(1)
+        want = _outputs(run_coverage_experiment(trials=5, **FORKED))
+        parent = os.getpid()
+        if death == "short-pickle":
+            monkeypatch.setattr(experiments, "_send_trials", self._short_pickle)
+        else:
+            kill = {"sigkill": lambda pid: os.kill(pid, signal.SIGKILL), "exit-3": lambda pid: os._exit(3)}
+            self._at_trial(monkeypatch, 3, lambda pid: pid != parent and kill[death](pid))
+        split(2)
+        assert _outputs(run_coverage_experiment(trials=5, **FORKED)) == want
+        assert len(calls) == 1
+
+    def test_interrupt_in_the_parent_reaps_the_children(self, forks, monkeypatch):
+        # Ctrl-C during the parent's own range; the conftest fixture checks
+        # that no child is left.
+        calls, split = forks
+        parent = os.getpid()
+
+        def interrupt(pid):
+            if pid == parent:
+                raise KeyboardInterrupt
+
+        self._at_trial(monkeypatch, 0, interrupt)
+        split(3)
+        with pytest.raises(KeyboardInterrupt):
+            run_coverage_experiment(trials=5, **FORKED)
+        assert len(calls) == 2
+
+    def test_no_fork_while_another_thread_runs(self, forks, monkeypatch):
+        calls, _ = forks
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        before = experiments.os_threads()
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert experiments.os_threads() == before + 1
+            run_coverage_experiment(trials=2, **FORKED)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert calls == []
 
 
 class TestMethodVariance:

@@ -120,7 +120,7 @@ class TestSplitParse:
     @pytest.fixture(autouse=True)
     def pieces(self, monkeypatch):
         monkeypatch.setattr(oio, "_PIECE_BYTES", 16)
-        monkeypatch.setattr(oio, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(oio, "usable_cpus", lambda: 3)
         split = oio._read_pieces
         results = []  # what each _read_pieces call returned; None means the fallback ran
 
@@ -181,7 +181,7 @@ class TestSplitParse:
 
     def test_ragged_only_across_the_cut(self, tmp_path, monkeypatch):
         # Two ranges, cut at the boundary: each parses, their widths differ.
-        monkeypatch.setattr(oio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oio, "usable_cpus", lambda: 2)
         path = tmp_path / "named.csv"
         path.write_text("1,2\n" * 25 + "1,2,3\n" * 16)
         split = _message(path)
@@ -191,7 +191,7 @@ class TestSplitParse:
     def test_quote_open_at_the_cut(self, tmp_path, monkeypatch):
         # A quote opened on the line that ends at the cut runs to the end of
         # the file, so the whole-file parse fails; each range alone parses.
-        monkeypatch.setattr(oio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oio, "usable_cpus", lambda: 2)
         rows = [f"{i}.25\n" for i in range(40)]
         for j in range(len(rows)):
             start = len("".join(rows[:j]))
