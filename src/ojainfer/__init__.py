@@ -22,7 +22,7 @@ from .core import (
     sign_align,
     sin2,
 )
-from .oja import DEFAULT_ALPHA, OjaResult, learning_rate, oja_boosted, oja_run
+from .oja import DEFAULT_ALPHA, learning_rate, oja_boosted, oja_run
 from .varest import PAPER_M1, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
 from .bootstrap import bootstrap_run
 from .synth import build_sigma, sample
@@ -40,7 +40,7 @@ from .inference import ConfidenceBand, CoverageReport, build_ci, normal_quantile
 __all__ = [
     "Dataset", "DegenerateGapError", "EigenSystem", "RegimeError", "SeedLabel", "SeedSpec",
     "eigendecompose", "psd_sqrt", "sample_covariance", "sign_align", "sin2",
-    "DEFAULT_ALPHA", "OjaResult", "learning_rate", "oja_boosted", "oja_run",
+    "DEFAULT_ALPHA", "learning_rate", "oja_boosted", "oja_run",
     "PAPER_M1", "VarEstResult", "batch_variance", "median_of_means",
     "ojavarest", "plan_schedule",
     "bootstrap_run",

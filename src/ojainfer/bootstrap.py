@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, SeedSpec, _check_unit
+from .core import Dataset, SeedSpec
 from .oja import oja_kernel
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
@@ -38,17 +38,12 @@ def bootstrap_run(data: Dataset, b: int, eta: float, seed: SeedSpec, u0: np.ndar
     ``seed.child(j)``. Laws: ``exponential`` is Exp(1) (mean 1, variance 1,
     nonnegative), ``normal`` is 1 + N(0, 1); ``constant`` pins every
     multiplier to 1, which makes replica 0 reproduce a plain streaming pass
-    bit for bit.
+    bit for bit. :func:`oja_kernel` checks ``eta`` and ``u0``.
     """
     if b < 1:
         raise ValueError(f"need at least one replica (got b={b})")
     if law not in MULTIPLIER_LAWS:
         raise ValueError(f"unknown multiplier law {law!r}; pick from {MULTIPLIER_LAWS}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive (got {eta})")
-    u0 = _check_unit(u0, "u0")
-    if u0.shape[0] != data.d:
-        raise ValueError(f"u0 has d={u0.shape[0]}, data has d={data.d}")
     replicas = np.empty((b, data.d))
     for j in range(b):
         weights = _multipliers(law, seed.child(j).rng(), data.n)

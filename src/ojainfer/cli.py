@@ -146,6 +146,12 @@ def _check_flags(args) -> None:
         raise ValueError(f"--gap must be positive and finite (got {args.gap})")
     if getattr(args, "alpha", None) is not None and not 1.0 < args.alpha < math.inf:
         raise ValueError(f"--alpha must exceed 1 and be finite (got {args.alpha})")
+    if getattr(args, "delta", None) is not None and not 0.0 < args.delta < 1.0:
+        raise ValueError(f"--delta must lie in (0, 1) (got {args.delta})")
+    for flag in ("m1", "m2"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be at least 1 (got {value})")
     if args.subcommand in ("coverage", "bench") and not _methods(args):
         raise ValueError(f"--methods names no method (got {args.methods!r})")
     if args.subcommand == "coverage":
@@ -239,7 +245,7 @@ def _cmd_coverage(args, seed: SeedSpec) -> dict:
         level=args.level, seed=seed, m1=args.m1, m2=args.m2, tracked=tracked,
     )
     write_results(outcome.table_rows(tracked), args.out)
-    write_results([r.to_row() for r in outcome.records], str(args.out) + ".records.csv")
+    write_results(outcome.records, str(args.out) + ".records.csv")
     return outcome.config
 
 

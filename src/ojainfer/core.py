@@ -160,14 +160,14 @@ def require_gap(gap: float) -> float:
     return gap
 
 
-# Largest | ||v|| - 1 | that _check_unit accepts as a unit vector.
+# Largest | ||v|| - 1 | that _check_unit, and oja_kernel for its start rows, accept as unit norm.
 UNIT_TOL = 1e-8
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_TOL:
+    if not abs(nrm - 1.0) <= UNIT_TOL:
         raise ValueError(f"{name} must be unit norm (got ||{name}|| = {nrm!r})")
     return v
 

@@ -58,8 +58,8 @@ def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
     eta_n = learning_rate(data.n, gap, alpha)
     start = stream.child(SeedLabel.START)
     if boosted_delta is not None:
-        return oja_boosted(data, boosted_delta, gap, alpha, start).estimate, eta_n
-    return oja_run(data, eta_n, gaussian_unit(start.rng(), data.d)).estimate, eta_n
+        return oja_boosted(data, boosted_delta, gap, alpha, start), eta_n
+    return oja_run(data, eta_n, gaussian_unit(start.rng(), data.d)), eta_n
 
 
 def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, alpha: float,
@@ -87,54 +87,17 @@ def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, 
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One trial of one method in a coverage or timing experiment.
+class CoverageOutcome:
+    """Aggregated coverage per method plus the per-trial records.
 
-    ``hits`` follows ``tracked``: hits[i] is 1 when the interval for
-    coordinate tracked[i] (1-based) contained the truth.
+    Each record is one trial of one method, as the row it is written as:
+    ``trial, method, n, d, beta, b``, then ``hit_c<k>`` (1 when the interval
+    for coordinate k, 1-based, held the truth) for each tracked k in order,
+    then ``sin2_error, vtilde_ms, estimate_ms``.
     """
 
-    trial: int
-    method: str
-    n: int
-    d: int
-    beta: float
-    b: int | None
-    tracked: tuple[int, ...]
-    hits: tuple[int, ...]
-    sin2_error: float
-    vtilde_ms: float
-    estimate_ms: float
-
-    def __post_init__(self) -> None:
-        if self.vtilde_ms < 0.0 or self.estimate_ms < 0.0:
-            raise ValueError("wall-clock fields must be nonnegative")
-        if len(self.hits) != len(self.tracked):
-            raise ValueError("hits must align with tracked coordinates")
-
-    def to_row(self) -> dict:
-        row = {
-            "trial": self.trial,
-            "method": self.method,
-            "n": self.n,
-            "d": self.d,
-            "beta": self.beta,
-            "b": self.b,
-        }
-        for coord, hit in zip(self.tracked, self.hits):
-            row[f"hit_c{coord}"] = int(hit)
-        row["sin2_error"] = self.sin2_error
-        row["vtilde_ms"] = self.vtilde_ms
-        row["estimate_ms"] = self.estimate_ms
-        return row
-
-
-@dataclass(frozen=True)
-class CoverageOutcome:
-    """Aggregated coverage per method plus the per-trial record stream."""
-
     reports: dict[str, CoverageReport]
-    records: list[ExperimentRecord]
+    records: list[dict]
     config: dict
 
     def table_rows(self, tracked: tuple[int, ...]) -> list[dict]:
@@ -181,15 +144,17 @@ def run_coverage_experiment(
         raise ValueError("need at least one trial")
     replica_counts = parse_methods(methods)
     tracked = tuple(tracked)
-    for c in tracked:
+    for i, c in enumerate(tracked):
         if not 1 <= c <= d:
             raise ValueError(f"tracked coordinate {c} is outside 1..{d}")
+        if c in tracked[:i]:
+            raise ValueError(f"tracked coordinate {c} repeats: {list(tracked)}")
     if "ojavarest" in replica_counts:
         plan_schedule(n, d, DEFAULT_DELTA, m1, m2)  # refuse a schedule before the first trial
     _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
 
-    def run_trials(lo: int, hi: int) -> tuple[dict[str, np.ndarray], list[ExperimentRecord]]:
+    def run_trials(lo: int, hi: int) -> tuple[dict[str, np.ndarray], list[dict]]:
         """Trials lo..hi-1: their summed hits per method and their records, in order."""
         hits = {m: np.zeros(d, dtype=np.int64) for m in methods}
         records = []
@@ -208,12 +173,11 @@ def run_coverage_experiment(
                 estimate_ms = (time.perf_counter() - t1) * 1e3
                 trial_hits = band_hits(band, eigen.leading)
                 hits[method_spec] += trial_hits
-                records.append(ExperimentRecord(
-                    trial=trial, method=method_spec, n=n, d=d, beta=beta,
-                    b=replica_counts[method_spec], tracked=tracked,
-                    hits=tuple(int(trial_hits[c - 1]) for c in tracked), sin2_error=accuracy,
-                    vtilde_ms=vtilde_ms, estimate_ms=estimate_ms,
-                ))
+                records.append({"trial": trial, "method": method_spec, "n": n, "d": d, "beta": beta,
+                                "b": replica_counts[method_spec]}
+                               | {f"hit_c{c}": int(trial_hits[c - 1]) for c in tracked}
+                               | {"sin2_error": accuracy, "vtilde_ms": vtilde_ms,
+                                  "estimate_ms": estimate_ms})
             del data  # else it stays alive while the next trial draws its own
         return hits, records
 

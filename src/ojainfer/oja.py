@@ -14,25 +14,11 @@ picks the most central candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .core import Dataset, SeedSpec, _check_unit, require_gap, sample_covariance, sin2
-
-
-@dataclass(frozen=True)
-class OjaResult:
-    """Outcome of one streaming pass."""
-
-    estimate: np.ndarray
-    samples_consumed: int
-
-    def __post_init__(self) -> None:
-        nrm = float(np.linalg.norm(self.estimate))
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"estimate must be unit norm (got {nrm!r})")
+from .core import UNIT_TOL, Dataset, SeedSpec, require_gap, sample_covariance, sin2
 
 
 # Step multiplier alpha of learning_rate wherever a caller does not set one.
@@ -138,11 +124,19 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     once, O(k) rows at a time). ``weights`` are (K, n) multipliers for an
     array, None for all 1: every sample's step eta * w goes to the block
     update as one (K, n) array. Returns the final (K, d) unit rows, equal to
-    the per-sample loop up to rounding, and the samples each state read. A
-    zero or non-finite iterate raises ValueError naming the samples.
+    the per-sample loop up to rounding, and the samples each state read.
+    Raises ValueError for an ``eta`` that is not positive and finite, a start
+    row that is not unit norm (within ``UNIT_TOL``), samples whose d is not
+    the starts', and a zero or non-finite iterate, naming its samples.
     """
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite (got {eta})")
     U = np.array(U0, dtype=np.float64, ndmin=2)[:, :, None]
     K, d, _ = U.shape
+    norms = np.linalg.norm(U[:, :, 0], axis=1)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))
+    if off.size:
+        raise ValueError(f"start row {off[0]} must be unit norm (got norm {float(norms[off[0]])!r})")
     w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(K, -1)
     if w is not None and w.shape[1:] != np.shape(blocks)[-2:-1]:
         raise ValueError(f"{w.shape[1]} weights for samples of shape {np.shape(blocks)}")
@@ -151,7 +145,8 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     for start, x in _segments(blocks, k * _SEGMENT_BLOCKS):
         m = x.shape[1]
         if x.ndim != 3 or x.shape[0] != K or x.shape[2] != d:
-            raise ValueError(f"samples {start}..{start + m - 1} have shape {x.shape}, expected ({K}, {m}, {d})")
+            raise ValueError(f"samples {start}..{start + m - 1} have shape {x.shape}, expected"
+                             f" ({K}, {m}, {d}) for ({K}, {d}) start rows")
         ew = np.full((K, m), eta, dtype=np.float64) if w is None else eta * w[:, start : start + m]
         full = m - m % k
         for lo, hi, size in ((0, full, k), (full, m, m - full)):
@@ -162,7 +157,7 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     return U[:, :, 0], n
 
 
-def oja_run(data, eta: float, u0: np.ndarray) -> OjaResult:
+def oja_run(data, eta: float, u0: np.ndarray) -> np.ndarray:
     """One streaming pass over ``data`` starting from the unit vector ``u0``.
 
     Parameters
@@ -170,22 +165,20 @@ def oja_run(data, eta: float, u0: np.ndarray) -> OjaResult:
     data : Dataset, (n, d) array, or iterable of length-d vectors
         Consumed once, in order, by :func:`oja_kernel`.
     eta : float
-        Positive constant step size.
+        Positive, finite constant step size.
     u0 : (d,) array
         Unit-norm initial vector.
 
     Returns
     -------
-    OjaResult
-        Final unit-norm estimate plus run bookkeeping.
+    (d,) array
+        The final unit-norm iterate. :func:`oja_kernel` checks ``eta`` and
+        ``u0``; an empty stream raises ValueError.
     """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive (got {eta})")
-    u0 = _check_unit(u0, "u0")
     U, count = oja_kernel(data.samples if isinstance(data, Dataset) else data, eta, u0)
     if count == 0:
         raise ValueError("sample stream was empty")
-    return OjaResult(estimate=U[0], samples_consumed=count)
+    return U[0]
 
 
 _GAP_ROWS = 4096
@@ -198,8 +191,8 @@ def estimate_gap(data: Dataset) -> float:
     return require_gap(float(vals[-1] - vals[-2]) if data.d >= 2 else 0.0)
 
 
-def oja_boosted(data: Dataset, delta: float, gap: float, alpha: float, seed: SeedSpec) -> OjaResult:
-    """High-probability variant: batch the stream and pick a central candidate.
+def oja_boosted(data: Dataset, delta: float, gap: float, alpha: float, seed: SeedSpec) -> np.ndarray:
+    """High-probability variant: batch the stream and return the central candidate's (d,) vector.
 
     The data is split into q = max(1, ceil(ln(1/delta))) contiguous batches of
     equal size (trailing remainder dropped), a fresh streaming run is made per
@@ -222,4 +215,4 @@ def oja_boosted(data: Dataset, delta: float, gap: float, alpha: float, seed: See
     finals, _ = oja_kernel(data.samples[: q * batch].reshape(q, batch, data.d), eta, starts)
     best = 0 if q == 1 else int(np.argmin([np.median([sin2(u, v) for v in np.delete(finals, i, axis=0)])
                                            for i, u in enumerate(finals)]))
-    return OjaResult(estimate=finals[best], samples_consumed=batch)
+    return finals[best]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RegimeError, SeedSpec, _check_unit
+from .core import UNIT_TOL, Dataset, RegimeError, SeedSpec, _check_unit
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_kernel
 
 log = logging.getLogger(__name__)
@@ -96,7 +96,7 @@ def batch_variance(batch_vectors, vtilde: np.ndarray) -> np.ndarray:
     if vecs.shape[1] != vt.shape[0]:
         raise ValueError(f"vectors have d={vecs.shape[1]}, proxy has d={vt.shape[0]}")
     norms = np.linalg.norm(vecs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
+    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
         raise ValueError("all batch vectors must be unit norm")
     coeffs = vecs @ vt
     residuals = vecs - coeffs[:, None] * vt[None, :]

@@ -52,7 +52,7 @@ def coverage_pipeline(out_dir, tag):
     table_path = out_dir / f"coverage_{tag}.csv"
     records_path = out_dir / f"records_{tag}.csv"
     write_results(outcome.table_rows(COVERAGE_CONFIG["tracked"]), table_path)
-    write_results([r.to_row() for r in outcome.records], records_path)
+    write_results(outcome.records, records_path)
     return outcome, table_path, records_path
 
 
@@ -101,7 +101,7 @@ def test_02_residual_decomposition_identity():
         vt = eigen.leading + 0.1 * rng.standard_normal(d)
         vt /= np.linalg.norm(vt)
         rep = residual_decomposition(x, sigma, eigen, eta, u0, vt, include_terms=False)
-        direct = oja_run(x, eta, u0).estimate
+        direct = oja_run(x, eta, u0)
         target = direct - float(vt @ direct) * vt
         worst = max(worst, float(np.linalg.norm(rep.residual_sum() - target)))
     elapsed = time.perf_counter() - t0
@@ -163,7 +163,7 @@ def test_05_streaming_convergence_rate(synth50):
             st = SeedSpec(seed).child(t)
             data = sample(root, n, rng=st.child(0).rng())
             u0 = gaussian_unit(st.child(1).rng(), 50)
-            v = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
+            v = oja_run(data, learning_rate(n, gap, 2.0), u0)
             errs.append(sin2(v, eigen.leading))
         return float(np.median(errs))
 
@@ -188,7 +188,7 @@ def test_06_variance_estimator_consistency(synth50, asym50):
         st = SeedSpec(2007).child(t)
         data = sample(root, n, rng=st.child(0).rng())
         u0 = gaussian_unit(st.child(1).rng(), 50)
-        vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
+        vt = oja_run(data, learning_rate(n, gap, 2.0), u0)
         res = ojavarest(data, 0.05, vt, gap, m1=PAPER_M1, seed=st.child(2))
         ratios = res.gamma[top] / vkk[top]
         in_band += (ratios >= 0.4) & (ratios <= 2.5)
@@ -250,7 +250,7 @@ def test_10_micro_contracts():
     checks = []
     # One-step streaming update by hand.
     out = oja_run(np.array([[1.0, 0.0]]), 0.5, np.array([0.6, 0.8]))
-    checks.append(np.allclose(out.estimate, [0.74741, 0.66437], atol=1e-5))
+    checks.append(np.allclose(out, [0.74741, 0.66437], atol=1e-5))
     # Median conventions.
     checks.append(median_of_means([1, 2, 3, 4, 5]) == 3.0)
     checks.append(median_of_means([1, 2, 3, 4]) == 2.5)

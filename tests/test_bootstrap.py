@@ -15,7 +15,7 @@ class TestBootstrapRun:
         u0 = random_unit(SeedSpec(132).rng(), 3)
         eta = 0.01
         replica = bootstrap_run(data, 1, eta, SeedSpec(133), u0, law="constant")[0]
-        plain = oja_run(data, eta, u0).estimate
+        plain = oja_run(data, eta, u0)
         np.testing.assert_array_equal(replica, plain)
 
     def test_fixed_point_under_any_multipliers(self):

@@ -240,12 +240,17 @@ def test_pure_noise_varest_exits_1_naming_the_step(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["oja", "--gap", "nan"], ["oja", "--gap", "inf"], ["oja", "--alpha", "inf"], ["oja", "--alpha", "nan"],
     ["varest", "--alpha", "nan"], ["varest", "--alpha", "0.5"], ["bootstrap", "--alpha", "1"],
+    ["varest", "--delta", "1.5"], ["varest", "--delta", "nan"], ["varest", "--delta", "0"],
+    ["varest", "--m1", "0"], ["varest", "--m2", "0"],
 ], ids=" ".join)
-def test_flag_out_of_range_is_refused_before_the_input_is_read(tmp_path, capsys, argv):
+def test_flag_out_of_range_is_refused_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv):
     # The input does not exist, so an error naming the flag was raised before any read.
+    calls = []
+    monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1))
     out = tmp_path / "x.json"
     assert run(["--quiet", *argv, "--input", tmp_path / "nope.csv", "--out", out]) == 1
     assert f"error: {argv[1]} must" in capsys.readouterr().err
+    assert calls == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -353,7 +358,31 @@ class TestCoverageCommand:
         code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "2", flag, "0",
                     "--methods", "bootstrap:2,ojavarest", "--out", tmp_path / "c.csv"])
         assert code == 1
-        assert "schedule collapsed to" in capsys.readouterr().err
+        assert f"error: {flag} must be at least 1 (got 0)" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--m1", "--m2"])
+    def test_schedule_flag_below_one_is_refused_without_ojavarest(self, tmp_path, capsys,
+                                                                  monkeypatch, flag):
+        # Only ojavarest reads the schedule, but the manifest would record the value.
+        calls = []
+        monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1))
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "2", flag, "0",
+                    "--methods", "bootstrap:2", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert f"error: {flag} must be at least 1 (got 0)" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_tracked_coordinate_is_refused_before_the_first_trial(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1))
+        code = run(["--quiet", "coverage", "--n", "300", "--d", "6", "--trials", "2", "--m1", "2",
+                    "--m2", "2", "--methods", "ojavarest", "--tracked", "1,1", "--out", tmp_path / "c.csv"])
+        assert code == 1
+        assert "tracked coordinate 1 repeats" in capsys.readouterr().err
         assert calls == []
         assert list(tmp_path.iterdir()) == []
 

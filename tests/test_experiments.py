@@ -43,7 +43,7 @@ class TestParseMethod:
         # a spec it refuses stops the experiment before any trial.
         methods = ("ojavarest", "bootstrap:2")
         outcome = run_coverage_experiment(methods=methods, seed=SeedSpec(34), **SMALL)
-        assert {(r.method, r.b) for r in outcome.records} == set(parse_methods(methods).items())
+        assert {(r["method"], r["b"]) for r in outcome.records} == set(parse_methods(methods).items())
         for method in ("bootstrap:x", "bootstrap:0", "ojavarest:2"):
             with pytest.raises(ValueError, match=f"'{method}'"):
                 run_coverage_experiment(methods=("ojavarest", method), **SMALL)
@@ -62,13 +62,28 @@ class TestCoverageExperiment:
         with pytest.raises(ValueError, match="repeat"):
             run_coverage_experiment(methods=("ojavarest", "ojavarest"), **SMALL)
 
+    def test_repeated_tracked_coordinate_rejected(self):
+        # Records key a coordinate's hits by hit_c<k>, so a repeat would collapse into one column.
+        with pytest.raises(ValueError, match=r"tracked coordinate 3 repeats: \[1, 3, 3\]"):
+            run_coverage_experiment(methods=("ojavarest",), tracked=(1, 3, 3), **SMALL)
+
+    def test_collapsed_schedule_rejected_before_the_first_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="schedule collapsed to m1=0"):
+            run_coverage_experiment(methods=("bootstrap:2", "ojavarest"), **(SMALL | {"m1": 0}))
+        assert calls == []
+
     def test_reports_and_records_share_one_scorer(self):
         methods, tracked = ("ojavarest", "bootstrap:2"), (1, 3, 6)
         outcome = run_coverage_experiment(methods=methods, tracked=tracked,
                                           seed=SeedSpec(31), **SMALL)
         assert len(outcome.records) == SMALL["trials"] * len(methods)
+        for r in outcome.records:
+            assert list(r) == ["trial", "method", "n", "d", "beta", "b", "hit_c1", "hit_c3", "hit_c6",
+                               "sin2_error", "vtilde_ms", "estimate_ms"]
         for m in methods:
-            rows = [r.to_row() for r in outcome.records if r.method == m]
+            rows = [r for r in outcome.records if r["method"] == m]
             assert outcome.reports[m].trials == SMALL["trials"]
             for c in tracked:
                 assert outcome.reports[m].hits[c - 1] == sum(row[f"hit_c{c}"] for row in rows)
@@ -80,7 +95,7 @@ FORKED = dict(n=300, d=6, beta=1.0, m1=2, m2=2, methods=("ojavarest", "bootstrap
 
 def _outputs(outcome):
     """The coverage table and the records without their wall clocks."""
-    records = [{k: v for k, v in r.to_row().items() if not k.endswith("_ms")}
+    records = [{k: v for k, v in r.items() if not k.endswith("_ms")}
                for r in outcome.records]
     return outcome.table_rows(FORKED["tracked"]), records
 

@@ -178,7 +178,7 @@ class TestResidualDecomposition:
             eta = float(rng.uniform(0.01, 0.1))
             report = residual_decomposition(x, sigma, eigen, eta, u0, vt)
             report.validate()
-            direct = oja_run(x, eta, u0).estimate
+            direct = oja_run(x, eta, u0)
             if direct @ report.v_est < 0:
                 direct = -direct
             target = direct - float(vt @ direct) * vt

@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 
 from ojainfer import Dataset, SeedSpec
 from ojainfer import io as oio
-from ojainfer.experiments import ExperimentRecord
 from ojainfer.io import (
     RunManifest,
     content_hash_config,
@@ -306,19 +305,3 @@ class TestManifest:
         assert content_hash_file(f) == content_hash_file(f)
         assert content_hash_config({"a": 1}) == content_hash_config({"a": 1})
         assert content_hash_config({"a": 1}) != content_hash_config({"a": 2})
-
-
-class TestExperimentRecord:
-    def test_row_layout(self):
-        rec = ExperimentRecord(trial=0, method="bootstrap:20", n=100, d=5, beta=1.0,
-                               b=20, tracked=(1, 2), hits=(1, 0), sin2_error=0.01,
-                               vtilde_ms=1.5, estimate_ms=2.5)
-        row = rec.to_row()
-        assert row["hit_c1"] == 1 and row["hit_c2"] == 0
-        assert row["method"] == "bootstrap:20"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentRecord(trial=0, method="ojavarest", n=1, d=1, beta=1.0, b=None,
-                             tracked=(1,), hits=(1,), sin2_error=0.0,
-                             vtilde_ms=-1.0, estimate_ms=0.0)

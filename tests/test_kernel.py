@@ -103,6 +103,20 @@ def test_all_single_sample_parts(weighted):
         np.testing.assert_array_equal(out, oja_kernel(iter(x.tolist()), 5.0, u0)[0])
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -0.1])
+def test_refuses_a_step_that_is_not_positive_and_finite(eta):
+    x, u0, _ = draw_case(173, 2, 50, 3, "constant")
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        oja_kernel(x, eta, u0)
+
+
+def test_refuses_a_start_row_off_the_unit_sphere():
+    x, u0, _ = draw_case(174, 3, 50, 3, "constant")
+    u0[1] *= 2.0
+    with pytest.raises(ValueError, match=r"start row 1 must be unit norm \(got norm 2\.0"):
+        oja_kernel(x, 0.01, u0)
+
+
 def test_block_size_is_derived():
     assert _block_size(200, 1) == 32
     assert _block_size(200, 27) == 8

@@ -127,7 +127,7 @@ class TestOjaVarEst:
         result = ojavarest(data, 0.1, vt, gap, m1=1, m2=1, seed=SeedSpec(105))
         eta = learning_rate(200, gap, DEFAULT_ALPHA)
         u0 = gaussian_unit(SeedSpec(105).child(0).rng(), 3)
-        v = oja_run(data.samples, eta, u0).estimate
+        v = oja_run(data.samples, eta, u0)
         resid = v - float(vt @ v) * vt
         np.testing.assert_allclose(result.gamma, resid**2 / (eta * gap), rtol=1e-12)
 
@@ -162,7 +162,7 @@ class TestOjaVarEst:
         x = SeedSpec(206).rng().standard_normal((400, 10))
         data = Dataset(x - x.mean(axis=0))
         gap = estimate_gap(data)
-        vt = oja_run(data, learning_rate(400, gap, 2.0), random_unit(SeedSpec(207).rng(), 10)).estimate
+        vt = oja_run(data, learning_rate(400, gap, 2.0), random_unit(SeedSpec(207).rng(), 10))
         with pytest.raises(RegimeError, match=r"eta_B \* lambda_1 = \d"):
             ojavarest(data, 0.05, vt, gap, m1=PAPER_M1)
 
@@ -203,7 +203,7 @@ class TestOjaVarEst:
                 st = SeedSpec(seed).child(t)
                 data = sample(root, n, rng=st.child(0).rng())
                 u0 = gaussian_unit(st.child(1).rng(), 50)
-                vt = oja_run(data, learning_rate(n, gap, 2.0), u0).estimate
+                vt = oja_run(data, learning_rate(n, gap, 2.0), u0)
                 res = ojavarest(data, 0.05, vt, gap, seed=st.child(2))
                 errs.append(np.max(np.abs(res.gamma[top] - vkk[top]) / vkk[top]))
             return np.median(errs)
