@@ -7,7 +7,10 @@ weighted by an i.i.d. mean-1 multiplier:
 
 The multipliers are the only replica-to-replica randomness, each replica
 owning a derived stream, so permuting replica seeds permutes the outputs.
-Replicas run one after another: time is linear in b, space is n + b*d.
+Chunks of up to ``_CHUNK`` replicas run as the states of one kernel call,
+which reads the rows through a broadcast view. Time is linear in b; space
+is the n*d rows, shared by every replica, plus at most ``_CHUNK``*n
+multipliers, plus the b*d results.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, SeedSpec
-from .oja import oja_kernel
+from .oja import DegenerateIterateError, oja_kernel
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
+
+# Replicas per kernel call: bounds the multipliers held at once to this many rows of n.
+_CHUNK = 32
 
 
 def _multipliers(law: str, rng: np.random.Generator, n: int) -> np.ndarray | None:
@@ -38,18 +44,28 @@ def bootstrap_run(data: Dataset, b: int, eta: float, seed: SeedSpec, u0: np.ndar
     ``seed.child(j)``. Laws: ``exponential`` is Exp(1) (mean 1, variance 1,
     nonnegative), ``normal`` is 1 + N(0, 1); ``constant`` pins every
     multiplier to 1, which makes replica 0 reproduce a plain streaming pass
-    bit for bit. :func:`oja_kernel` checks ``eta`` and ``u0``.
+    bit for bit. :func:`oja_kernel` checks ``eta`` and ``u0``. A degenerate
+    iterate raises ValueError "replica <j>: iterate <i> degenerated in
+    samples ...", i being j's state in its chunk of ``_CHUNK`` replicas: of
+    the first chunk that holds one, it names the earliest degenerate samples
+    and the lowest replica there.
     """
     if b < 1:
         raise ValueError(f"need at least one replica (got b={b})")
     if law not in MULTIPLIER_LAWS:
         raise ValueError(f"unknown multiplier law {law!r}; pick from {MULTIPLIER_LAWS}")
-    replicas = np.empty((b, data.d))
-    for j in range(b):
-        weights = _multipliers(law, seed.child(j).rng(), data.n)
+    n, d = data.n, data.d
+    replicas = np.empty((b, d))
+    for lo in range(0, b, _CHUNK):
+        c = min(_CHUNK, b - lo)
+        weights = None
+        if law != "constant":
+            weights = np.empty((c, n))
+            for i in range(c):
+                weights[i] = _multipliers(law, seed.child(lo + i).rng(), n)
         try:
-            replicas[j] = oja_kernel(data.samples, eta, u0, weights)[0][0]
-        except ValueError as exc:
-            raise ValueError(f"replica {j}: {exc}") from exc
+            replicas[lo : lo + c] = oja_kernel(np.broadcast_to(data.samples, (c, n, d)), eta,
+                                               np.broadcast_to(u0, (c, d)), weights)[0]
+        except DegenerateIterateError as exc:
+            raise ValueError(f"replica {lo + exc.state}: {exc}") from exc
     return replicas
-

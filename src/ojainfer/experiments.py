@@ -20,7 +20,7 @@ from .inference import CoverageReport, band_hits, build_ci
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import build_sigma, sample
 from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest, plan_schedule
-from .workers import Child, forked, os_threads, usable_cpus
+from .workers import IMPORT_THREADS, Child, forked, os_threads, usable_cpus
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -133,7 +133,8 @@ def run_coverage_experiment(
     step takes ``DEFAULT_ALPHA``, as in :func:`method_variance`; ``m1``/``m2``
     fix ojavarest's schedule, which is checked before any trial runs.
 
-    In a process with one OS thread the trials are cut into one contiguous
+    In a process with one OS thread, now and when this package was imported
+    (``IMPORT_THREADS``), the trials are cut into one contiguous
     range per usable CPU: range 0 runs here, each other range in a
     :func:`forked` child that pickles its hits and records back. A range
     whose child failed is run again here, so an error is raised as it would
@@ -181,10 +182,10 @@ def run_coverage_experiment(
             del data  # else it stays alive while the next trial draws its own
         return hits, records
 
-    # Fork only from one thread: a forked child restarts its BLAS pool, whose threads
-    # then spin on the parent's CPUs (with numpy's default pool the split ran twice
-    # as slow), and fork from a threaded process is unsafe.
-    workers = min(usable_cpus(), trials) if os_threads() == 1 else 1
+    # Fork only from one thread, now and at import: a forked child restarts its BLAS
+    # pool, whose threads then spin on the parent's CPUs (with numpy's default pool
+    # the split ran twice as slow), and fork from a threaded process is unsafe.
+    workers = min(usable_cpus(), trials) if IMPORT_THREADS == 1 and os_threads() == 1 else 1
     ranges = [(trials * k // workers, trials * (k + 1) // workers) for k in range(workers)]
     jobs = [partial(_send_trials, run_trials, lo, hi) for lo, hi in ranges[1:]]
     with forked(jobs) as children:

@@ -42,6 +42,14 @@ def gaussian_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
+class DegenerateIterateError(ValueError):
+    """A state's iterate became zero or non-finite; ``state`` is its index among the kernel call's states."""
+
+    def __init__(self, state: int, message: str):
+        super().__init__(message)
+        self.state = state
+
+
 # Largest eta * sum |w_i| ||x_i||^2 of a block: the update's coefficients, and their
 # rounding errors, grow by up to exp of it. Blocks over it are halved, with the blocks between them.
 _BLOCK_BOUND = 4.0
@@ -112,22 +120,25 @@ def _advance(U: np.ndarray, X: np.ndarray, ew: np.ndarray, start: int, G: np.nda
     bad = np.argwhere(~((norms > 0.0) & (norms < math.inf)))
     if bad.size:
         j, i = bad[0, :2]
-        raise ValueError(f"iterate {i} degenerated in samples {start + j * k}..{start + j * k + k - 1}"
-                         f" (norm {float(norms[j, i, 0, 0])!r})")
+        raise DegenerateIterateError(int(i), f"iterate {i} degenerated in samples {start + j * k}.."
+                                     f"{start + j * k + k - 1} (norm {float(norms[j, i, 0, 0])!r})")
 
 
 def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.ndarray, int]:
     """Advance K states u <- normalize(u + eta * w * x (x . u)) over their samples.
 
     ``blocks`` is a (K, n, d) array, state i reading ``blocks[i]`` in order,
-    or for one state an (n, d) array (not copied) or an iterable of rows (read
-    once, O(k) rows at a time). ``weights`` are (K, n) multipliers for an
-    array, None for all 1: every sample's step eta * w goes to the block
-    update as one (K, n) array. Returns the final (K, d) unit rows, equal to
-    the per-sample loop up to rounding, and the samples each state read.
+    or for one state an (n, d) array or an iterable of rows (read once, O(k)
+    rows at a time). Arrays are not copied: a ``np.broadcast_to`` view that
+    gives K states the same (n, d) rows is read as it is. ``weights`` are
+    (K, n) multipliers for an array, None for all 1: every sample's step
+    eta * w goes to the block update as one (K, n) array. Returns the final
+    (K, d) unit rows, equal to the per-sample loop up to rounding, and the
+    samples each state read.
     Raises ValueError for an ``eta`` that is not positive and finite, a start
     row that is not unit norm (within ``UNIT_TOL``), samples whose d is not
-    the starts', and a zero or non-finite iterate, naming its samples.
+    the starts', and a zero or non-finite iterate (a DegenerateIterateError
+    naming its state and samples).
     """
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite (got {eta})")

@@ -30,6 +30,12 @@ def os_threads() -> int | None:
         return None
 
 
+# os_threads() when this package was imported, before it forked anything. A fork
+# stops OpenBLAS's pool in the parent until a large enough BLAS call restarts it,
+# so a later reading of 1 may only mean that the process forked before.
+IMPORT_THREADS = os_threads()
+
+
 class Child:
     """A forked worker: its pid and the unbuffered read end of its pipe."""
 

@@ -111,6 +111,7 @@ class TestForkedTrials:
         monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
 
         def split(workers):
+            monkeypatch.setattr(experiments, "IMPORT_THREADS", 1)
             monkeypatch.setattr(experiments, "os_threads", lambda: 1)
             monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
 
@@ -206,6 +207,21 @@ class TestForkedTrials:
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert calls == []
+
+    def test_no_fork_after_a_fork_when_threaded_at_import(self, forks, monkeypatch):
+        # A fork stops OpenBLAS's default pool in this process, and a d = 5
+        # coverage makes no BLAS call large enough to restart it, so the
+        # thread count reads 1; the two threads at import still rule out a fork.
+        calls, _ = forks
+        monkeypatch.setattr(experiments, "IMPORT_THREADS", 2)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert experiments.os_threads() == 1
+        run_coverage_experiment(trials=2, **(FORKED | {"d": 5}))
+        assert len(calls) == 1
 
 
 class TestMethodVariance:

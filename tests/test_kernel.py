@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ojainfer import Dataset, SeedSpec, bootstrap_run, oja_run, ojavarest
-from ojainfer.bootstrap import _multipliers
+from ojainfer import Dataset, SeedSpec, bootstrap, bootstrap_run, oja_run, ojavarest
+from ojainfer.bootstrap import _CHUNK, _multipliers
 from ojainfer.experiments import residual_trials
 from ojainfer.oja import _block_size, gaussian_unit, learning_rate, oja_kernel
 from ojainfer.synth import sample
@@ -146,17 +146,37 @@ def test_memory_stays_per_segment():
     np.testing.assert_array_equal(from_array, from_stream)
 
 
+def test_bootstrap_reads_its_rows_through_a_view():
+    # 20 replicas read 5000 x 200 rows (8 MB) through one broadcast view. The
+    # multipliers (0.8 MB) and the block factors of one segment (about 1.5 MB)
+    # stay under half of that; the broadcast of one 256-row segment, if
+    # materialised, would be 8 MB alone.
+    x = SeedSpec(7).rng().standard_normal((5_000, 200))
+    data = Dataset(x)
+    u0 = gaussian_unit(SeedSpec(8).rng(), 200)
+    tracemalloc.start()
+    try:
+        bootstrap_run(data, 20, 1e-4, SeedSpec(9), u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.samples.nbytes / 2
+
+
 class TestCallersMatchOracle:
     def test_bootstrap_replicas(self, synth3):
+        # b = 35 runs as two kernel calls, of 32 replicas and of 3.
         sigma, eigen, root = synth3
         data = sample(root, 500, rng=SeedSpec(150).rng())
         u0 = gaussian_unit(SeedSpec(151).rng(), 3)
-        for law in ("exponential", "normal"):
-            replicas = bootstrap_run(data, 3, 0.02, SeedSpec(152), u0, law=law)
-            for j in range(3):
-                w = _multipliers(law, SeedSpec(152).child(j).rng(), data.n)
-                ref = oja_loop(data.samples, 0.02, u0, w)
-                assert np.max(np.abs(replicas[j] - ref)) <= TOL
+        assert 3 < _CHUNK < 35 < 2 * _CHUNK
+        for b in (3, 35):
+            for law in ("exponential", "normal"):
+                replicas = bootstrap_run(data, b, 0.02, SeedSpec(152), u0, law=law)
+                for j in range(b):
+                    w = _multipliers(law, SeedSpec(152).child(j).rng(), data.n)
+                    ref = oja_loop(data.samples, 0.02, u0, w)
+                    assert np.max(np.abs(replicas[j] - ref)) <= TOL
 
     def test_varest_batch_runs(self, synth3):
         sigma, eigen, root = synth3
@@ -198,3 +218,19 @@ class TestDegenerateIterate:
         x[57] = 1e200
         with pytest.raises(ValueError, match=r"replica 0: .*degenerated in samples 57\.\.57"):
             bootstrap_run(Dataset(x), 2, 0.01, SeedSpec(162), np.eye(3)[0], law="exponential")
+
+    def test_bootstrap_run_names_a_replica_past_the_first_chunk(self, monkeypatch):
+        # Replica 33, state 1 of the second kernel call, alone gets an infinite
+        # multiplier at sample 57.
+        draw = bootstrap._multipliers
+
+        def multipliers(law, rng, n):
+            w = draw(law, rng, n)
+            if rng.bit_generator.seed_seq.spawn_key[-1] == 33:
+                w[57] = np.inf
+            return w
+
+        monkeypatch.setattr(bootstrap, "_multipliers", multipliers)
+        x = SeedSpec(163).rng().standard_normal((100, 3))
+        with pytest.raises(ValueError, match=r"^replica 33: iterate 1 degenerated in samples 57\.\.57"):
+            bootstrap_run(Dataset(x), 35, 0.01, SeedSpec(164), np.eye(3)[0])
