@@ -8,27 +8,20 @@ the environment variable OJA_INFER_SEED as a fallback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 
-from . import experiments
+from . import __version__, experiments
 from .asymvar import build_r0_v, ck_diagnostic, empirical_hajek_covariance, estimate_mtilde, with_rn
 from .core import SeedLabel, SeedSpec, eigendecompose, sample_covariance
 from .hoeffding import residual_decomposition
 from .inference import build_ci
-from .io import (
-    RunManifest,
-    _record_dict,
-    content_hash_config,
-    content_hash_file,
-    read_csv,
-    write_csv,
-    write_json,
-    write_results,
-)
+from .io import content_hash_config, content_hash_file, read_csv, write_csv, write_json, write_results
 from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
 from .synth import build_sigma, sample, vector_sampler
 from .varest import DEFAULT_DELTA, PAPER_M1
@@ -219,7 +212,7 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
     vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
     sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, args.alpha, seed,
                                                  args.delta, m1, args.m2)
-    payload = _record_dict(result)
+    payload = dataclasses.asdict(result)
     if args.level is not None:
         band = build_ci(vtilde, sigma2, args.level)
         payload["ci"] = {"level": args.level, "lower": band.lower(), "upper": band.upper()}
@@ -239,12 +232,11 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
-    tracked = _tracked(args)
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=_methods(args),
-        level=args.level, seed=seed, m1=args.m1, m2=args.m2, tracked=tracked,
+        level=args.level, seed=seed, m1=args.m1, m2=args.m2, tracked=_tracked(args),
     )
-    write_results(outcome.table_rows(tracked), args.out)
+    write_results(outcome.table_rows(), args.out)
     write_results(outcome.records, str(args.out) + ".records.csv")
     return outcome.config
 
@@ -294,6 +286,10 @@ _HANDLERS = {
 }
 
 
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
 def cli_dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -309,15 +305,15 @@ def cli_dispatch(argv: list[str]) -> int:
             digest = config_echo["input_sha256"] = content_hash_file(args.input)
         else:
             digest = content_hash_config(config_echo)
-        manifest = RunManifest(subcommand=args.subcommand, config=config_echo,
-                               seed=seed.master, content_hash=digest).start()
+        # The provenance sidecar written beside the output; timestamps live only here.
+        manifest = {"subcommand": args.subcommand, "config": config_echo, "seed": seed.master,
+                    "content_hash": digest, "started_at": _now(), "finished_at": "",
+                    "version": __version__}
         _progress(args, f"ojainfer {args.subcommand}: starting (seed={seed.master})")
-        extra = _HANDLERS[args.subcommand](args, seed)
-        manifest.config.update(extra or {})
-        manifest.finish()
-        if getattr(args, "out", None):
-            manifest.write_beside(args.out)
-        _progress(args, f"ojainfer {args.subcommand}: done -> {getattr(args, 'out', '')}")
+        config_echo.update(_HANDLERS[args.subcommand](args, seed))
+        manifest["finished_at"] = _now()
+        write_json(f"{args.out}.manifest.json", manifest)
+        _progress(args, f"ojainfer {args.subcommand}: done -> {args.out}")
         return 0
     except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

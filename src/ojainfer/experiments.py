@@ -16,7 +16,7 @@ import numpy as np
 
 from .bootstrap import bootstrap_run
 from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
-from .inference import CoverageReport, band_hits, build_ci
+from .inference import CoverageReport, band_hits, build_ci, check_level
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import build_sigma, sample
 from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest, plan_schedule
@@ -100,11 +100,11 @@ class CoverageOutcome:
     records: list[dict]
     config: dict
 
-    def table_rows(self, tracked: tuple[int, ...]) -> list[dict]:
-        """Rows (n, d, coordinate) x method-columns, matching a coverage table."""
+    def table_rows(self) -> list[dict]:
+        """Rows (n, d, coordinate) x method-columns for the tracked coordinates: the coverage table."""
         cfg = self.config
         rows = []
-        for coord in tracked:
+        for coord in cfg["tracked"]:
             row = {"n": cfg["n"], "d": cfg["d"], "beta": cfg["beta"], "coordinate": coord}
             for method, report in self.reports.items():
                 row[method] = float(report.rates[coord - 1])
@@ -131,7 +131,8 @@ def run_coverage_experiment(
     around it, and scores the intervals against the known leading
     eigenvector. Reports aggregate per coordinate over all trials. Every
     step takes ``DEFAULT_ALPHA``, as in :func:`method_variance`; ``m1``/``m2``
-    fix ojavarest's schedule, which is checked before any trial runs.
+    fix ojavarest's schedule, which is checked, with ``level`` and
+    ``tracked``, before any trial runs.
 
     In a process with one OS thread, now and when this package was imported
     (``IMPORT_THREADS``), the trials are cut into one contiguous
@@ -143,6 +144,7 @@ def run_coverage_experiment(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_level(level)
     replica_counts = parse_methods(methods)
     tracked = tuple(tracked)
     for i, c in enumerate(tracked):
@@ -224,32 +226,22 @@ def _received(child: Child | None):
         return None
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """End-to-end wall clock of one method on one dataset."""
-
-    method: str
-    n: int
-    d: int
-    vtilde_ms: float
-    estimate_ms: float
-    total_ms: float
-
-
 def run_bench(
     n: int,
     d: int,
     methods: tuple[str, ...],
     beta: float = 1.0,
     seed: SeedSpec = SeedSpec(0),
-) -> list[BenchRecord]:
+) -> list[dict]:
     """Time each method on one shared dataset, one phase at a time.
 
-    The proxy-vector pass is timed separately from the variance estimation:
-    the estimators take the proxy as an input, so ``estimate_ms`` is the
-    apples-to-apples cost of the uncertainty step itself. An untimed warmup
-    pass runs first so the earliest method is not charged for cache faults.
-    Every spec is parsed, and a repeat refused, before any of that runs.
+    One row per method, keyed ``method, n, d, vtilde_ms, estimate_ms,
+    total_ms`` as it is written. The proxy-vector pass is timed separately
+    from the variance estimation: the estimators take the proxy as an input,
+    so ``estimate_ms`` is the apples-to-apples cost of the uncertainty step
+    itself. An untimed warmup pass runs first so the earliest method is not
+    charged for cache faults. Every spec is parsed, and a repeat refused,
+    before any of that runs.
     """
     parse_methods(methods)
     _, eigen, root = build_sigma(d, beta)
@@ -257,7 +249,7 @@ def run_bench(
     data = sample(root, n, seed.child(SeedLabel.DATA).rng())
     proxy(data, gap, DEFAULT_ALPHA, seed.child(SeedLabel.WARMUP))  # warmup, untimed
 
-    records: list[BenchRecord] = []
+    records = []
     for idx, method_spec in enumerate(methods):
         st = seed.child(SeedLabel.BENCH + idx)
         t0 = time.perf_counter()
@@ -265,12 +257,8 @@ def run_bench(
         t1 = time.perf_counter()
         method_variance(method_spec, data, vtilde, gap, DEFAULT_ALPHA, st)
         t2 = time.perf_counter()
-        records.append(BenchRecord(
-            method=method_spec, n=n, d=d,
-            vtilde_ms=(t1 - t0) * 1e3,
-            estimate_ms=(t2 - t1) * 1e3,
-            total_ms=(t2 - t0) * 1e3,
-        ))
+        records.append({"method": method_spec, "n": n, "d": d, "vtilde_ms": (t1 - t0) * 1e3,
+                        "estimate_ms": (t2 - t1) * 1e3, "total_ms": (t2 - t0) * 1e3})
     return records
 
 

@@ -41,6 +41,12 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def check_level(level: float) -> None:
+    """Refuse a confidence level outside (0, 1), NaN included."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1) (got {level})")
+
+
 @dataclass(frozen=True)
 class ConfidenceBand:
     """Symmetric per-coordinate intervals center +/- half_width."""
@@ -56,8 +62,7 @@ class ConfidenceBand:
             raise ValueError("half_width must match the center's dimension")
         if np.any(hw < 0.0):
             raise ValueError("half widths must be nonnegative")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1) (got {self.level})")
+        check_level(self.level)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_width", hw)
 
@@ -74,6 +79,7 @@ def build_ci(vtilde: np.ndarray, sigma2: np.ndarray, level: float) -> Confidence
     ``sigma2`` is the variance at the interval's scale, as
     :func:`ojainfer.experiments.method_variance` returns it.
     """
+    check_level(level)
     sigma2 = np.asarray(sigma2, dtype=np.float64).reshape(-1)
     if np.any(sigma2 < 0.0):
         raise ValueError("variance estimates must be nonnegative")

@@ -1,4 +1,4 @@
-"""File formats and run manifests.
+"""File formats.
 
 One interchange format: rectangular numeric CSV for datasets and record
 streams, JSON for structured reports. Floats are written with 17 significant
@@ -12,31 +12,21 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import warnings
-from dataclasses import dataclass, fields, is_dataclass
-from datetime import datetime, timezone
+from dataclasses import fields, is_dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .core import Dataset
 from .workers import forked, usable_cpus
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            return str(float(value))
-        return format(float(value), ".17g")
-    if value is None:
-        return ""
-    return str(value)
+        return format(float(value), ".17g")  # also nan, inf and -inf
+    return "" if value is None else str(value)
 
 
 # The one set of loadtxt options: the whole file and every byte range parse alike.
@@ -189,18 +179,8 @@ def write_csv(data: Dataset, path) -> None:
     np.savetxt(path, data.samples, fmt="%.17g", delimiter=",")
 
 
-def _record_dict(record) -> dict:
-    if isinstance(record, dict):
-        return record
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-def write_results(records, path) -> None:
-    """Persist a non-empty record stream as CSV, columns in the first record's order.
-
-    ``records`` may be dicts or dataclass instances.
-    """
-    rows = [_record_dict(r) for r in records]
+def write_results(rows: list[dict], path) -> None:
+    """Persist a non-empty list of dict rows as CSV, columns in the first row's order."""
     if not rows:
         raise ValueError("an empty record stream has no columns to write")
     fieldnames = list(rows[0].keys())
@@ -216,7 +196,7 @@ def _jsonable(value):
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if is_dataclass(value):
-        return _record_dict(value)
+        return {f.name: getattr(value, f.name) for f in fields(value)}
     return str(value)
 
 
@@ -238,29 +218,3 @@ def content_hash_file(path) -> str:
 def content_hash_config(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, default=_jsonable).encode("utf-8")
     return hashlib.sha256(canon).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Provenance sidecar written next to every output file."""
-
-    subcommand: str
-    config: dict
-    seed: int
-    content_hash: str
-    started_at: str = ""
-    finished_at: str = ""
-    version: str = __version__
-
-    def start(self) -> "RunManifest":
-        self.started_at = datetime.now(timezone.utc).isoformat()
-        return self
-
-    def finish(self) -> "RunManifest":
-        self.finished_at = datetime.now(timezone.utc).isoformat()
-        return self
-
-    def write_beside(self, out_path) -> Path:
-        target = Path(str(out_path) + ".manifest.json")
-        write_json(target, self)
-        return target

@@ -29,10 +29,10 @@ def learning_rate(n: float, gap: float, alpha: float) -> float:
     """Constant step size alpha * ln(n) / (n * gap) for a pass of length n."""
     if not n >= 2:
         raise ValueError(f"need n >= 2 samples for a learning rate (got {n})")
-    if not gap > 0.0:
-        raise ValueError(f"gap must be positive (got {gap})")
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1 (got {alpha})")
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"gap must be positive and finite (got {gap})")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 1 and be finite (got {alpha})")
     return alpha * math.log(n) / (n * gap)
 
 

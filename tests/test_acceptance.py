@@ -51,7 +51,7 @@ def coverage_pipeline(out_dir, tag):
     outcome = run_coverage_experiment(seed=SeedSpec(COVERAGE_SEED), **COVERAGE_CONFIG)
     table_path = out_dir / f"coverage_{tag}.csv"
     records_path = out_dir / f"records_{tag}.csv"
-    write_results(outcome.table_rows(COVERAGE_CONFIG["tracked"]), table_path)
+    write_results(outcome.table_rows(), table_path)
     write_results(outcome.records, records_path)
     return outcome, table_path, records_path
 
@@ -218,7 +218,7 @@ def test_08_timing_comparison():
     samples = {m: [] for m in methods}
     for _ in range(3):
         for rec in run_bench(n=5000, d=1000, methods=methods, seed=SeedSpec(2008)):
-            samples[rec.method].append(rec.estimate_ms)
+            samples[rec["method"]].append(rec["estimate_ms"])
     est = {m: float(np.median(v)) for m, v in samples.items()}
     r1 = est["ojavarest"] / est["bootstrap:1"]
     r20 = est["ojavarest"] / est["bootstrap:20"]

@@ -1,10 +1,11 @@
 import csv
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, build_sigma, cli, experiments
+from ojainfer import SeedSpec, __version__, build_sigma, cli, experiments
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import read_csv
 from ojainfer.synth import HALF_WIDTH
@@ -218,6 +219,20 @@ def test_json_top_level_keys(tmp_path, small_csv, command):
     assert list(json.loads(out.read_text())) == keys
 
 
+def test_manifest_layout(tmp_path, small_csv):
+    out = tmp_path / "v.json"
+    assert run(["--quiet", "--seed", "3", "varest", "--input", small_csv, "--m1", "2", "--m2", "2",
+                "--out", out]) == 0
+    manifest = json.loads((tmp_path / "v.json.manifest.json").read_text())
+    assert list(manifest) == ["subcommand", "config", "seed", "content_hash", "started_at",
+                              "finished_at", "version"]
+    assert manifest["subcommand"] == "varest" and manifest["seed"] == manifest["config"]["seed"] == 3
+    assert manifest["content_hash"] == manifest["config"]["input_sha256"]
+    started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started_at", "finished_at"))
+    assert started.tzinfo is not None and started <= finished
+    assert manifest["version"] == __version__
+
+
 @pytest.mark.parametrize("flag", [["varest", "--format", "json"], ["varest", "--ci-scale", "full"],
                                   ["synth", "--n", "20", "--d", "3", "--mask-rate", "0.1"]])
 def test_removed_flags_are_refused(tmp_path, small_csv, flag):
@@ -393,6 +408,7 @@ class TestBenchCommand:
         code = run(["--quiet", "bench", "--n", "400", "--d", "10",
                     "--methods", "ojavarest,bootstrap:2", "--out", out])
         assert code == 0
+        assert out.read_text().splitlines()[0] == "method,n,d,vtilde_ms,estimate_ms,total_ms"
         rows = read_rows(out)
         assert [r["method"] for r in rows] == ["ojavarest", "bootstrap:2"]
         assert all(float(r["total_ms"]) >= 0 for r in rows)

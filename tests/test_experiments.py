@@ -74,6 +74,14 @@ class TestCoverageExperiment:
             run_coverage_experiment(methods=("bootstrap:2", "ojavarest"), **(SMALL | {"m1": 0}))
         assert calls == []
 
+    @pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+    def test_bad_level_rejected_before_the_first_trial(self, monkeypatch, level):
+        calls = []
+        monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match=rf"^level must lie in \(0, 1\) \(got {level}\)"):
+            run_coverage_experiment(methods=("ojavarest",), level=level, **SMALL)
+        assert calls == []
+
     def test_reports_and_records_share_one_scorer(self):
         methods, tracked = ("ojavarest", "bootstrap:2"), (1, 3, 6)
         outcome = run_coverage_experiment(methods=methods, tracked=tracked,
@@ -97,7 +105,7 @@ def _outputs(outcome):
     """The coverage table and the records without their wall clocks."""
     records = [{k: v for k, v in r.items() if not k.endswith("_ms")}
                for r in outcome.records]
-    return outcome.table_rows(FORKED["tracked"]), records
+    return outcome.table_rows(), records
 
 
 class TestForkedTrials:

@@ -77,8 +77,9 @@ class TestBuildCi:
         center = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             build_ci(center, np.array([-1.0, 0.0]), 0.95)
-        with pytest.raises(ValueError):
-            build_ci(center, np.zeros(2), 1.5)
+        for level in (1.5, 0.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^level must lie in \(0, 1\) \(got {level}\)"):
+                build_ci(center, np.zeros(2), level)
 
 
 class TestEvaluateCoverage:

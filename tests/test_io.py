@@ -1,5 +1,4 @@
 import csv
-import json
 import os
 import signal
 import time
@@ -14,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 from ojainfer import Dataset, SeedSpec
 from ojainfer import io as oio
 from ojainfer.io import (
-    RunManifest,
     content_hash_config,
     content_hash_file,
     read_csv,
@@ -271,6 +269,14 @@ class TestWriteResults:
         with open(path, newline="", encoding="utf-8") as fh:
             assert list(csv.DictReader(fh)) == [{"a": "1", "b": "0.5"}]
 
+    def test_cells_of_every_kind(self, tmp_path):
+        path = tmp_path / "kinds.csv"
+        write_results([{"t": True, "f": np.False_, "nan": float("nan"), "inf": np.inf,
+                        "ninf": -np.inf, "none": None, "f32": np.float32(0.1), "i": np.int64(3),
+                        "s": "bootstrap:2"}], path)
+        assert path.read_text().splitlines()[1] == \
+            "True,False,nan,inf,-inf,,0.10000000149011612,3,bootstrap:2"
+
     def test_many_records_round_trip_exactly(self, tmp_path):
         rng = SeedSpec(193).rng()
         records = [{"idx": i, "value": float(v), "label": "row"}
@@ -287,18 +293,6 @@ class TestWriteResults:
 
 
 class TestManifest:
-    def test_write_beside(self, tmp_path):
-        out = tmp_path / "result.json"
-        out.write_text("{}")
-        manifest = RunManifest(subcommand="oja", config={"alpha": 2.0}, seed=7,
-                               content_hash="abc").start().finish()
-        side = manifest.write_beside(out)
-        assert side.name == "result.json.manifest.json"
-        payload = json.loads(side.read_text())
-        assert payload["subcommand"] == "oja"
-        assert payload["seed"] == 7
-        assert payload["started_at"] and payload["finished_at"]
-
     def test_content_hashes_stable(self, tmp_path):
         f = tmp_path / "x.bin"
         f.write_bytes(b"12345")

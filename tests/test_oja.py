@@ -21,11 +21,13 @@ class TestLearningRate:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            learning_rate(1000, 0.0, 2.0)
-        with pytest.raises(ValueError):
             learning_rate(1, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            learning_rate(1000, 1.0, 1.0)
+        for gap in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^gap must be positive .*got {gap}"):
+                learning_rate(1000, gap, 2.0)
+        for alpha in (1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^alpha must exceed 1 .*got {alpha}"):
+                learning_rate(1000, 1.0, alpha)
 
 
 class TestOjaRun:
