@@ -29,16 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import EigenSystem, SeedSpec
 from .hoeffding import order1_contraction
+from .workers import cpu_ranges, run_parts
 
 DENOM_FLOOR = 1e-12
-POWER_ITERS = 50
 _CHUNK = 65536
 _BLOCK_ELEMS = 65536
+# A cap on the secular iterations; they settle in about five.
+_ROOT_ITERS = 50
+# The least step above a pole at 0; its square stays a normal double.
+_TINY = np.finfo(np.float64).tiny ** 0.5
 
 
 def _sigma_matrix(eigen: EigenSystem) -> np.ndarray:
@@ -101,29 +106,100 @@ class AsymptoticVariance:
         return np.diag(self.v).copy()
 
 
-def _operator_norms(x: np.ndarray, eigen: EigenSystem, rng: np.random.Generator) -> np.ndarray:
-    """Operator norm of x_i x_i^T - Sigma for each row x_i, by batched power iteration.
+def _model_roots(w1: np.ndarray, s2: np.ndarray, a: np.ndarray, gap: float):
+    """Roots y+ >= 0 >= y- of w1 / (y + gap) + s2 / y = a, elementwise (a >= 1, the rest >= 0).
 
-    The iteration runs in Sigma's eigenbasis, where z Sigma is lam * z, on
-    (d, rows) blocks of about ``_BLOCK_ELEMS`` entries that stay in cache.
+    The larger-magnitude root comes from the quadratic formula without
+    cancellation, the other from the product of the roots, -s2 gap / a.
+    """
+    p = w1 + s2 - a * gap
+    q = p + np.copysign(np.sqrt(p * p + 4.0 * a * s2 * gap), p)
+    far = q / (2.0 * a)
+    near = np.divide(-2.0 * s2 * gap, q, out=np.zeros_like(q), where=q != 0.0)
+    return np.maximum(far, near), np.minimum(far, near)
+
+
+def _fit(wb: np.ndarray, h: np.ndarray, y: np.ndarray):
+    """(s2, a) such that s2 / y + 1 - a matches sum_k wb_k / (y - h_k) in value and slope at y."""
+    v = wb / (y - h) ** 2
+    return y * y * v.sum(axis=0), 1.0 + (h * v).sum(axis=0)
+
+
+def _operator_norms(x: np.ndarray, eigen: EigenSystem) -> np.ndarray:
+    """Operator norm of x_i x_i^T - Sigma for each row x_i, exact to rounding.
+
+    In Sigma's eigenbasis a row is z = Q^T x and the draw z z^T - diag(lam), a
+    rank-one update of diag(-lam). Shifted by lam_2, its eigenvalues are the
+    roots y = mu + lam_2 of the secular equation (Bunch, Nielsen & Sorensen 1978)
+
+        w_1 / (y + g) + sum_{k >= 2} w_k / (y - h_k) = 1,
+        w = z**2,  g = lam_1 - lam_2,  h_k = lam_2 - lam_k >= 0,
+
+    and the norm is the larger of the top root less lam_2 and lam_2 less the
+    bottom root, which lies in [-g, 0]. Each iteration keeps the w_1 term and
+    replaces the others by s2 / y + 1 - a, matched in value and slope at the
+    iterate (:func:`_fit`); the model's root is the next iterate. Its pole at
+    h_2 = 0 is the farthest of theirs from the top root, so the model lies
+    below the secular function there and the top iterates rise to the root;
+    it is the nearest to the bottom root, so those iterates rise too. A row
+    leaves the iteration once its step is within a few ulps of the
+    spectrum's scale, or once its bottom root is known to lose to its top one.
+    Rows run in (d, rows) blocks of about ``_BLOCK_ELEMS`` entries that stay in
+    cache.
     """
     m, d = x.shape
-    z = rng.standard_normal((m, d))
-    q, lam = eigen.eigenvectors, eigen.eigenvalues[:, None]
+    lam = eigen.eigenvalues
+    gap = float(lam[0] - lam[1])
+    h = (lam[1] - lam[1:])[:, None]
+    tol = 4.0 * np.finfo(np.float64).eps
+    scale = float(lam[0] - lam[-1])
+    # The top root lies above h_d, the last pole, and beats the bottom one only
+    # above 2 lam_2; its iterates stay just above both, and a root below that
+    # floor is read as the larger of the two.
+    base = max(2.0 * float(lam[1]), float(h[-1, 0]))
+    floor = base + max(tol * abs(base), _TINY)
     step = max(1, _BLOCK_ELEMS // d)
     out = np.empty(m)
     for lo in range(0, m, step):
-        xb = q.T @ x[lo:lo + step].T
-        zb = q.T @ z[lo:lo + step].T
-        zb /= np.sqrt(np.einsum("ij,ij->j", zb, zb))
-        y = np.empty_like(zb)
-        for _ in range(POWER_ITERS + 1):    # the last pass gives the norms
-            np.multiply(xb, np.einsum("ij,ij->j", xb, zb), out=y)
-            zb *= lam
-            y -= zb
-            nrm = np.sqrt(np.einsum("ij,ij->j", y, y))
-            np.divide(y, np.where(nrm == 0.0, 1.0, nrm), out=zb)
-        out[lo:lo + step] = nrm
+        w = (eigen.eigenvectors.T @ x[lo:lo + step].T) ** 2
+        w1, wb = w[0], w[1:]
+        # The first top iterate is the root of the model at y = inf.
+        y = np.maximum(_model_roots(w1, wb.sum(axis=0), np.ones_like(w1), gap)[0], floor)
+        y = _secular_roots(w1, wb, h, gap, y, True, floor, tol, scale)
+        top = np.where(y > floor, y, base) - lam[1]
+        # lam_2 less the bottom root is at most lam_1, and is lam_1 when g = 0.
+        norm = np.maximum(top, lam[0])
+        rest = np.flatnonzero(top < lam[0])
+        if gap > 0.0 and rest.size:
+            y = _secular_roots(w1[rest], wb[:, rest], h, gap, np.full(rest.size, -gap), False,
+                               lam[1] - top[rest], tol, scale)
+            norm[rest] = np.maximum(top[rest], lam[1] - y)
+        out[lo:lo + step] = norm
+    return out
+
+
+def _secular_roots(w1, wb, h, gap, y, top, bound, tol, scale):
+    """Each column's top secular root, kept at least ``bound``, or its bottom one, from y upwards.
+
+    A bottom iterate also stops once it reaches its ``bound``: the root is
+    then at least that high, so it loses to the top root, and so does the
+    iterate.
+    """
+    bound = np.broadcast_to(bound, y.shape)
+    out = np.empty_like(y)
+    live = np.arange(y.size)
+    for _ in range(_ROOT_ITERS):
+        up, down = _model_roots(w1, *_fit(wb, h, y), gap)
+        new = np.maximum(up, bound) if top else down
+        done = np.abs(new - y) <= tol * (np.abs(new) + scale)
+        if not top:
+            done |= new >= bound
+        out[live[done]] = new[done]
+        keep = ~done
+        live, w1, wb, y, bound = live[keep], w1[keep], wb[:, keep], new[keep], bound[keep]
+        if not live.size:
+            return out
+    out[live] = y
     return out
 
 
@@ -172,7 +248,7 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
         w2 = w * w
         sum_w += w.T @ w                              # sum of w w^T, O(d^2) memory
         sum_w2 += w2.T @ w2                           # sum of (w w^T)**2, entrywise
-        q = _operator_norms(x, eigen, rng)
+        q = _operator_norms(x, eigen)
         sum_q2 += float((q**2).sum())
         sum_q4 += float((q**4).sum())
         done += m
@@ -268,27 +344,68 @@ def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,
     product, so no initial vector enters. Matches eta^2 Vp Rn Vp^T in
     expectation.
     """
-    eigen.require_gap()
-    if trials < 1:
-        raise ValueError(f"need trials >= 1 (got {trials})")
+    _check_trials(eigen, trials)
+    return _covariance(order1_terms(sampler, eigen, n, eta, seed, 0, trials), seed)
+
+
+def order1_terms(sampler, eigen: EigenSystem, n: int, eta: float, seed: SeedSpec,
+                 lo: int, hi: int) -> np.ndarray:
+    """The order-1 terms Psi of trials lo..hi-1, one (d,) row each; trial t draws from ``seed.child(t)``."""
     d = eigen.d
     v1 = eigen.leading
     vp = eigen.tail_basis
     sigma_v1 = _sigma_matrix(eigen) @ v1
     contract = order1_contraction(eigen, eta, n)
+    psi = np.empty((hi - lo, d))
+    for t in range(lo, hi):
+        x = _draw(sampler, seed.child(t).rng(), n, d)
+        psi[t - lo] = contract((x * (x @ v1)[:, None] - sigma_v1) @ vp)
+    return psi
+
+
+def _check_trials(eigen: EigenSystem, trials: int) -> None:
+    eigen.require_gap()
+    if trials < 1:
+        raise ValueError(f"need trials >= 1 (got {trials})")
+
+
+def _covariance(psi: np.ndarray, seed: SeedSpec) -> EmpiricalCovariance:
+    """Mean outer product of the rows of ``psi``, summed in row order, and its standard errors."""
+    trials, d = psi.shape
     sum_m = np.zeros((d, d))
     sum_m2 = np.zeros((d, d))
-    for t in range(trials):
-        rng = seed.child(t).rng()
-        x = _draw(sampler, rng, n, d)
-        psi = contract((x * (x @ v1)[:, None] - sigma_v1) @ vp)
-        outer = np.outer(psi, psi)
+    for row in psi:
+        outer = np.outer(row, row)
         sum_m += outer
         sum_m2 += outer**2
     mean = sum_m / trials
     var = np.maximum(sum_m2 / trials - mean**2, 0.0)
     stderr = np.sqrt(var / trials)
     return EmpiricalCovariance(matrix=mean, stderr=stderr, trials=trials, seed=seed)
+
+
+def moments_and_trials(sampler, eigen: EigenSystem, mc_samples: int, moment_seed: SeedSpec,
+                       n: int | None, eta: float | None, trials: int, trial_seed: SeedSpec
+                       ) -> tuple[MomentEstimates, EmpiricalCovariance | None, dict]:
+    """:func:`estimate_mtilde`, and with ``trials`` > 0 :func:`empirical_hajek_covariance` beside it.
+
+    The parts handed to :func:`~ojainfer.workers.run_parts` are trial range
+    0, the moment estimate, then one contiguous range of trials per further
+    usable CPU; in a single-threaded process range 0 runs here and the others
+    on forked workers. Each range returns its :func:`order1_terms`, summed
+    here in trial order, so both estimates are those of the two calls made
+    one after the other. Returns (moments, the empirical covariance or None,
+    run_parts' run record).
+    """
+    estimate = partial(estimate_mtilde, sampler, eigen, mc_samples, moment_seed)
+    if trials == 0:
+        (moments,), run = run_parts([estimate])
+        return moments, None, run
+    _check_trials(eigen, trials)
+    ranges = [partial(order1_terms, sampler, eigen, n, eta, trial_seed, lo, hi)
+              for lo, hi in cpu_ranges(trials)]
+    (first, moments, *rest), run = run_parts([ranges[0], estimate, *ranges[1:]])
+    return moments, _covariance(np.concatenate([first, *rest]), trial_seed), run
 
 
 def ck_diagnostic(psi_variances: np.ndarray, eta: float, gap: float, m2: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, experiments
-from .asymvar import build_r0_v, ck_diagnostic, empirical_hajek_covariance, estimate_mtilde, with_rn
+from .asymvar import build_r0_v, ck_diagnostic, moments_and_trials, with_rn
 from .core import SeedLabel, SeedSpec, eigendecompose, sample_covariance
 from .hoeffding import residual_decomposition
 from .inference import build_ci
@@ -162,6 +162,10 @@ def _check_flags(args) -> None:
     elif args.subcommand == "asymvar":
         if args.trials < 0:
             raise ValueError(f"--trials must be at least 0 (got {args.trials})")
+        if args.mc_samples < 100:
+            raise ValueError(f"--mc-samples must be at least 100 (got {args.mc_samples})")
+        if args.n is not None and args.n < 2:
+            raise ValueError(f"--n must be at least 2 (got {args.n})")
         if args.trials > 0 and args.n is None:
             raise ValueError("--trials needs --n: the empirical check runs at that horizon")
         if args.alpha is not None and args.n is None:
@@ -262,22 +266,21 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
     _, eigen, root = build_sigma(args.d, args.beta)
-    sampler = vector_sampler(root)
-    moments = estimate_mtilde(sampler, eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS))
-    asym = build_r0_v(moments, eigen)
-    payload = {"moments": moments, "asymptotic": asym, "eigenvalues": eigen.eigenvalues}
+    gap = eigen.require_gap()
+    eta = None if args.n is None else learning_rate(args.n, gap, args.alpha)
+    moments, emp, run = moments_and_trials(
+        vector_sampler(root), eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS),
+        args.n, eta, args.trials, seed.child(SeedLabel.EMPIRICAL))
+    payload = {"moments": moments, "asymptotic": build_r0_v(moments, eigen),
+               "eigenvalues": eigen.eigenvalues}
     if args.n is not None:
-        gap = eigen.require_gap()
-        eta = learning_rate(args.n, gap, args.alpha)
-        payload["asymptotic"] = with_rn(asym, moments, eigen, args.n, eta)
-        if args.trials > 0:
-            emp = empirical_hajek_covariance(sampler, eigen, args.n, eta,
-                                             args.trials, seed.child(SeedLabel.EMPIRICAL))
-            payload["empirical"] = emp
-            payload["ck"] = ck_diagnostic(np.diag(emp.matrix), eta, gap, moments.m2)
+        payload["asymptotic"] = with_rn(payload["asymptotic"], moments, eigen, args.n, eta)
+    if emp is not None:
+        payload["empirical"] = emp
+        payload["ck"] = ck_diagnostic(np.diag(emp.matrix), eta, gap, moments.m2)
     write_json(args.out, payload)
     return {"d": args.d, "beta": args.beta, "mc_samples": args.mc_samples,
-            "n": args.n, "trials": args.trials}
+            "n": args.n, "trials": args.trials} | run
 
 
 _HANDLERS = {

@@ -7,7 +7,6 @@ around compute only and never feed back into results.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -20,7 +19,7 @@ from .inference import CoverageReport, band_hits, build_ci, check_level
 from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import build_sigma, sample
 from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest, plan_schedule
-from .workers import IMPORT_THREADS, Child, forked, os_threads, usable_cpus
+from .workers import cpu_ranges, run_parts
 
 DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
@@ -134,13 +133,12 @@ def run_coverage_experiment(
     fix ojavarest's schedule, which is checked, with ``level`` and
     ``tracked``, before any trial runs.
 
-    In a process with one OS thread, now and when this package was imported
-    (``IMPORT_THREADS``), the trials are cut into one contiguous
-    range per usable CPU: range 0 runs here, each other range in a
-    :func:`forked` child that pickles its hits and records back. A range
-    whose child failed is run again here, so an error is raised as it would
-    be in-process. Outputs are those of the in-process loop, bar the
-    ``*_ms`` clocks, which time the process that ran the trial.
+    The trials are cut into one contiguous range per usable CPU and run by
+    :func:`~ojainfer.workers.run_parts`: in a single-threaded process range 0
+    runs here and each other range in a forked child that pickles its hits
+    and records back. Outputs are those of the in-process loop, bar the
+    ``*_ms`` clocks, which time the process that ran the trial. The config
+    ends with run_parts' ``workers`` and ``reruns``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -184,46 +182,16 @@ def run_coverage_experiment(
             del data  # else it stays alive while the next trial draws its own
         return hits, records
 
-    # Fork only from one thread, now and at import: a forked child restarts its BLAS
-    # pool, whose threads then spin on the parent's CPUs (with numpy's default pool
-    # the split ran twice as slow), and fork from a threaded process is unsafe.
-    workers = min(usable_cpus(), trials) if IMPORT_THREADS == 1 and os_threads() == 1 else 1
-    ranges = [(trials * k // workers, trials * (k + 1) // workers) for k in range(workers)]
-    jobs = [partial(_send_trials, run_trials, lo, hi) for lo, hi in ranges[1:]]
-    with forked(jobs) as children:
-        parts = [run_trials(*ranges[0])]
-        for child, (lo, hi) in zip(children, ranges[1:]):
-            part = _received(child)
-            parts.append(run_trials(lo, hi) if part is None else part)
+    parts, run = run_parts([partial(run_trials, lo, hi) for lo, hi in cpu_ranges(trials)])
     hits = {m: sum(part_hits[m] for part_hits, _ in parts) for m in methods}
     records = [record for _, part_records in parts for record in part_records]
     config = {
         "n": n, "d": d, "beta": beta, "trials": trials, "level": level,
         "methods": list(methods), "m1": m1, "m2": m2, "alpha": DEFAULT_ALPHA,
         "seed": seed.master, "tracked": list(tracked),
-    }
+    } | run
     reports = {m: CoverageReport(trials=trials, hits=hits[m]) for m in methods}
     return CoverageOutcome(reports=reports, records=records, config=config)
-
-
-def _send_trials(run_trials, lo: int, hi: int, wfd: int) -> None:
-    """Forked child's job: run trials lo..hi-1 and pickle their hits and records to ``wfd``."""
-    result = run_trials(lo, hi)
-    with open(wfd, "wb") as out:
-        pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _received(child: Child | None):
-    """What a child's job sent, or None if it did not fork, exited non-zero or sent a short pickle."""
-    if child is None:
-        return None
-    payload = child.stream.read()
-    if not child.succeeded():
-        return None
-    try:
-        return pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):
-        return None
 
 
 def run_bench(

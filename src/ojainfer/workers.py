@@ -4,15 +4,21 @@ A caller hands :func:`forked` one job per child. Each child runs its job on
 the write end of a pipe and leaves by ``os._exit``; the caller reads the
 read ends and decides, from what arrived and from each exit status, whether
 to use a child's share or to do that share itself. No child outlives the
-``with`` block.
+``with`` block. :func:`run_parts` is that decision for work cut into parts
+whose results pickle: the coverage trials and ``asymvar``'s estimators.
 """
 
 from __future__ import annotations
 
+import logging
 import os
+import pickle
 import signal
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator
+
+log = logging.getLogger(__name__)
 
 
 def usable_cpus() -> int:
@@ -20,6 +26,12 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def cpu_ranges(count: int) -> list[tuple[int, int]]:
+    """``count`` items cut into min(usable CPUs, count) contiguous (lo, hi) ranges, in order."""
+    parts = min(usable_cpus(), count)
+    return [(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
 
 
 def os_threads() -> int | None:
@@ -98,3 +110,53 @@ def forked(jobs: list[Callable[[int], None]]) -> Iterator[list[Child | None]]:
             except ProcessLookupError:
                 pass
             os.waitpid(child.pid, 0)
+
+
+def run_parts(parts: list[Callable[[], object]]) -> tuple[list, dict]:
+    """Run each part and return their results in order, with the run record.
+
+    In a process with one OS thread, now and when this package was imported
+    (``IMPORT_THREADS``), part 0 runs here and each other part in a
+    :func:`forked` child that pickles its result back. A part whose child did
+    not fork, exited non-zero or sent a short pickle runs again here, with a
+    logged warning, so an error is raised as it would be in-process. In any
+    other process every part runs here, in order. The record is
+    ``{"workers": processes that ran parts, "reruns": indices of the parts run again here}``.
+    """
+    # Fork only from one thread, now and at import: a forked child restarts its BLAS
+    # pool, whose threads then spin on the parent's CPUs (with numpy's default pool
+    # the split coverage ran twice as slow), and fork from a threaded process is unsafe.
+    if len(parts) < 2 or not (IMPORT_THREADS == 1 and os_threads() == 1):
+        return [part() for part in parts], {"workers": 1, "reruns": []}
+    results, reruns = [], []
+    with forked([partial(_send, part) for part in parts[1:]]) as children:
+        results.append(parts[0]())
+        for k, child in enumerate(children, 1):
+            sent, result = _received(child)
+            if not sent:
+                log.warning("part %d of %d: its worker failed, so it runs again here", k, len(parts))
+                reruns.append(k)
+                result = parts[k]()
+            results.append(result)
+    return results, {"workers": len(parts), "reruns": reruns}
+
+
+def _send(part: Callable[[], object], wfd: int) -> None:
+    """Forked child's job: run ``part`` and pickle its result to ``wfd``."""
+    result = part()
+    with open(wfd, "wb") as out:
+        pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _received(child: Child | None) -> tuple[bool, object]:
+    """(True, what the child's part returned), or (False, None) if it did not fork,
+    exited non-zero or sent a short pickle."""
+    if child is None:
+        return False, None
+    payload = child.stream.read()
+    if not child.succeeded():
+        return False, None
+    try:
+        return True, pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        return False, None

@@ -4,11 +4,10 @@
 normalisation per sample, with no blocking; the tests compare
 ``ojainfer.oja.oja_kernel`` and every pass built on it against it.
 ``write_csv_cells`` is the per-cell CSV writer that ``ojainfer.io.write_csv``
-must match byte for byte. ``operator_norms_rows`` is the power iteration on
-(m, d) rows in the original basis, and ``hajek_vector`` the order-1 term of
-one trial with its weight table built in place; ``ojainfer.asymvar`` must
-match both. ``sample_blocks`` is ``ojainfer.synth.sample`` as a stack of
-per-block products.
+must match byte for byte. ``hajek_vector`` is the order-1 term of one trial
+with its weight table built in place; ``ojainfer.asymvar`` must match it.
+``sample_blocks`` is ``ojainfer.synth.sample`` as a stack of per-block
+products.
 """
 
 import csv
@@ -40,22 +39,6 @@ def write_csv_cells(samples, path):
         writer = csv.writer(fh, lineterminator="\n")
         for row in samples:
             writer.writerow([_fmt(v) for v in row])
-
-
-def operator_norms_rows(x, sigma, rng, iters=50):
-    """Power-iterate each row's x x^T - Sigma from one normal start vector."""
-    m, d = x.shape
-    z = rng.standard_normal((m, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    for _ in range(iters):
-        s = np.einsum("ij,ij->i", x, z)
-        y = x * s[:, None] - z @ sigma
-        nrm = np.linalg.norm(y, axis=1, keepdims=True)
-        nrm[nrm == 0.0] = 1.0
-        z = y / nrm
-    s = np.einsum("ij,ij->i", x, z)
-    y = x * s[:, None] - z @ sigma
-    return np.linalg.norm(y, axis=1)
 
 
 def hajek_vector(x, eigen, eta, sigma_v1):

@@ -1,3 +1,7 @@
+import logging
+import os
+import pickle
+import signal
 import tracemalloc
 
 import numpy as np
@@ -11,21 +15,22 @@ from ojainfer import (
     SeedSpec,
     build_r0_v,
     build_rn,
+    build_sigma,
     eigendecompose,
     empirical_hajek_covariance,
     estimate_mtilde,
     hajek_projection,
     learning_rate,
 )
-from ojainfer import asymvar
 from ojainfer.asymvar import _BLOCK_ELEMS, _CHUNK, _operator_norms, _sigma_matrix
-from ojainfer.asymvar import ck_diagnostic, contraction_factors, with_rn
+from ojainfer import asymvar, workers
+from ojainfer.asymvar import ck_diagnostic, contraction_factors, moments_and_trials, with_rn
 from ojainfer.core import EigenSystem
 from ojainfer.hoeffding import order1_contraction
 from ojainfer.synth import vector_sampler
 
 from conftest import rank_one
-from oracle import hajek_vector, operator_norms_rows
+from oracle import hajek_vector
 
 
 def closed_form_mtilde(sigma, root, eigen):
@@ -279,52 +284,96 @@ def random_eigen(rng, d, null=False):
 ROW_COUNTS = ("one", "below", "equal", "blocks_and_part")
 
 
-class TestOperatorNormsAgainstOracle:
+def eigvalsh_norms(x, eigen):
+    """max |eigenvalue| of each x_i x_i^T - Sigma by one batched eigvalsh call."""
+    vals = np.linalg.eigvalsh(x[:, :, None] * x[:, None, :] - _sigma_matrix(eigen))
+    return np.maximum(vals[:, -1], -vals[:, 0])
+
+
+class TestOperatorNormsAgainstEigvalsh:
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 60), rows=st.sampled_from(ROW_COUNTS),
-           part=st.floats(0.0, 1.0), zero_row=st.booleans(), null=st.booleans())
-    @example(seed=1, d=2, rows="one", part=0.0, zero_row=True, null=True)
-    @example(seed=2, d=60, rows="blocks_and_part", part=0.5, zero_row=True, null=True)
+           part=st.floats(0.0, 1.0), zero_row=st.booleans(),
+           sigma=st.sampled_from(["random", "null", "tied"]))
+    @example(seed=1, d=2, rows="one", part=0.0, zero_row=True, sigma="null")
+    @example(seed=2, d=60, rows="blocks_and_part", part=0.5, zero_row=True, sigma="tied")
+    @example(seed=3, d=2, rows="below", part=0.0, zero_row=False, sigma="tied")
     @settings(max_examples=40)
-    def test_rows_match_oracle(self, seed, d, rows, part, zero_row, null):
+    def test_rows_match_eigvalsh(self, seed, d, rows, part, zero_row, sigma):
         # The block holds _BLOCK_ELEMS // d rows; m runs below, at and across
-        # it. A zero row against a zero Sigma makes a zero iterate, which the
-        # nrm == 0 guard must carry through as in the oracle.
+        # it. Sigma is random, zero, or has lambda_1 = lambda_2; a zero row
+        # has the norm max |lambda|.
         step = _BLOCK_ELEMS // d
         m = {"one": 1, "below": step - 1, "equal": step,
              "blocks_and_part": 2 * step + 1 + int(part * (step - 2))}[rows]
         rng = SeedSpec(seed).rng()
-        eigen = random_eigen(rng, d, null)
-        sigma = _sigma_matrix(eigen)
+        eigen = random_eigen(rng, d, sigma == "null")
+        if sigma == "tied":
+            lam = eigen.eigenvalues.copy()
+            lam[1] = lam[0]
+            eigen = EigenSystem(lam, eigen.eigenvectors)
         x = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0, size=d)
         if zero_row:
             x[rng.integers(m)] = 0.0
-        got = _operator_norms(x, eigen, SeedSpec(seed, (1,)).rng())
-        ref = operator_norms_rows(x, sigma, SeedSpec(seed, (1,)).rng())
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_operator_norms(x, eigen), eigvalsh_norms(x, eigen),
+                                   rtol=1e-12, atol=0.0)
 
     def test_zero_row_against_zero_sigma_is_zero(self):
         eigen = random_eigen(SeedSpec(3).rng(), 4, null=True)
         x = np.zeros((3, 4))
         x[1] = [1.0, -2.0, 0.5, 3.0]
-        got = _operator_norms(x, eigen, SeedSpec(4).rng())
+        got = _operator_norms(x, eigen)
         assert got[0] == 0.0 and got[2] == 0.0
         assert got[1] == pytest.approx(float(x[1] @ x[1]), rel=1e-12)
 
-    def test_stream_pinned_to_oracle(self, synth3, monkeypatch):
-        # Two chunks: the second chunk's draws follow the first chunk's power
-        # iteration start vectors, so any change in what the iteration takes
-        # from the stream would move mtilde, mc_stderr and vstat.
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_top_and_bottom_eigenvalue_of_equal_size(self, d):
+        # Along a fixed direction u, scaling x = r u moves the top eigenvalue of
+        # x x^T - Sigma from below |bottom| to above it; bisect r to where the
+        # two agree and check rows on both sides of that point.
+        rng = SeedSpec(40 + d).rng()
+        eigen = random_eigen(rng, d)
+        u = rng.standard_normal(d)
+
+        def excess(r):
+            vals = np.linalg.eigvalsh(r * r * np.outer(u, u) - _sigma_matrix(eigen))
+            return vals[-1] + vals[0]
+
+        lo, hi = 0.0, 10.0 * np.sqrt(eigen.eigenvalues[0]) / np.linalg.norm(u)
+        for _ in range(100):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+        x = np.outer((lo + hi) / 2.0 * (1.0 + np.linspace(-1e-6, 1e-6, 41)), u)
+        np.testing.assert_allclose(_operator_norms(x, eigen), eigvalsh_norms(x, eigen),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [5, 50])
+    def test_draws_where_the_power_iteration_read_low(self, d):
+        # 2000 draws at seed 5; 50 power-iteration steps from seed-6 starts read
+        # these norms up to 3.9e-2 (d = 5) and 5.5e-2 (d = 50) short.
+        sigma, eigen, root = build_sigma(d, 1.0)
+        x = vector_sampler(root)(SeedSpec(5).rng(), 2000)
+        np.testing.assert_allclose(_operator_norms(x, eigen), eigvalsh_norms(x, eigen),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_stream_feeds_the_sampler_alone(self, synth3):
+        # Two chunks: the norms draw nothing, so the second chunk's rows follow
+        # the first chunk's on the stream, and mtilde is that of the same rows
+        # with the norms taken by eigvalsh.
         sigma, eigen, root = synth3
         mc = _CHUNK + 777
-        fast = estimate_mtilde(vector_sampler(root), eigen, mc, SeedSpec(21))
-        monkeypatch.setattr(asymvar, "_operator_norms",
-                            lambda x, eig, rng: operator_norms_rows(x, _sigma_matrix(eig), rng))
-        ref = estimate_mtilde(vector_sampler(root), eigen, mc, SeedSpec(21))
-        np.testing.assert_array_equal(fast.mtilde, ref.mtilde)
-        np.testing.assert_array_equal(fast.mc_stderr, ref.mc_stderr)
-        assert fast.vstat == ref.vstat
-        assert fast.m2 == pytest.approx(ref.m2, rel=1e-12)
-        assert fast.m4 == pytest.approx(ref.m4, rel=1e-12)
+        sampler, draws = vector_sampler(root), []
+
+        def keep(rng, m):
+            draws.append(sampler(rng, m))
+            return draws[-1]
+
+        got = estimate_mtilde(keep, eigen, mc, SeedSpec(21))
+        rng = SeedSpec(21).rng()
+        for rows, m in zip(draws, (_CHUNK, 777), strict=True):
+            np.testing.assert_array_equal(rows, sampler(rng, m))
+        q = eigvalsh_norms(np.vstack(draws), eigen)
+        assert got.m2 == pytest.approx(np.sqrt(np.mean(q**2)), rel=1e-12)
+        assert got.m4 == pytest.approx(np.mean(q**4) ** 0.25, rel=1e-12)
 
 
 class TestOrderOneAgainstOracle:
@@ -351,3 +400,104 @@ class TestOrderOneAgainstOracle:
                 for t in range(trials)]
         ref = np.mean([np.outer(p, p) for p in psis], axis=0)
         assert np.max(np.abs(emp.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+FORKED = dict(mc_samples=3000, n=60, trials=5)
+
+
+class TestForkedAsymvar:
+    """moments_and_trials' parts split over forked children, forced on by the probes."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the parent's os.fork calls; split(c, fork) sets c usable CPUs and opens or shuts the gate."""
+        calls = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+
+        def split(cpus, fork=True):
+            monkeypatch.setattr(workers, "IMPORT_THREADS", 1 if fork else 2)
+            monkeypatch.setattr(workers, "os_threads", lambda: 1)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+
+        return calls, split
+
+    @staticmethod
+    def _run(synth5, trials=FORKED["trials"]):
+        sigma, eigen, root = synth5
+        eta = learning_rate(FORKED["n"], eigen.gap, 2.0)
+        return moments_and_trials(vector_sampler(root), eigen, FORKED["mc_samples"], SeedSpec(31),
+                                  FORKED["n"], eta, trials, SeedSpec(32))
+
+    @staticmethod
+    def _outputs(result):
+        moments, emp, _ = result
+        return ([moments.m2, moments.m4, moments.vstat, moments.mtilde.tolist(),
+                 moments.mc_stderr.tolist()], emp and [emp.matrix.tolist(), emp.stderr.tolist()])
+
+    @staticmethod
+    def _in_child(monkeypatch, name, action):
+        """Run ``action(pid)`` when asymvar.<name> starts in a forked child."""
+        parent, real = os.getpid(), getattr(asymvar, name)
+
+        def probe(*args):
+            if os.getpid() != parent:
+                action(os.getpid())
+            return real(*args)
+
+        monkeypatch.setattr(asymvar, name, probe)
+
+    def test_in_process_run_is_the_two_calls(self, forks, synth5):
+        calls, split = forks
+        split(3, fork=False)
+        moments, emp, run = self._run(synth5)
+        sigma, eigen, root = synth5
+        eta = learning_rate(FORKED["n"], eigen.gap, 2.0)
+        ref_m = estimate_mtilde(vector_sampler(root), eigen, FORKED["mc_samples"], SeedSpec(31))
+        ref_e = empirical_hajek_covariance(vector_sampler(root), eigen, FORKED["n"], eta,
+                                           FORKED["trials"], SeedSpec(32))
+        assert self._outputs((moments, emp, run)) == self._outputs((ref_m, ref_e, None))
+        assert calls == [] and run == {"workers": 1, "reruns": []}
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_outputs_match_the_in_process_run(self, forks, synth5, cpus):
+        calls, split = forks
+        split(cpus, fork=False)
+        want = self._outputs(self._run(synth5))
+        split(cpus)
+        result = self._run(synth5)
+        assert self._outputs(result) == want
+        assert len(calls) == cpus and result[2] == {"workers": cpus + 1, "reruns": []}
+
+    def test_no_trials_runs_the_moments_here(self, forks, synth5):
+        calls, split = forks
+        split(2)
+        moments, emp, run = self._run(synth5, trials=0)
+        assert emp is None and calls == [] and run == {"workers": 1, "reruns": []}
+
+    @staticmethod
+    def _short_pickle(part, wfd):
+        with open(wfd, "wb") as out:
+            out.write(pickle.dumps(part())[:-8])
+
+    @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle"])
+    @pytest.mark.parametrize("part", ["estimate_mtilde", "order1_terms"])
+    def test_failed_child_is_recomputed_here(self, forks, synth5, monkeypatch, caplog, death, part):
+        # Part 1 is the moment estimate, part 2 trial range 1.
+        calls, split = forks
+        split(2, fork=False)
+        want = self._outputs(self._run(synth5))
+        if death == "short-pickle":
+            monkeypatch.setattr(workers, "_send", self._short_pickle)
+            reruns = [1, 2]
+        else:
+            kill = {"sigkill": lambda pid: os.kill(pid, signal.SIGKILL), "exit-3": lambda pid: os._exit(3)}
+            self._in_child(monkeypatch, part, kill[death])
+            reruns = [1] if part == "estimate_mtilde" else [2]
+        split(2)
+        with caplog.at_level(logging.WARNING, logger="ojainfer.workers"):
+            result = self._run(synth5)
+        assert self._outputs(result) == want
+        assert len(calls) == 2 and result[2] == {"workers": 3, "reruns": reruns}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"part {k} of 3: its worker failed, so it runs again here" for k in reruns]

@@ -5,9 +5,9 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, __version__, build_sigma, cli, experiments
+from ojainfer import SeedSpec, __version__, asymvar, build_sigma, cli, experiments
 from ojainfer.cli import cli_dispatch
-from ojainfer.io import read_csv
+from ojainfer.io import content_hash_config, read_csv
 from ojainfer.synth import HALF_WIDTH
 
 
@@ -231,6 +231,20 @@ def test_manifest_layout(tmp_path, small_csv):
     started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started_at", "finished_at"))
     assert started.tzinfo is not None and started <= finished
     assert manifest["version"] == __version__
+    # coverage and asymvar end the config with the run record of their workers;
+    # the hash is taken before the handler runs, so it covers the flags alone.
+    for argv in (["coverage", "--n", "300", "--d", "4", "--trials", "2", "--methods", "ojavarest",
+                  "--m1", "2", "--m2", "2"],
+                 ["asymvar", "--d", "3", "--mc-samples", "500", "--n", "100", "--trials", "3"]):
+        out = tmp_path / f"{argv[0]}.out"
+        assert run(["--quiet", "--seed", "3", *argv, "--out", out]) == 0
+        manifest = json.loads((tmp_path / f"{argv[0]}.out.manifest.json").read_text())
+        config = manifest["config"]
+        assert list(config)[-2:] == ["workers", "reruns"]
+        assert config["workers"] >= 1 and config["reruns"] == []
+    # asymvar's handler echoes its flags unchanged, so its hash is that of the config less the record.
+    flags = {k: v for k, v in config.items() if k not in ("workers", "reruns")}
+    assert manifest["content_hash"] == content_hash_config(flags)
 
 
 @pytest.mark.parametrize("flag", [["varest", "--format", "json"], ["varest", "--ci-scale", "full"],
@@ -287,10 +301,25 @@ def test_non_finite_synth_parameter_is_refused_by_name(tmp_path, capsys, argv):
 
 def test_asymvar_nan_alpha_is_refused_before_the_moments(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "estimate_mtilde", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(asymvar, "estimate_mtilde", lambda *a, **k: calls.append(a))
     out = tmp_path / "asym.json"
     assert run(["--quiet", "asymvar", "--d", "5", "--n", "100", "--alpha", "nan", "--out", out]) == 1
     assert "error: --alpha must" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [("--n", "1", "--n must be at least 2 (got 1)"),
+                                                  ("--mc-samples", "99",
+                                                   "--mc-samples must be at least 100 (got 99)")])
+def test_asymvar_short_n_or_mc_samples_is_refused_before_the_moments(tmp_path, capsys, monkeypatch,
+                                                                     flag, value, message):
+    calls = []
+    monkeypatch.setattr(asymvar, "estimate_mtilde", lambda *a, **k: calls.append(a))
+    out = tmp_path / "asym.json"
+    argv = {"--n": ["--n", value, "--trials", "5"], "--mc-samples": ["--mc-samples", value]}[flag]
+    assert run(["--quiet", "asymvar", "--d", "5", *argv, "--out", out]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 

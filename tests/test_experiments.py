@@ -1,3 +1,4 @@
+import logging
 import os
 import pickle
 import signal
@@ -6,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from ojainfer import SeedLabel, SeedSpec, batch_variance, bootstrap_run, experiments, learning_rate
+from ojainfer import SeedLabel, SeedSpec, batch_variance, bootstrap_run, experiments, learning_rate, workers
 from ojainfer.core import RegimeError
 from ojainfer.experiments import (
     method_variance,
@@ -118,10 +119,10 @@ class TestForkedTrials:
         real = os.fork
         monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
 
-        def split(workers):
-            monkeypatch.setattr(experiments, "IMPORT_THREADS", 1)
-            monkeypatch.setattr(experiments, "os_threads", lambda: 1)
-            monkeypatch.setattr(experiments, "usable_cpus", lambda: workers)
+        def split(cpus):
+            monkeypatch.setattr(workers, "IMPORT_THREADS", 1)
+            monkeypatch.setattr(workers, "os_threads", lambda: 1)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
 
         return calls, split
 
@@ -145,8 +146,10 @@ class TestForkedTrials:
         want = _outputs(run_coverage_experiment(trials=trials, **FORKED))
         assert calls == []
         split(workers)
-        assert _outputs(run_coverage_experiment(trials=trials, **FORKED)) == want
+        outcome = run_coverage_experiment(trials=trials, **FORKED)
+        assert _outputs(outcome) == want
         assert len(calls) == min(workers, trials) - 1
+        assert (outcome.config["workers"], outcome.config["reruns"]) == (min(workers, trials), [])
 
     def test_error_in_a_child_is_raised_as_in_process(self, forks, monkeypatch):
         calls, split = forks
@@ -165,24 +168,30 @@ class TestForkedTrials:
         assert len(calls) == 1
 
     @staticmethod
-    def _short_pickle(run_trials, lo, hi, wfd):
+    def _short_pickle(part, wfd):
         with open(wfd, "wb") as out:
-            out.write(pickle.dumps(run_trials(lo, hi))[:-8])
+            out.write(pickle.dumps(part())[:-8])
 
     @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle"])
-    def test_failed_child_is_recomputed_here(self, forks, monkeypatch, death):
+    def test_failed_child_is_recomputed_here(self, forks, monkeypatch, caplog, death):
         calls, split = forks
         split(1)
         want = _outputs(run_coverage_experiment(trials=5, **FORKED))
         parent = os.getpid()
         if death == "short-pickle":
-            monkeypatch.setattr(experiments, "_send_trials", self._short_pickle)
+            monkeypatch.setattr(workers, "_send", self._short_pickle)
         else:
             kill = {"sigkill": lambda pid: os.kill(pid, signal.SIGKILL), "exit-3": lambda pid: os._exit(3)}
             self._at_trial(monkeypatch, 3, lambda pid: pid != parent and kill[death](pid))
         split(2)
-        assert _outputs(run_coverage_experiment(trials=5, **FORKED)) == want
+        with caplog.at_level(logging.WARNING, logger="ojainfer.workers"):
+            outcome = run_coverage_experiment(trials=5, **FORKED)
+        assert _outputs(outcome) == want
         assert len(calls) == 1
+        # The config records the split and the range run again here, and a warning names it.
+        assert (outcome.config["workers"], outcome.config["reruns"]) == (2, [1])
+        assert [r.getMessage() for r in caplog.records] == [
+            "part 1 of 2: its worker failed, so it runs again here"]
 
     def test_interrupt_in_the_parent_reaps_the_children(self, forks, monkeypatch):
         # Ctrl-C during the parent's own range; the conftest fixture checks
@@ -202,13 +211,13 @@ class TestForkedTrials:
 
     def test_no_fork_while_another_thread_runs(self, forks, monkeypatch):
         calls, _ = forks
-        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-        before = experiments.os_threads()
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        before = workers.os_threads()
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            assert experiments.os_threads() == before + 1
+            assert workers.os_threads() == before + 1
             run_coverage_experiment(trials=2, **FORKED)
         finally:
             release.set()
@@ -221,15 +230,16 @@ class TestForkedTrials:
         # coverage makes no BLAS call large enough to restart it, so the
         # thread count reads 1; the two threads at import still rule out a fork.
         calls, _ = forks
-        monkeypatch.setattr(experiments, "IMPORT_THREADS", 2)
-        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "IMPORT_THREADS", 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         pid = os.fork()
         if pid == 0:
             os._exit(0)
         os.waitpid(pid, 0)
-        assert experiments.os_threads() == 1
-        run_coverage_experiment(trials=2, **(FORKED | {"d": 5}))
+        assert workers.os_threads() == 1
+        outcome = run_coverage_experiment(trials=2, **(FORKED | {"d": 5}))
         assert len(calls) == 1
+        assert outcome.config["workers"] == 1
 
 
 class TestMethodVariance:
