@@ -18,10 +18,11 @@ import numpy as np
 
 from . import __version__, experiments
 from .asymvar import build_r0_v, ck_diagnostic, moments_and_trials, with_rn
-from .core import SeedLabel, SeedSpec, eigendecompose, sample_covariance
+from .core import Dataset, SeedLabel, SeedSpec, eigendecompose, sample_covariance
 from .hoeffding import residual_decomposition
 from .inference import build_ci
-from .io import content_hash_config, content_hash_file, read_csv, write_csv, write_json, write_results
+from .io import (content_hash_config, content_hash_file, file_state, read_csv_cached, write_csv,
+                 write_json, write_results)
 from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
 from .synth import build_sigma, sample, vector_sampler
 from .varest import DEFAULT_DELTA, PAPER_M1
@@ -185,9 +186,13 @@ def _tracked(args) -> tuple[int, ...]:
 
 
 def _load(args):
-    """The --input dataset, centred with --center, and --gap or its plug-in estimate."""
-    data = read_csv(args.input, center=args.center)
-    return data, estimate_gap(data) if args.gap is None else args.gap
+    """The --input dataset, centred with --center; --gap or its plug-in estimate; and how the
+    parsed-array cache served the file ("hit", "miss" or "off", see ``io.read_csv_cached``)."""
+    arr, cache = read_csv_cached(args.input, args.input_sha256, args.input_state)
+    if args.center:
+        arr -= arr.mean(axis=0, keepdims=True)
+    data = Dataset(arr)
+    return data, estimate_gap(data) if args.gap is None else args.gap, cache
 
 
 def _cmd_synth(args, seed: SeedSpec) -> dict:
@@ -198,7 +203,7 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_oja(args, seed: SeedSpec) -> dict:
-    data, gap = _load(args)
+    data, gap, cache = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     write_json(args.out, {
         "estimate": vtilde,
@@ -207,11 +212,11 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
         "alpha": args.alpha,
         "samples_consumed": data.n,
     })
-    return {"gap": gap, "alpha": args.alpha, "center": args.center}
+    return {"input_cache": cache, "gap": gap, "alpha": args.alpha, "center": args.center}
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
-    data, gap = _load(args)
+    data, gap, cache = _load(args)
     m1 = PAPER_M1 if args.preset else args.m1
     vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
     sigma2, result = experiments.method_variance("ojavarest", data, vtilde, gap, args.alpha, seed,
@@ -221,18 +226,18 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
         band = build_ci(vtilde, sigma2, args.level)
         payload["ci"] = {"level": args.level, "lower": band.lower(), "upper": band.upper()}
     write_json(args.out, payload)
-    return {"gap": gap, "delta": args.delta, "m1": m1, "m2": args.m2, "alpha": args.alpha,
-            "boosted": args.boosted, "samples_unused": result.samples_unused}
+    return {"input_cache": cache, "gap": gap, "delta": args.delta, "m1": m1, "m2": args.m2,
+            "alpha": args.alpha, "boosted": args.boosted, "samples_unused": result.samples_unused}
 
 
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
-    data, gap = _load(args)
+    data, gap, cache = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, args.alpha,
                                             seed, law=args.law)
     write_json(args.out, {"sigma2": sigma2, "b": args.b, "law": args.law, "eta": eta, "gap": gap,
                           "vtilde": vtilde})
-    return {"b": args.b, "law": args.law, "gap": gap, "alpha": args.alpha}
+    return {"input_cache": cache, "b": args.b, "law": args.law, "gap": gap, "alpha": args.alpha}
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
@@ -305,7 +310,10 @@ def cli_dispatch(argv: list[str]) -> int:
         # The seed actually used, also when it came from the environment, so that it is hashed.
         config_echo = {k: v for k, v in vars(args).items() if k != "quiet"} | {"seed": seed.master}
         if getattr(args, "input", None):
-            digest = config_echo["input_sha256"] = content_hash_file(args.input)
+            # The file's state before the hash: _load refuses the input if it has moved by the
+            # end of the parse, so that the digest describes the bytes parsed.
+            args.input_state = file_state(args.input)
+            digest = args.input_sha256 = config_echo["input_sha256"] = content_hash_file(args.input)
         else:
             digest = content_hash_config(config_echo)
         # The provenance sidecar written beside the output; timestamps live only here.

@@ -13,9 +13,13 @@ import csv
 import hashlib
 import json
 import os
+import tempfile
 import warnings
+import zlib
+from contextlib import suppress
 from dataclasses import fields, is_dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +36,18 @@ def _fmt(value) -> str:
 # The one set of loadtxt options: the whole file and every byte range parse alike.
 _LOADTXT = dict(delimiter=",", ndmin=2, dtype=np.float64, comments=None, quotechar='"',
                 encoding="utf-8")
+# Version of the parse rules that read_csv applies; bump it whenever a file
+# could parse to another array, so that no cache entry made under the old
+# rules is read again.
+_PARSE_RULES = 1
+# Size limit of the parsed-array cache directory; the least recently used
+# entries are deleted past it.
+_CACHE_BYTES = 1 << 30
 # A file of at least this many bytes is parsed in line-aligned byte ranges,
 # one per usable CPU, the ranges after the first in forked children.
 _PIECE_BYTES = 8 << 20
+# write_csv converts at most this many cells to Python floats at once.
+_WRITE_BLOCK = 1 << 16
 
 
 def read_csv(path, center: bool = False) -> Dataset:
@@ -68,6 +81,124 @@ def read_csv(path, center: bool = False) -> Dataset:
     if center:
         arr -= arr.mean(axis=0, keepdims=True)
     return Dataset(arr)
+
+
+def file_state(path) -> tuple[int, int, int]:
+    """(size, mtime in ns, inode) of ``path``; it moves when the file is written or replaced."""
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def read_csv_cached(path, sha256: str, state: tuple[int, int, int]) -> tuple[np.ndarray, str]:
+    """The uncentred array of :func:`read_csv`, parsed once per file content.
+
+    ``sha256`` is the file's :func:`content_hash_file` digest and ``state``
+    its :func:`file_state` taken before that hash. The array is kept in
+    ``$XDG_CACHE_HOME/ojainfer/`` (default ``~/.cache/ojainfer/``) as an
+    ``np.save`` file named by the digest and ``_PARSE_RULES``, followed by
+    the CRC-32 of the array's bytes. Returns the array and how the cache
+    served it: ``"hit"`` (a sound entry was read, and its mtime touched),
+    ``"miss"`` (the file was parsed and its entry written) or ``"off"``
+    (parsed, but no entry could be written). An entry that cannot be read
+    or fails a check is a miss, and is rewritten. If the file's state has
+    moved by the end of the load, the digest may not describe the bytes
+    parsed: that raises ValueError, and no entry is written.
+    """
+    cache = _cache_dir()
+    entry = cache / f"{sha256}.r{_PARSE_RULES}.npy"
+    arr = _read_entry(entry)
+    hit = arr is not None
+    if not hit:
+        arr = read_csv(path).samples
+    if file_state(path) != state:
+        raise ValueError(f"{path}: the file changed while it was read")
+    if hit:
+        with suppress(OSError):
+            os.utime(entry)
+        return arr, "hit"
+    return arr, "miss" if _write_entry(cache, entry, arr) else "off"
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/ojainfer``, or ``~/.cache/ojainfer`` if that is unset or relative."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "ojainfer")
+
+
+def _checksum(arr: np.ndarray) -> bytes:
+    return zlib.crc32(arr.reshape(-1).view(np.uint8)).to_bytes(4, "little")
+
+
+def _read_entry(entry: Path) -> np.ndarray | None:
+    """A cache entry's array, or None if it is absent, unreadable or fails a check.
+
+    The checks: a version 1.0 ``.npy`` header of a 2-D, C-order, native
+    float64 array with no empty axis, a file size that fits that header
+    exactly, and the CRC-32 after the array bytes.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != np.float64 or fortran_order or len(shape) != 2 or min(shape) < 1:
+                return None
+            if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * shape[0] * shape[1] + 4:
+                return None
+            arr = np.empty(shape)
+            if not _fill(fh, arr) or fh.read() != _checksum(arr):
+                return None
+    except (OSError, ValueError):
+        return None
+    return arr
+
+
+def _write_entry(cache: Path, entry: Path, arr: np.ndarray) -> bool:
+    """Write ``arr`` as ``entry`` by way of a temporary file, then evict; False if not written.
+
+    Not written: an array that alone fills ``_CACHE_BYTES``, or a cache
+    directory that cannot be made or written.
+    """
+    if arr.nbytes >= _CACHE_BYTES:
+        return False
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=".", suffix=".tmp")
+    except OSError:
+        return False
+    try:
+        with open(fd, "wb") as fh:
+            np.save(fh, arr)
+            fh.write(_checksum(arr))
+        os.replace(tmp, entry)
+    except OSError:
+        with suppress(OSError):
+            os.unlink(tmp)
+        return False
+    _evict(cache, keep=entry)
+    return True
+
+
+def _evict(cache: Path, keep: Path) -> None:
+    """Delete the files of ``cache`` other than ``keep``, oldest mtime first, until it holds
+    at most ``_CACHE_BYTES``. A stale temporary file counts as an entry."""
+    files = []
+    with suppress(OSError), os.scandir(cache) as scan:
+        for item in scan:
+            with suppress(OSError):
+                if item.is_file(follow_symlinks=False):
+                    st = item.stat(follow_symlinks=False)
+                    files.append((st.st_mtime_ns, st.st_size, item.path))
+    total = sum(size for _, size, _ in files)
+    for _, size, name in sorted(files):
+        if total <= _CACHE_BYTES:
+            break
+        if name != str(keep):
+            with suppress(OSError):
+                os.unlink(name)
+            total -= size
 
 
 def _read_pieces(path, skip: int) -> np.ndarray | None:
@@ -175,8 +306,17 @@ def _fill(src, arr: np.ndarray) -> bool:
 
 
 def write_csv(data: Dataset, path) -> None:
-    """Write a Dataset as headerless numeric CSV, exact round trip."""
-    np.savetxt(path, data.samples, fmt="%.17g", delimiter=",")
+    """Write a Dataset as headerless numeric CSV, exact round trip.
+
+    The bytes are ``np.savetxt(fmt="%.17g", delimiter=",")``'s; the rows go
+    through one format string, a block of rows converted to floats at a time.
+    """
+    samples = data.samples
+    row = ",".join(["%.17g"] * samples.shape[1]) + "\n"
+    step = max(1, _WRITE_BLOCK // samples.shape[1])
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, samples.shape[0], step):
+            fh.writelines(row % tuple(cells) for cells in samples[lo:lo + step].tolist())
 
 
 def write_results(rows: list[dict], path) -> None:

@@ -55,6 +55,14 @@ def residuals5(synth5):
 
 
 @pytest.fixture(autouse=True)
+def private_cache(tmp_path_factory, monkeypatch):
+    """Point the parsed-array cache of the commands that read --input at a fresh directory."""
+    cache_home = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    return cache_home / "ojainfer"
+
+
+@pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process unreaped (read_csv and run_coverage_experiment fork)."""
     yield

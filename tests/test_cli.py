@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ojainfer import SeedSpec, __version__, asymvar, build_sigma, cli, experiments
+from ojainfer import io as oio
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import content_hash_config, read_csv
 from ojainfer.synth import HALF_WIDTH
@@ -182,7 +185,7 @@ def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     # No --seed and no $OJA_INFER_SEED: the config records the seed used, 0.
     assert config == {"seed": 0, "subcommand": argv[0], "input": str(small_csv), "center": False,
                       "alpha": 2.0, "out": str(out), "input_sha256": hash_file(small_csv),
-                      **_FILE_CONFIG[argv[0]]}
+                      "input_cache": "miss", **_FILE_CONFIG[argv[0]]}
 
 
 def test_oja_varest_bootstrap_share_one_proxy(tmp_path, small_csv):
@@ -332,6 +335,149 @@ def test_preset_with_m1_is_refused(tmp_path, small_csv, capsys):
     err = capsys.readouterr().err
     assert "--m1" in err and "--preset" in err
     assert not out.exists()
+
+
+def _cache_state(out):
+    return json.loads(Path(f"{out}.manifest.json").read_text())["config"]["input_cache"]
+
+
+def _entries(cache):
+    return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+
+class TestInputCache:
+    """The parsed-array cache of the commands that read --input (io.read_csv_cached)."""
+
+    @pytest.mark.parametrize("argv", [["oja"], ["varest", "--center", "--m1", "2", "--m2", "2",
+                                                "--level", "0.9"], ["bootstrap", "--b", "3"]],
+                             ids=lambda argv: argv[0])
+    def test_hit_writes_the_bytes_of_a_miss(self, tmp_path, small_csv, private_cache, monkeypatch,
+                                           argv):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(["--quiet", "--seed", "4", *argv, "--input", small_csv, "--out", first]) == 0
+        parses = []
+        read_csv = oio.read_csv
+        monkeypatch.setattr(oio, "read_csv", lambda path: parses.append(path) or read_csv(path))
+        assert run(["--quiet", "--seed", "4", *argv, "--input", small_csv, "--out", second]) == 0
+        assert parses == []
+        assert first.read_bytes() == second.read_bytes()
+        assert (_cache_state(first), _cache_state(second)) == ("miss", "hit")
+        digest = oio.content_hash_file(small_csv)
+        assert _entries(private_cache) == [f"{digest}.r{oio._PARSE_RULES}.npy"]
+
+    def test_centred_and_plain_runs_share_one_entry(self, tmp_path, small_csv, private_cache):
+        for k, flags in enumerate([["--center"], [], ["--center"]]):
+            out = tmp_path / f"{k}.json"
+            assert run(["--quiet", "oja", "--input", small_csv, *flags, "--out", out]) == 0
+            assert _cache_state(out) == ("miss" if k == 0 else "hit")
+        [name] = _entries(private_cache)
+        # The cache keeps the parse, never the centred array.
+        assert read_csv(small_csv).samples.tobytes() in (private_cache / name).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip_array", "flip_checksum", "flip_header",
+                                        "empty"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, tmp_path, small_csv, private_cache,
+                                                   damage):
+        first = tmp_path / "first.json"
+        assert run(["--quiet", "oja", "--input", small_csv, "--out", first]) == 0
+        [name] = _entries(private_cache)
+        entry = private_cache / name
+        sound = entry.read_bytes()
+        raw = bytearray(sound)
+        if damage == "truncate":
+            del raw[-100:]
+        elif damage == "flip_array":
+            raw[len(raw) // 2] ^= 0x10
+        elif damage == "flip_checksum":
+            raw[-1] ^= 0x01
+        elif damage == "flip_header":
+            # One row fewer in the header's shape, as many characters.
+            lo = raw.index(b"(") + 1
+            raw[lo:raw.index(b",", lo)] = b"399"
+        else:
+            raw.clear()
+        entry.write_bytes(bytes(raw))
+        second = tmp_path / "second.json"
+        assert run(["--quiet", "oja", "--input", small_csv, "--out", second]) == 0
+        assert _cache_state(second) == "miss"
+        assert entry.read_bytes() == sound
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_unusable_cache_directory_runs_uncached(self, tmp_path, small_csv, monkeypatch):
+        # A regular file where the cache directory's parent should be: no user can write there.
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for name in ("first.json", "second.json"):
+            assert run(["--quiet", "varest", "--input", small_csv, "--m1", "2", "--m2", "2",
+                        "--out", tmp_path / name]) == 0
+            assert _cache_state(tmp_path / name) == "off"
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    def test_parse_error_is_never_cached(self, tmp_path, capsys, private_cache):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2,3\n4,5\n")
+        messages = []
+        for _ in range(2):
+            assert run(["--quiet", "oja", "--input", path, "--out", tmp_path / "o.json"]) == 1
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and str(path) in messages[0]
+        assert _entries(private_cache) == []
+        assert not (tmp_path / "o.json").exists()
+
+    def test_entry_of_other_parse_rules_is_a_miss(self, tmp_path, small_csv, private_cache,
+                                                  monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(oio, "_PARSE_RULES", oio._PARSE_RULES + 1)
+            assert run(["--quiet", "oja", "--input", small_csv, "--out", tmp_path / "a.json"]) == 0
+        assert run(["--quiet", "oja", "--input", small_csv, "--out", tmp_path / "b.json"]) == 0
+        assert _cache_state(tmp_path / "b.json") == "miss"
+        assert len(_entries(private_cache)) == 2
+
+    def test_eviction_keeps_the_directory_under_its_limit(self, tmp_path, private_cache,
+                                                          monkeypatch):
+        rng = SeedSpec(41).rng()
+        paths = {}
+        for name in "abc":
+            paths[name] = tmp_path / f"{name}.csv"
+            np.savetxt(paths[name], rng.standard_normal((300, 4)), delimiter=",")
+
+        def oja(name):
+            out = tmp_path / f"{name}.json"
+            assert run(["--quiet", "oja", "--input", paths[name], "--out", out]) == 0
+            return _cache_state(out)
+
+        def entry(name):
+            return private_cache / f"{oio.content_hash_file(paths[name])}.r{oio._PARSE_RULES}.npy"
+
+        assert oja("a") == oja("b") == "miss"
+        size = entry("a").stat().st_size
+        monkeypatch.setattr(oio, "_CACHE_BYTES", 2 * size + size // 2)
+        # b is used after a; then a hit on a makes b the least recently used.
+        os.utime(entry("a"), ns=(10**17, 10**17))
+        os.utime(entry("b"), ns=(2 * 10**17, 2 * 10**17))
+        assert oja("a") == "hit"
+        assert oja("c") == "miss"
+        assert {p.name for p in private_cache.iterdir()} == {entry("a").name, entry("c").name}
+        assert sum(p.stat().st_size for p in private_cache.iterdir()) <= oio._CACHE_BYTES
+        assert oja("b") == "miss"
+        assert sum(p.stat().st_size for p in private_cache.iterdir()) <= oio._CACHE_BYTES
+
+    def test_input_changed_while_read_is_refused(self, tmp_path, small_csv, private_cache, capsys,
+                                                 monkeypatch):
+        read_csv = oio.read_csv
+
+        def append_then_read(path):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("1,2,3,4\n")
+            return read_csv(path)
+
+        monkeypatch.setattr(oio, "read_csv", append_then_read)
+        out = tmp_path / "v.json"
+        assert run(["--quiet", "varest", "--input", small_csv, "--out", out]) == 1
+        assert f"error: {small_csv}: the file changed while it was read" in capsys.readouterr().err
+        assert list(tmp_path.glob("v.json*")) == []
+        assert _entries(private_cache) == []
 
 
 class TestCoverageCommand:

@@ -3,6 +3,7 @@ import os
 import signal
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,59 @@ class TestWriteCsv:
         back = read_csv(folder / "fast.csv").samples
         assert back.shape == arr.shape
         assert back.tobytes() == arr.tobytes()
+
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0]]),
+        np.array([[np.nan], [np.inf], [-np.inf], [-0.0], [5e-324], [-2.5e-310]]),
+        np.array([[0.1, -0.0], [np.nan, 1e300], [-np.inf, 5e-324]]),
+        np.array([[7.0]]),
+    ], ids=["1xd", "nx1", "nxd", "1x1"])
+    def test_bytes_match_savetxt(self, tmp_path, arr):
+        # write_csv formats whatever rows it is given; a Dataset holds finite ones only.
+        write_csv(SimpleNamespace(samples=arr), tmp_path / "fast.csv")
+        np.savetxt(tmp_path / "savetxt.csv", arr, fmt="%.17g", delimiter=",")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+    def test_bytes_match_savetxt_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oio, "_WRITE_BLOCK", 7)
+        arr = SeedSpec(5).rng().standard_normal((23, 3))
+        write_csv(Dataset(arr), tmp_path / "fast.csv")
+        np.savetxt(tmp_path / "savetxt.csv", arr, fmt="%.17g", delimiter=",")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+class TestCacheEntry:
+    """io._read_entry reads back only what io._write_entry writes."""
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(15, dtype=np.float32).reshape(5, 3),
+        np.arange(15.0).reshape(5, 3).astype(">f8"),
+        np.asfortranarray(np.arange(15.0).reshape(5, 3)),
+        np.arange(15.0),
+        np.arange(30.0).reshape(5, 3, 2),
+        np.empty((0, 3)),
+    ], ids=["float32", "big-endian", "fortran", "1-d", "3-d", "empty"])
+    def test_other_arrays_are_refused_even_with_their_checksum(self, tmp_path, arr):
+        entry = tmp_path / "e.npy"
+        with open(entry, "wb") as fh:
+            np.save(fh, arr)
+            fh.write(oio._checksum(np.ascontiguousarray(arr)))
+        assert oio._read_entry(entry) is None
+
+    def test_new_entry_is_never_evicted(self, tmp_path, monkeypatch):
+        old, new = tmp_path / "old.npy", tmp_path / "new.npy"
+        assert oio._write_entry(tmp_path, old, np.zeros((4, 2)))
+        monkeypatch.setattr(oio, "_CACHE_BYTES", old.stat().st_size + 1)
+        # An mtime after the new entry's (a clock set back, a copied cache) must not save old.
+        os.utime(old, ns=(4 * 10**18, 4 * 10**18))
+        assert oio._write_entry(tmp_path, new, np.ones((4, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["new.npy"]
+
+    def test_array_that_fills_the_cap_is_not_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oio, "_CACHE_BYTES", 64)
+        assert not oio._write_entry(tmp_path, tmp_path / "e.npy", np.zeros((4, 2)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteResults:
