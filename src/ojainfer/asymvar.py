@@ -38,7 +38,9 @@ from .hoeffding import order1_contraction
 from .workers import cpu_ranges, run_parts
 
 DENOM_FLOOR = 1e-12
-_CHUNK = 65536
+# Entries per block of rows: estimate_mtilde draws its chunks, and
+# _operator_norms cuts its blocks, at _BLOCK_ELEMS // d rows (at least one), so
+# each array of the moment loop is about 0.5 MB whatever d.
 _BLOCK_ELEMS = 65536
 # A cap on the secular iterations; they settle in about five.
 _ROOT_ITERS = 50
@@ -158,7 +160,7 @@ def _operator_norms(x: np.ndarray, eigen: EigenSystem) -> np.ndarray:
     # floor is read as the larger of the two.
     base = max(2.0 * float(lam[1]), float(h[-1, 0]))
     floor = base + max(tol * abs(base), _TINY)
-    step = max(1, _BLOCK_ELEMS // d)
+    step = _block_rows(d)
     out = np.empty(m)
     for lo in range(0, m, step):
         w = (eigen.eigenvectors.T @ x[lo:lo + step].T) ** 2
@@ -176,6 +178,10 @@ def _operator_norms(x: np.ndarray, eigen: EigenSystem) -> np.ndarray:
             norm[rest] = np.maximum(top[rest], lam[1] - y)
         out[lo:lo + step] = norm
     return out
+
+
+def _block_rows(d: int) -> int:
+    return max(1, _BLOCK_ELEMS // d)
 
 
 def _secular_roots(w1, wb, h, gap, y, top, bound, tol, scale):
@@ -236,9 +242,10 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
     sum_q4 = 0.0
     sum_a = np.zeros((d, d))
     sum_asq = np.zeros((d, d))
+    step = _block_rows(d)
     done = 0
     while done < mc_samples:
-        m = min(_CHUNK, mc_samples - done)
+        m = min(step, mc_samples - done)
         x = _draw(sampler, rng, m, d)
         t = x @ v1
         w = (x * t[:, None] - sigma_v1) @ vp          # rows Vp^T (A_i - Sigma) v1
@@ -370,16 +377,11 @@ def _check_trials(eigen: EigenSystem, trials: int) -> None:
 
 
 def _covariance(psi: np.ndarray, seed: SeedSpec) -> EmpiricalCovariance:
-    """Mean outer product of the rows of ``psi``, summed in row order, and its standard errors."""
-    trials, d = psi.shape
-    sum_m = np.zeros((d, d))
-    sum_m2 = np.zeros((d, d))
-    for row in psi:
-        outer = np.outer(row, row)
-        sum_m += outer
-        sum_m2 += outer**2
-    mean = sum_m / trials
-    var = np.maximum(sum_m2 / trials - mean**2, 0.0)
+    """Mean outer product of the rows of ``psi``, as the product psi^T psi, and its standard errors."""
+    trials = psi.shape[0]
+    sq = psi * psi
+    mean = (psi.T @ psi) / trials
+    var = np.maximum((sq.T @ sq) / trials - mean**2, 0.0)
     stderr = np.sqrt(var / trials)
     return EmpiricalCovariance(matrix=mean, stderr=stderr, trials=trials, seed=seed)
 
@@ -392,7 +394,7 @@ def moments_and_trials(sampler, eigen: EigenSystem, mc_samples: int, moment_seed
     The parts handed to :func:`~ojainfer.workers.run_parts` are trial range
     0, the moment estimate, then one contiguous range of trials per further
     usable CPU; in a single-threaded process range 0 runs here and the others
-    on forked workers. Each range returns its :func:`order1_terms`, summed
+    on forked workers. Each range returns its :func:`order1_terms`, joined
     here in trial order, so both estimates are those of the two calls made
     one after the other. Returns (moments, the empirical covariance or None,
     run_parts' run record).

@@ -326,7 +326,8 @@ def cli_dispatch(argv: list[str]) -> int:
         write_json(f"{args.out}.manifest.json", manifest)
         _progress(args, f"ojainfer {args.subcommand}: done -> {args.out}")
         return 0
-    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -22,7 +22,7 @@ from ojainfer import (
     hajek_projection,
     learning_rate,
 )
-from ojainfer.asymvar import _BLOCK_ELEMS, _CHUNK, _operator_norms, _sigma_matrix
+from ojainfer.asymvar import _BLOCK_ELEMS, _operator_norms, _sigma_matrix
 from ojainfer import asymvar, workers
 from ojainfer.asymvar import ck_diagnostic, contraction_factors, moments_and_trials, with_rn
 from ojainfer.core import EigenSystem
@@ -126,6 +126,18 @@ class TestMtildeSums:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_scratch_is_bounded_by_the_block_not_the_draws(self):
+        # Each chunk is one _operator_norms block of _BLOCK_ELEMS entries, so each
+        # array of the loop is about 0.5 MB at d = 200 as at d = 5.
+        sigma, eigen, root = build_sigma(200, 1.0)
+        tracemalloc.start()
+        try:
+            estimate_mtilde(vector_sampler(root), eigen, 20_000, SeedSpec(25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 def make_moments(mtilde):
@@ -355,12 +367,45 @@ class TestOperatorNormsAgainstEigvalsh:
         np.testing.assert_allclose(_operator_norms(x, eigen), eigvalsh_norms(x, eigen),
                                    rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def rows_at_lambda1(eigen, rng):
+        # z = Q^T x has z_1^2 = lambda_1 to within 4 ulps and the rest zero (first
+        # nine rows) or 1e-12 sqrt(lambda_1) (last nine), so x x^T - Sigma is
+        # about diag(0, -lambda_2, ...) and its norm lambda_2, far below lambda_1.
+        lam = eigen.eigenvalues
+        k = np.arange(-4, 5)
+        z = np.zeros((2 * k.size, eigen.d))
+        z[:, 0] = np.sqrt(lam[0]) * np.tile(1.0 + k * np.finfo(np.float64).eps, 2)
+        z[k.size:, 1:] = 1e-12 * np.sqrt(lam[0]) * rng.standard_normal((k.size, eigen.d - 1))
+        return z @ eigen.eigenvectors.T
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 30, 60])
+    def test_norm_far_below_lambda1_is_exact_to_eps_lambda1(self, d):
+        # Exact only to about eps lambda_1 absolute, as eigvalsh's are; the
+        # analytic value is lambda_2.
+        rng = SeedSpec(70 + d).rng()
+        eigen = random_eigen(rng, d)
+        lam = eigen.eigenvalues
+        got = _operator_norms(self.rows_at_lambda1(eigen, rng), eigen)
+        assert np.max(np.abs(got - lam[1])) <= 8 * np.finfo(np.float64).eps * lam[0]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_norm_far_below_lambda1_matches_eigvalsh_to_eps_lambda1(self, d):
+        # At d = 30 and 60 eigvalsh's own error on these rows reached 15 eps lambda_1.
+        rng = SeedSpec(70 + d).rng()
+        eigen = random_eigen(rng, d)
+        x = self.rows_at_lambda1(eigen, rng)
+        err = np.abs(_operator_norms(x, eigen) - eigvalsh_norms(x, eigen))
+        assert np.max(err) <= 8 * np.finfo(np.float64).eps * eigen.eigenvalues[0]
+
     def test_stream_feeds_the_sampler_alone(self, synth3):
-        # Two chunks: the norms draw nothing, so the second chunk's rows follow
-        # the first chunk's on the stream, and mtilde is that of the same rows
-        # with the norms taken by eigvalsh.
+        # Two chunks, the first of _BLOCK_ELEMS // d rows: the norms draw
+        # nothing, so the second chunk's rows follow the first chunk's on the
+        # stream, and m2 and m4 are those of the same rows with the norms taken
+        # by eigvalsh.
         sigma, eigen, root = synth3
-        mc = _CHUNK + 777
+        step = _BLOCK_ELEMS // eigen.d
+        mc = step + 777
         sampler, draws = vector_sampler(root), []
 
         def keep(rng, m):
@@ -369,7 +414,7 @@ class TestOperatorNormsAgainstEigvalsh:
 
         got = estimate_mtilde(keep, eigen, mc, SeedSpec(21))
         rng = SeedSpec(21).rng()
-        for rows, m in zip(draws, (_CHUNK, 777), strict=True):
+        for rows, m in zip(draws, (step, 777), strict=True):
             np.testing.assert_array_equal(rows, sampler(rng, m))
         q = eigvalsh_norms(np.vstack(draws), eigen)
         assert got.m2 == pytest.approx(np.sqrt(np.mean(q**2)), rel=1e-12)

@@ -667,6 +667,19 @@ class TestExitCodes:
         assert "error: --seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["oja", "--input", "{plain}/x.csv", "--out", "{tmp}/v.json"],
+        ["synth", "--n", "10", "--d", "3", "--out", "{plain}/x.csv"],
+    ], ids=["input", "out"])
+    def test_path_under_a_regular_file_is_validation_error(self, tmp_path, capsys, argv):
+        # A parent that is a file, not a directory, fails as a missing one does.
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory\n")
+        assert run(["--quiet"] + [a.format(plain=plain, tmp=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]
+
     def test_bad_env_seed_is_validation_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OJA_INFER_SEED", "abc")
         out = tmp_path / "x.csv"
