@@ -9,6 +9,7 @@ the manifest).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset
-from .workers import forked, usable_cpus
+from .workers import fork_allowed, run_parts, usable_cpus
 
 
 def _fmt(value) -> str:
@@ -34,17 +35,17 @@ def _fmt(value) -> str:
 
 
 # The one set of loadtxt options: the whole file and every byte range parse alike.
-_LOADTXT = dict(delimiter=",", ndmin=2, dtype=np.float64, comments=None, quotechar='"',
-                encoding="utf-8")
+# Both read UTF-8 and skip a byte order mark at the start of the file only.
+_LOADTXT = dict(delimiter=",", ndmin=2, dtype=np.float64, comments=None, quotechar='"')
 # Version of the parse rules that read_csv applies; bump it whenever a file
 # could parse to another array, so that no cache entry made under the old
 # rules is read again.
-_PARSE_RULES = 1
+_PARSE_RULES = 2
 # Size limit of the parsed-array cache directory; the least recently used
 # entries are deleted past it.
 _CACHE_BYTES = 1 << 30
-# A file of at least this many bytes is parsed in line-aligned byte ranges,
-# one per usable CPU, the ranges after the first in forked children.
+# A large file is parsed in min(usable CPUs, size // _PIECE_BYTES) line-aligned
+# byte ranges, the ranges after the first in forked workers.
 _PIECE_BYTES = 8 << 20
 # write_csv converts at most this many cells to Python floats at once.
 _WRITE_BLOCK = 1 << 16
@@ -58,10 +59,11 @@ def read_csv(path, center: bool = False) -> Dataset:
     cells past the header (a ``#`` row included), and files without a numeric
     row are rejected; blank lines are ignored. With ``center=True`` every
     column is shifted to mean zero, matching the estimators' mean-zero data
-    model. Large files are parsed in pieces on several CPUs (``_read_pieces``);
-    the array is the whole-file parse's, bit for bit.
+    model. A UTF-8 byte order mark at the start of the file is skipped.
+    Large files are parsed in pieces on several CPUs where the process may
+    fork (``_read_pieces``); the array is the whole-file parse's, bit for bit.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         first = next(rows, [])
         try:
@@ -75,7 +77,7 @@ def read_csv(path, center: bool = False) -> Dataset:
     arr = _read_pieces(path, skip)
     if arr is None:
         try:
-            arr = np.loadtxt(path, skiprows=skip, **_LOADTXT)
+            arr = np.loadtxt(path, skiprows=skip, encoding="utf-8-sig", **_LOADTXT)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     if center:
@@ -204,18 +206,20 @@ def _evict(cache: Path, keep: Path) -> None:
 def _read_pieces(path, skip: int) -> np.ndarray | None:
     """Parse the file as byte ranges cut at line starts, or return None.
 
-    Range 0 is parsed here, each other range in a :func:`forked` child that
-    sends its (rows, cols) and raw float64 bytes down a pipe; they land in
-    slices of one (n, d) array, so no pickled copy adds to the peak. None
-    (parse the whole file instead) for a file under ``_PIECE_BYTES``, no
-    ``fork``, a cut at EOF, a child that fails to fork or exits non-zero, a
-    range that fails to parse or ends inside a quoted field, or ranges whose
-    column counts differ. So every error message comes from the whole-file
-    parse, with its row numbers. No child outlives the call.
+    Each range is one part of :func:`~ojainfer.workers.run_parts`: range 0
+    is parsed here, the others in forked children that pickle their arrays
+    back, and a range whose child died is parsed again here. The parts are
+    copied into one (n, d) array, each dropped once copied, so the peak is
+    the array and one range. None (parse the whole file instead) for a file
+    under 2 × ``_PIECE_BYTES``, one usable CPU, a process that may not fork
+    (:func:`~ojainfer.workers.fork_allowed`), a cut at EOF, a range that
+    fails to parse or ends inside a quoted field, or ranges whose column
+    counts differ. So every error message comes from the whole-file parse,
+    with its row numbers.
     """
     size = os.path.getsize(path)
     pieces = min(usable_cpus(), size // _PIECE_BYTES)
-    if pieces < 2 or not hasattr(os, "fork"):
+    if pieces < 2 or not fork_allowed():
         return None
     cuts = [0]
     with open(path, "rb") as fh:
@@ -226,50 +230,37 @@ def _read_pieces(path, skip: int) -> np.ndarray | None:
     if cuts[-1] >= size:
         return None
     cuts.append(size)
-    jobs = [partial(_send_range, path, cuts[k], cuts[k + 1]) for k in range(1, pieces)]
-    with forked(jobs) as children:
-        if None in children:
-            return None
-        try:
-            head = _parse_range(path, 0, cuts[1], skip)
-        except (ValueError, OSError):
-            return None
-        shapes = [head.shape]
-        for child in children:
-            shape = np.empty(2, dtype=np.int64)
-            if not _fill(child.stream, shape):
-                return None
-            shapes.append(tuple(shape))
-        # A range of blank lines parses to (0, 1); it adds no row in either parse.
-        widths = {cols for rows, cols in shapes if rows}
-        if len(widths) != 1:
-            return None
-        out = np.empty((sum(rows for rows, _ in shapes), widths.pop()))
-        out[:len(head)] = head
-        lo = len(head)
-        del head
-        for child, (rows, _) in zip(children, shapes[1:]):
-            if not _fill(child.stream, out[lo:lo + rows]):
-                return None
-            lo += rows
-        if not all(child.succeeded() for child in children):
-            return None
-        return out
+    parts, _ = run_parts([partial(_parse_range, path, cuts[k], cuts[k + 1], skip if k == 0 else 0)
+                          for k in range(pieces)])
+    if any(part is None for part in parts):
+        return None
+    # A range of blank lines parses to (0, 1); it adds no row in either parse.
+    widths = {part.shape[1] for part in parts if len(part)}
+    if len(widths) != 1:
+        return None
+    out = np.empty((sum(map(len, parts)), widths.pop()))
+    lo = 0
+    for k, part in enumerate(parts):
+        out[lo:lo + len(part)] = part
+        lo += len(part)
+        parts[k] = None
+    return out
 
 
-def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray:
-    """loadtxt over the lines in bytes [start, stop) of the file.
+def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray | None:
+    """loadtxt over the lines in bytes [start, stop) of the file, or None if they fail to parse.
 
     A range holding an odd number of ``"`` ends inside a quoted field, which
-    may go on past the cut, so it raises.
+    may go on past the cut, so it is None too.
     """
     quotes = 0
 
     def lines():
         nonlocal quotes
         with open(path, "rb") as fh:
-            fh.seek(start)
-            pos = start
+            # Per-line utf-8-sig would also drop a mark that starts a later line.
+            pos = 3 if start == 0 and fh.read(3) == codecs.BOM_UTF8 else start
+            fh.seek(pos)
             for line in fh:
                 if b'"' in line:  # a memchr scan; the count is slower
                     quotes += line.count(b'"')
@@ -278,20 +269,13 @@ def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray:
                 if pos >= stop:
                     return
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # "no data" from a range of blank lines
-        arr = np.loadtxt(lines(), skiprows=skip, **_LOADTXT)
-    if quotes % 2:
-        raise ValueError("range ends inside a quoted field")
-    return np.ascontiguousarray(arr)
-
-
-def _send_range(path, start: int, stop: int, wfd: int) -> None:
-    """Forked child's job: parse one range, write its shape and raw bytes to ``wfd``."""
-    arr = _parse_range(path, start, stop, 0)
-    with open(wfd, "wb") as out:
-        out.write(np.array(arr.shape, dtype=np.int64).tobytes())
-        out.write(arr.reshape(-1).view(np.uint8))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "no data" from a range of blank lines
+            arr = np.loadtxt(lines(), skiprows=skip, encoding="utf-8", **_LOADTXT)
+    except (ValueError, OSError):
+        return None
+    return None if quotes % 2 else np.ascontiguousarray(arr)
 
 
 def _fill(src, arr: np.ndarray) -> bool:

@@ -1,6 +1,9 @@
 import csv
+import logging
 import os
+import pickle
 import signal
+import threading
 import time
 import warnings
 from types import SimpleNamespace
@@ -13,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from ojainfer import Dataset, SeedSpec
 from ojainfer import io as oio
+from ojainfer import workers
 from ojainfer.io import (
     content_hash_config,
     content_hash_file,
@@ -81,6 +85,11 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="named.csv"):
             read_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6.5\n")
+        np.testing.assert_array_equal(read_csv(path).samples, [[1.5, 2.0], [3.0, 4.0], [5.0, 6.5]])
+
     def test_centering(self, tmp_path):
         path = tmp_path / "center.csv"
         path.write_text("1,10\n3,20\n")
@@ -102,8 +111,12 @@ class TestReadCsv:
         assert first.read_bytes() == second.read_bytes()
 
 
+# The real worker probes and sender, for tests that patch them.
+OS_THREADS, SEND = workers.os_threads, workers._send
+
+
 def _whole_file(path, skip):
-    return np.loadtxt(path, skiprows=skip, **oio._LOADTXT)
+    return np.loadtxt(path, skiprows=skip, encoding="utf-8-sig", **oio._LOADTXT)
 
 
 def _message(path):
@@ -119,6 +132,8 @@ class TestSplitParse:
     def pieces(self, monkeypatch):
         monkeypatch.setattr(oio, "_PIECE_BYTES", 16)
         monkeypatch.setattr(oio, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "IMPORT_THREADS", 1)
+        monkeypatch.setattr(workers, "os_threads", lambda: 1)
         split = oio._read_pieces
         results = []  # what each _read_pieces call returned; None means the fallback ran
 
@@ -139,8 +154,10 @@ class TestSplitParse:
         ("alpha,beta\n" + ROWS, 1),
         (ROWS.replace(",", ',"').replace("\n", '"\n'), 0),
         ("".join(f'"{i}\n",{i}\n' for i in range(60)), 0),  # both cuts fall outside the quotes
+        ("\ufeff" + ROWS, 0),
+        ("\ufeffalpha,beta\n" + ROWS, 1),
     ], ids=["plain", "cut-on-blank-line", "blank-range", "crlf-header", "header", "quoted",
-            "quoted-line-break"])
+            "quoted-line-break", "bom", "bom-header"])
     def test_split_bits_match_whole_file(self, tmp_path, pieces, text, skip):
         path = tmp_path / "split.csv"
         path.write_bytes(text.encode())
@@ -167,11 +184,12 @@ class TestSplitParse:
 
     # The last entry fills a whole range with rows that are ragged only against the others.
     @pytest.mark.parametrize("bad", ["3,\n", "#3,4\n", '3,"x"\n', "3,4,5\n", "3,x\n", "3\n",
-                                     "7,8,9\n" * 60])
+                                     "\ufeff3,4\n", "7,8,9\n" * 60])
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_errors_match_the_whole_file_parse(self, tmp_path, monkeypatch, bad, where):
         path = tmp_path / "named.csv"
-        path.write_text("a,b\n" + (bad + self.ROWS if where == "first" else self.ROWS + bad))
+        path.write_text("a,b\n" + (bad + self.ROWS if where == "first" else self.ROWS + bad),
+                        encoding="utf-8")
         split = _message(path)
         monkeypatch.setattr(oio, "_PIECE_BYTES", 1 << 40)
         assert split == _message(path)
@@ -203,22 +221,63 @@ class TestSplitParse:
         assert split == _message(path)
 
     @staticmethod
-    def _send_then_exit_3(path, start, stop, wfd):
-        arr = oio._parse_range(path, start, stop, 0)
+    def _short_pickle(part, wfd):
         with open(wfd, "wb") as out:
-            out.write(np.array(arr.shape, dtype=np.int64).tobytes() + arr.tobytes())
+            out.write(pickle.dumps(part())[:-8])
+
+    @staticmethod
+    def _send_then_exit_3(part, wfd):
+        SEND(part, wfd)
         os._exit(3)
 
-    @pytest.mark.parametrize("death", [lambda *args: os._exit(3),
-                                       lambda *args: os.kill(os.getpid(), signal.SIGKILL),
-                                       _send_then_exit_3],
-                             ids=["exit-3", "sigkill", "exit-3-after-sending"])
-    def test_dead_child_falls_back(self, tmp_path, monkeypatch, pieces, death):
+    @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle", "exit-3-after-sending"])
+    def test_dead_child_falls_back(self, tmp_path, monkeypatch, caplog, pieces, death):
+        # Two ranges, so one child; run_parts parses its range again here, and the split stands.
+        monkeypatch.setattr(oio, "usable_cpus", lambda: 2)
         path = tmp_path / "split.csv"
         path.write_text(self.ROWS)
-        monkeypatch.setattr(oio, "_send_range", death)
-        got = read_csv(path).samples
-        assert pieces[0] is None
+        parent, real = os.getpid(), oio._parse_range
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL) if death == "sigkill" else os._exit(3)
+            return real(*args)
+
+        if death == "short-pickle":
+            monkeypatch.setattr(workers, "_send", self._short_pickle)
+        elif death == "exit-3-after-sending":
+            monkeypatch.setattr(workers, "_send", self._send_then_exit_3)
+        else:
+            monkeypatch.setattr(oio, "_parse_range", dying)
+        with caplog.at_level(logging.WARNING, logger="ojainfer.workers"):
+            got = read_csv(path).samples
+        assert pieces[0] is not None  # the split, its range 1 parsed again here
+        assert got.tobytes() == _whole_file(path, 0).tobytes()
+        assert [r.getMessage() for r in caplog.records] == [
+            "part 1 of 2: its worker failed, so it runs again here"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch, pieces):
+        path = tmp_path / "whole.csv"
+        path.write_text(self.ROWS)
+        assert path.stat().st_size >= oio._PIECE_BYTES
+        monkeypatch.setattr(workers, "os_threads", OS_THREADS)
+        forks, loads = [], []
+        fork, loadtxt = os.fork, np.loadtxt
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loads.append(1) or loadtxt(*args, **kwargs))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert OS_THREADS() >= 2
+            got = read_csv(path).samples
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert (forks, loads, pieces) == ([], [1], [None])
         assert got.tobytes() == _whole_file(path, 0).tobytes()
 
     def test_interrupt_reaps_the_children(self, tmp_path, monkeypatch):
