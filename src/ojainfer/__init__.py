@@ -9,46 +9,39 @@ decomposition oracles, and a desk-scale experiment harness.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Dataset,
-    DegenerateGapError,
-    EigenSystem,
-    RegimeError,
-    SeedLabel,
-    SeedSpec,
-    eigendecompose,
-    psd_sqrt,
-    sample_covariance,
-    sign_align,
-    sin2,
-)
-from .oja import DEFAULT_ALPHA, learning_rate, oja_boosted, oja_run
-from .varest import PAPER_M1, VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
-from .bootstrap import bootstrap_run
-from .synth import build_sigma, sample
-from .asymvar import (
-    AsymptoticVariance,
-    MomentEstimates,
-    build_r0_v,
-    build_rn,
-    empirical_hajek_covariance,
-    estimate_mtilde,
-)
-from .hoeffding import DecompositionReport, hajek_projection, hoeffding_term, matrix_product, residual_decomposition
-from .inference import ConfidenceBand, CoverageReport, build_ci, normal_quantile
+import importlib
 
-__all__ = [
-    "Dataset", "DegenerateGapError", "EigenSystem", "RegimeError", "SeedLabel", "SeedSpec",
-    "eigendecompose", "psd_sqrt", "sample_covariance", "sign_align", "sin2",
-    "DEFAULT_ALPHA", "learning_rate", "oja_boosted", "oja_run",
-    "PAPER_M1", "VarEstResult", "batch_variance", "median_of_means",
-    "ojavarest", "plan_schedule",
-    "bootstrap_run",
-    "build_sigma", "sample",
-    "AsymptoticVariance", "MomentEstimates", "build_r0_v", "build_rn",
-    "empirical_hajek_covariance", "estimate_mtilde",
-    "DecompositionReport", "hajek_projection", "hoeffding_term",
-    "matrix_product", "residual_decomposition",
-    "ConfidenceBand", "CoverageReport", "build_ci", "normal_quantile",
-    "__version__",
-]
+# Each exported name and the module it lives in. A name is imported on first
+# use (PEP 562), so ``import ojainfer`` loads no numpy, and the console
+# script can set its thread defaults before numpy starts its BLAS pool.
+_HOMES = {
+    "core": ("Dataset", "DegenerateGapError", "EigenSystem", "RegimeError", "SeedLabel",
+             "SeedSpec", "eigendecompose", "psd_sqrt", "sample_covariance", "sign_align", "sin2"),
+    "defaults": ("DEFAULT_ALPHA", "PAPER_M1"),
+    "oja": ("learning_rate", "oja_boosted", "oja_run"),
+    "varest": ("VarEstResult", "batch_variance", "median_of_means", "ojavarest", "plan_schedule"),
+    "bootstrap": ("bootstrap_run",),
+    "synth": ("build_sigma", "sample"),
+    "asymvar": ("AsymptoticVariance", "MomentEstimates", "build_r0_v", "build_rn",
+                "empirical_hajek_covariance", "estimate_mtilde"),
+    "hoeffding": ("DecompositionReport", "hajek_projection", "hoeffding_term", "matrix_product",
+                  "residual_decomposition"),
+    "inference": ("ConfidenceBand", "CoverageReport", "build_ci", "normal_quantile"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    # An unknown name raises AttributeError, so ``from ojainfer import io`` still
+    # falls back to importing the submodule.
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

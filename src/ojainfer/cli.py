@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 validation error (bad flags, bad inputs, violated
 preconditions), 2 runtime failure. All randomness is keyed by --seed, with
 the environment variable OJA_INFER_SEED as a fallback.
+
+The arguments are parsed, and checked, before numpy loads; each subcommand then
+imports the modules it uses. :func:`main`, the console script, first sets one
+BLAS thread where the user set none, so that numpy starts no thread pool and
+the forked workers may run (``workers.fork_allowed``).
 """
 
 from __future__ import annotations
@@ -13,23 +18,22 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
+from .defaults import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_METHODS, PAPER_M1
 
-from . import __version__, experiments
-from .asymvar import build_r0_v, ck_diagnostic, moments_and_trials, with_rn
-from .core import Dataset, SeedLabel, SeedSpec, eigendecompose, sample_covariance
-from .hoeffding import residual_decomposition
-from .inference import build_ci
-from .io import (content_hash_config, content_hash_file, file_state, read_csv_cached, write_csv,
-                 write_json, write_results)
-from .oja import DEFAULT_ALPHA, estimate_gap, gaussian_unit, learning_rate
-from .synth import build_sigma, sample, vector_sampler
-from .varest import DEFAULT_DELTA, PAPER_M1
+if TYPE_CHECKING:
+    from .core import SeedSpec
+
+# The thread-count variables of OpenBLAS, OpenMP and MKL.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _resolve_seed(args) -> SeedSpec:
     """--seed, else $OJA_INFER_SEED, else 0; a bad value is a ValueError naming its source."""
+    from .core import SeedSpec
+
     source, value = ("--seed", args.seed) if args.seed is not None else (
         "OJA_INFER_SEED", os.environ.get("OJA_INFER_SEED") or 0)
     try:
@@ -93,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--methods", default=",".join(experiments.DEFAULT_METHODS))
+    p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--m1", type=int, default=PAPER_M1)
     p.add_argument("--m2", type=int, default=None)
@@ -188,6 +192,10 @@ def _tracked(args) -> tuple[int, ...]:
 def _load(args):
     """The --input dataset, centred with --center; --gap or its plug-in estimate; and how the
     parsed-array cache served the file ("hit", "miss" or "off", see ``io.read_csv_cached``)."""
+    from .core import Dataset
+    from .io import read_csv_cached
+    from .oja import estimate_gap
+
     arr, cache = read_csv_cached(args.input, args.input_sha256, args.input_state)
     if args.center:
         arr -= arr.mean(axis=0, keepdims=True)
@@ -196,6 +204,9 @@ def _load(args):
 
 
 def _cmd_synth(args, seed: SeedSpec) -> dict:
+    from .io import write_csv
+    from .synth import build_sigma, sample
+
     _, eigen, root = build_sigma(args.d, args.beta, args.c, args.scale)
     write_csv(sample(root, args.n, seed.rng()), args.out)
     return {"n": args.n, "d": args.d, "beta": args.beta, "c": args.c, "scale": args.scale,
@@ -203,6 +214,9 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_oja(args, seed: SeedSpec) -> dict:
+    from . import experiments
+    from .io import write_json
+
     data, gap, cache = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     write_json(args.out, {
@@ -216,6 +230,10 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
+    from . import experiments
+    from .inference import build_ci
+    from .io import write_json
+
     data, gap, cache = _load(args)
     m1 = PAPER_M1 if args.preset else args.m1
     vtilde, _ = experiments.proxy(data, gap, args.alpha, seed, args.delta if args.boosted else None)
@@ -231,6 +249,9 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
+    from . import experiments
+    from .io import write_json
+
     data, gap, cache = _load(args)
     vtilde, eta = experiments.proxy(data, gap, args.alpha, seed)
     sigma2, _ = experiments.method_variance(f"bootstrap:{args.b}", data, vtilde, gap, args.alpha,
@@ -241,6 +262,9 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
+    from . import experiments
+    from .io import write_results
+
     outcome = experiments.run_coverage_experiment(
         n=args.n, d=args.d, beta=args.beta, trials=args.trials, methods=_methods(args),
         level=args.level, seed=seed, m1=args.m1, m2=args.m2, tracked=_tracked(args),
@@ -251,6 +275,9 @@ def _cmd_coverage(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_bench(args, seed: SeedSpec) -> dict:
+    from . import experiments
+    from .io import write_results
+
     methods = _methods(args)
     records = experiments.run_bench(n=args.n, d=args.d, methods=methods,
                                     beta=args.beta, seed=seed)
@@ -259,6 +286,12 @@ def _cmd_bench(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_oracle(args, seed: SeedSpec) -> dict:
+    from .core import SeedLabel, eigendecompose, sample_covariance
+    from .hoeffding import residual_decomposition
+    from .io import write_json
+    from .oja import gaussian_unit
+    from .synth import build_sigma, sample
+
     sigma, eigen, root = build_sigma(args.d, args.beta)
     data = sample(root, args.n, seed.child(SeedLabel.DATA).rng())
     u0 = gaussian_unit(seed.child(SeedLabel.START).rng(), args.d)
@@ -270,6 +303,12 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
+    from .asymvar import build_r0_v, ck_diagnostic, moments_and_trials, with_rn
+    from .core import SeedLabel
+    from .io import write_json
+    from .oja import learning_rate
+    from .synth import build_sigma, vector_sampler
+
     _, eigen, root = build_sigma(args.d, args.beta)
     gap = eigen.require_gap()
     eta = None if args.n is None else learning_rate(args.n, gap, args.alpha)
@@ -282,7 +321,7 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
         payload["asymptotic"] = with_rn(payload["asymptotic"], moments, eigen, args.n, eta)
     if emp is not None:
         payload["empirical"] = emp
-        payload["ck"] = ck_diagnostic(np.diag(emp.matrix), eta, gap, moments.m2)
+        payload["ck"] = ck_diagnostic(emp.matrix.diagonal(), eta, gap, moments.m2)
     write_json(args.out, payload)
     return {"d": args.d, "beta": args.beta, "mc_samples": args.mc_samples,
             "n": args.n, "trials": args.trials} | run
@@ -298,7 +337,24 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def cli_dispatch(argv: list[str]) -> int:
+def _blas_threads() -> str:
+    """The BLAS thread variables in effect, each as ``NAME=value``; "unset" where none is set."""
+    given = [f"{var}={os.environ[var]}" for var in BLAS_VARS if var in os.environ]
+    return ", ".join(given) or "unset"
+
+
+def _default_blas_threads() -> str | None:
+    """Set every BLAS thread variable to 1 where none is set and numpy has not loaded, and
+    return "1 (default)"; else change nothing and return None."""
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_VARS):
+        return None
+    os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
+    return "1 (default)"
+
+
+def cli_dispatch(argv: list[str], blas_threads: str | None = None) -> int:
+    """Run one subcommand; the exit code. ``blas_threads`` is the manifest's record of the BLAS
+    setting, by default the variables in effect (see :func:`main`)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -306,16 +362,21 @@ def cli_dispatch(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _check_flags(args)
+        from . import io
+
         seed = _resolve_seed(args)
         # The seed actually used, also when it came from the environment, so that it is hashed.
         config_echo = {k: v for k, v in vars(args).items() if k != "quiet"} | {"seed": seed.master}
         if getattr(args, "input", None):
             # The file's state before the hash: _load refuses the input if it has moved by the
             # end of the parse, so that the digest describes the bytes parsed.
-            args.input_state = file_state(args.input)
-            digest = args.input_sha256 = config_echo["input_sha256"] = content_hash_file(args.input)
+            args.input_state = io.file_state(args.input)
+            digest = io.content_hash_file(args.input)
+            args.input_sha256 = config_echo["input_sha256"] = digest
         else:
-            digest = content_hash_config(config_echo)
+            digest = io.content_hash_config(config_echo)
+        # Recorded after the hash, as the workers' run record is: the hash covers the flags alone.
+        config_echo["blas_threads"] = blas_threads or _blas_threads()
         # The provenance sidecar written beside the output; timestamps live only here.
         manifest = {"subcommand": args.subcommand, "config": config_echo, "seed": seed.master,
                     "content_hash": digest, "started_at": _now(), "finished_at": "",
@@ -323,7 +384,7 @@ def cli_dispatch(argv: list[str]) -> int:
         _progress(args, f"ojainfer {args.subcommand}: starting (seed={seed.master})")
         config_echo.update(_HANDLERS[args.subcommand](args, seed))
         manifest["finished_at"] = _now()
-        write_json(f"{args.out}.manifest.json", manifest)
+        io.write_json(f"{args.out}.manifest.json", manifest)
         _progress(args, f"ojainfer {args.subcommand}: done -> {args.out}")
         return 0
     except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
@@ -336,7 +397,12 @@ def cli_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    """The console script: one BLAS thread unless the user set one, then :func:`cli_dispatch`.
+
+    With one BLAS thread numpy starts no thread pool, so the process may fork its workers.
+    A program that imports ``ojainfer`` as a library keeps its own setting.
+    """
+    sys.exit(cli_dispatch(sys.argv[1:], _default_blas_threads()))
 
 
 if __name__ == "__main__":

@@ -15,13 +15,12 @@ import numpy as np
 
 from .bootstrap import bootstrap_run
 from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
+from .defaults import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_METHODS, PAPER_M1
 from .inference import CoverageReport, band_hits, build_ci, check_level
-from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
+from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
 from .synth import build_sigma, sample
-from .varest import DEFAULT_DELTA, PAPER_M1, VarEstResult, batch_variance, ojavarest, plan_schedule
+from .varest import VarEstResult, batch_variance, ojavarest, plan_schedule
 from .workers import cpu_ranges, run_parts
-
-DEFAULT_METHODS = ("ojavarest", "bootstrap:1", "bootstrap:20")
 
 
 def parse_method(spec: str) -> tuple[str, int | None]:

@@ -19,10 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .core import UNIT_TOL, Dataset, SeedSpec, require_gap, sample_covariance, sin2
-
-
-# Step multiplier alpha of learning_rate wherever a caller does not set one.
-DEFAULT_ALPHA = 2.0
+from .defaults import DEFAULT_ALPHA
 
 
 def learning_rate(n: float, gap: float, alpha: float) -> float:

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UNIT_TOL, Dataset, RegimeError, SeedSpec, _check_unit
-from .oja import DEFAULT_ALPHA, gaussian_unit, learning_rate, oja_kernel
+from .defaults import DEFAULT_ALPHA, DEFAULT_DELTA, PAPER_M1
+from .oja import gaussian_unit, learning_rate, oja_kernel
 
 log = logging.getLogger(__name__)
-
-
-# Groups in the reference experiments, in place of the ceil(8 ln(d/delta)) default.
-PAPER_M1 = 3
-# Failure probability that sets the default m1 and the boosted proxy's batch count.
-DEFAULT_DELTA = 0.05
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ import signal
 from contextlib import suppress
 from typing import BinaryIO, Callable
 
+# Loaded before IMPORT_THREADS is read, so that the count includes the BLAS pool
+# that numpy starts at import, whichever module imported this one first.
+import numpy  # noqa: F401
+
 log = logging.getLogger(__name__)
 
 
@@ -40,7 +44,7 @@ def os_threads() -> int | None:
         return None
 
 
-# os_threads() when this package was imported, before it forked anything. A fork
+# os_threads() when this module was imported, after numpy and before it forked anything. A fork
 # stops OpenBLAS's pool in the parent until a large enough BLAS call restarts it,
 # so a later reading of 1 may only mean that the process forked before.
 IMPORT_THREADS = os_threads()

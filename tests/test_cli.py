@@ -172,9 +172,11 @@ _FILE_CONFIG = {
 @pytest.mark.parametrize("argv", [["oja"], ["varest", "--m1", "2", "--m2", "2"], ["bootstrap", "--b", "2"]])
 def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     calls = []
-    hash_file = cli.content_hash_file
+    hash_file = oio.content_hash_file
     monkeypatch.delenv("OJA_INFER_SEED", raising=False)
-    monkeypatch.setattr(cli, "content_hash_file", lambda path: calls.append(path) or hash_file(path))
+    for var in cli.BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(oio, "content_hash_file", lambda path: calls.append(path) or hash_file(path))
     out = tmp_path / "out.json"
     assert run(["--quiet", *argv, "--input", small_csv, "--out", out]) == 0
     assert calls == [str(small_csv)]
@@ -185,7 +187,7 @@ def test_input_hashed_once(tmp_path, small_csv, monkeypatch, argv):
     # No --seed and no $OJA_INFER_SEED: the config records the seed used, 0.
     assert config == {"seed": 0, "subcommand": argv[0], "input": str(small_csv), "center": False,
                       "alpha": 2.0, "out": str(out), "input_sha256": hash_file(small_csv),
-                      "input_cache": "miss", **_FILE_CONFIG[argv[0]]}
+                      "blas_threads": "unset", "input_cache": "miss", **_FILE_CONFIG[argv[0]]}
 
 
 def test_oja_varest_bootstrap_share_one_proxy(tmp_path, small_csv):
@@ -245,8 +247,9 @@ def test_manifest_layout(tmp_path, small_csv):
         config = manifest["config"]
         assert list(config)[-2:] == ["workers", "reruns"]
         assert config["workers"] >= 1 and config["reruns"] == []
-    # asymvar's handler echoes its flags unchanged, so its hash is that of the config less the record.
-    flags = {k: v for k, v in config.items() if k not in ("workers", "reruns")}
+    # asymvar's handler echoes its flags unchanged, so its hash is that of the config less the
+    # records added after it: the BLAS setting and the workers' run record.
+    flags = {k: v for k, v in config.items() if k not in ("blas_threads", "workers", "reruns")}
     assert manifest["content_hash"] == content_hash_config(flags)
 
 
