@@ -209,8 +209,7 @@ def _cmd_synth(args, seed: SeedSpec) -> dict:
 
     _, eigen, root = build_sigma(args.d, args.beta, args.c, args.scale)
     write_csv(sample(root, args.n, seed.rng()), args.out)
-    return {"n": args.n, "d": args.d, "beta": args.beta, "c": args.c, "scale": args.scale,
-            "gap": eigen.gap}
+    return {"gap": eigen.gap}
 
 
 def _cmd_oja(args, seed: SeedSpec) -> dict:
@@ -226,7 +225,7 @@ def _cmd_oja(args, seed: SeedSpec) -> dict:
         "alpha": args.alpha,
         "samples_consumed": data.n,
     })
-    return {"input_cache": cache, "gap": gap, "alpha": args.alpha, "center": args.center}
+    return {"input_cache": cache, "gap": gap}
 
 
 def _cmd_varest(args, seed: SeedSpec) -> dict:
@@ -244,8 +243,7 @@ def _cmd_varest(args, seed: SeedSpec) -> dict:
         band = build_ci(vtilde, sigma2, args.level)
         payload["ci"] = {"level": args.level, "lower": band.lower(), "upper": band.upper()}
     write_json(args.out, payload)
-    return {"input_cache": cache, "gap": gap, "delta": args.delta, "m1": m1, "m2": args.m2,
-            "alpha": args.alpha, "boosted": args.boosted, "samples_unused": result.samples_unused}
+    return {"input_cache": cache, "gap": gap, "m1": m1, "samples_unused": result.samples_unused}
 
 
 def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
@@ -258,7 +256,7 @@ def _cmd_bootstrap(args, seed: SeedSpec) -> dict:
                                             seed, law=args.law)
     write_json(args.out, {"sigma2": sigma2, "b": args.b, "law": args.law, "eta": eta, "gap": gap,
                           "vtilde": vtilde})
-    return {"input_cache": cache, "b": args.b, "law": args.law, "gap": gap, "alpha": args.alpha}
+    return {"input_cache": cache, "gap": gap}
 
 
 def _cmd_coverage(args, seed: SeedSpec) -> dict:
@@ -282,7 +280,7 @@ def _cmd_bench(args, seed: SeedSpec) -> dict:
     records = experiments.run_bench(n=args.n, d=args.d, methods=methods,
                                     beta=args.beta, seed=seed)
     write_results(records, args.out)
-    return {"n": args.n, "d": args.d, "beta": args.beta, "methods": list(methods)}
+    return {"methods": list(methods)}
 
 
 def _cmd_oracle(args, seed: SeedSpec) -> dict:
@@ -299,7 +297,7 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
     report = residual_decomposition(data.samples, sigma, eigen, args.eta, u0, vtilde)
     report.validate()
     write_json(args.out, report)
-    return {"n": args.n, "d": args.d, "eta": args.eta, "beta": args.beta}
+    return {}
 
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
@@ -323,8 +321,7 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
         payload["empirical"] = emp
         payload["ck"] = ck_diagnostic(emp.matrix.diagonal(), eta, gap, moments.m2)
     write_json(args.out, payload)
-    return {"d": args.d, "beta": args.beta, "mc_samples": args.mc_samples,
-            "n": args.n, "trials": args.trials} | run
+    return run
 
 
 _HANDLERS = {
@@ -382,6 +379,7 @@ def cli_dispatch(argv: list[str], blas_threads: str | None = None) -> int:
                     "content_hash": digest, "started_at": _now(), "finished_at": "",
                     "version": __version__}
         _progress(args, f"ojainfer {args.subcommand}: starting (seed={seed.master})")
+        # A handler returns only the keys it adds or changes; a changed flag keeps its place.
         config_echo.update(_HANDLERS[args.subcommand](args, seed))
         manifest["finished_at"] = _now()
         io.write_json(f"{args.out}.manifest.json", manifest)

@@ -51,15 +51,14 @@ _PIECE_BYTES = 8 << 20
 _WRITE_BLOCK = 1 << 16
 
 
-def read_csv(path, center: bool = False) -> Dataset:
+def read_csv(path) -> Dataset:
     """Load a rectangular numeric CSV as a Dataset.
 
     A header row is detected automatically: if any cell of the first row is
     not parseable as a number, the row is skipped. Ragged rows, non-numeric
     cells past the header (a ``#`` row included), and files without a numeric
-    row are rejected; blank lines are ignored. With ``center=True`` every
-    column is shifted to mean zero, matching the estimators' mean-zero data
-    model. A UTF-8 byte order mark at the start of the file is skipped.
+    row are rejected; blank lines are ignored. A UTF-8 byte order mark at
+    the start of the file is skipped.
     Large files are parsed in pieces on several CPUs where the process may
     fork (``_read_pieces``); the array is the whole-file parse's, bit for bit.
     """
@@ -80,8 +79,6 @@ def read_csv(path, center: bool = False) -> Dataset:
             arr = np.loadtxt(path, skiprows=skip, encoding="utf-8-sig", **_LOADTXT)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if center:
-        arr -= arr.mean(axis=0, keepdims=True)
     return Dataset(arr)
 
 
@@ -92,7 +89,7 @@ def file_state(path) -> tuple[int, int, int]:
 
 
 def read_csv_cached(path, sha256: str, state: tuple[int, int, int]) -> tuple[np.ndarray, str]:
-    """The uncentred array of :func:`read_csv`, parsed once per file content.
+    """The array of :func:`read_csv`, parsed once per file content.
 
     ``sha256`` is the file's :func:`content_hash_file` digest and ``state``
     its :func:`file_state` taken before that hash. The array is kept in
@@ -149,8 +146,8 @@ def _read_entry(entry: Path) -> np.ndarray | None:
                 return None
             if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * shape[0] * shape[1] + 4:
                 return None
-            arr = np.empty(shape)
-            if not _fill(fh, arr) or fh.read() != _checksum(arr):
+            arr = np.fromfile(fh, dtype=np.float64, count=shape[0] * shape[1]).reshape(shape)
+            if fh.read() != _checksum(arr):
                 return None
     except (OSError, ValueError):
         return None
@@ -276,17 +273,6 @@ def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray | None:
     except (ValueError, OSError):
         return None
     return None if quotes % 2 else np.ascontiguousarray(arr)
-
-
-def _fill(src, arr: np.ndarray) -> bool:
-    """readinto ``arr``'s bytes from ``src``; False if the stream ends first."""
-    view = memoryview(arr.reshape(-1).view(np.uint8))  # arr is C-contiguous: a view
-    while view:
-        got = src.readinto(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -47,7 +47,7 @@ class VarEstResult:
 
     def batch_scale_sigma2(self) -> np.ndarray:
         """Median group spread, i.e. gamma rescaled back by eta_B * gap."""
-        return np.median(self.batch_sigma2, axis=0)
+        return median_of_means(self.batch_sigma2)
 
 
 def plan_schedule(n: int, d: int, delta: float,
@@ -98,12 +98,13 @@ def batch_variance(batch_vectors, vtilde: np.ndarray) -> np.ndarray:
     return np.mean(residuals**2, axis=0)
 
 
-def median_of_means(values) -> float:
-    """Median with the usual middle-pair average for even counts."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+def median_of_means(values) -> np.ndarray | float:
+    """Median over the first axis, the middle pair averaged for an even count: (m1, d) group
+    spreads give their (d,) per-coordinate medians, a 1-D sequence a scalar."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot take a median of no values")
-    return float(np.median(arr))
+    return np.median(arr, axis=0)
 
 
 def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
@@ -151,8 +152,7 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
     sigma2 = np.empty((m1, data.d))
     for ell in range(m1):
         sigma2[ell] = batch_variance(stacked[ell * m2 : (ell + 1) * m2], vt)
-    med = np.median(sigma2, axis=0)
-    gamma = med / (eta_b * gap)
+    gamma = median_of_means(sigma2) / (eta_b * gap)
     return VarEstResult(
         gamma=gamma, batch_sigma2=sigma2, eta_b=eta_b, batch_size=batch,
         m1=m1, m2=m2, vtilde=vt, samples_unused=unused,

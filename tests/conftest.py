@@ -1,7 +1,17 @@
 import math
 import os
+import sys
 
-import numpy as np
+# The suite runs with the console script's BLAS default: one BLAS thread unless the user set a
+# BLAS variable, so that numpy starts no thread pool and the forked paths run. It has to be set
+# before numpy loads; importing ojainfer.cli loads no numpy.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was loaded before tests/conftest.py, too late to set the BLAS default")
+from ojainfer.cli import _default_blas_threads  # noqa: E402
+
+_default_blas_threads()
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import settings
 

@@ -30,7 +30,7 @@ from ojainfer import (
 from ojainfer.experiments import run_bench, run_coverage_experiment
 from ojainfer.inference import check_clt
 from ojainfer.io import write_results
-from ojainfer.oja import gaussian_unit
+from ojainfer.oja import gaussian_unit, oja_kernel
 from ojainfer.synth import sample, vector_sampler
 
 from conftest import random_unit
@@ -228,6 +228,34 @@ def test_08_timing_comparison():
     report(8, "estimator as fast as one replica", ok,
            f"vs b1 {r1:.2f}x, vs b20 {r20:.3f}x, b20/b1 {scaling:.1f}x, {elapsed:.1f}s")
 
+
+
+def test_08_state_sample_counts(monkeypatch):
+    # test_08's gates on the state-samples each method's kernel calls read (K states times the
+    # samples each read), a count that host load cannot move. The proxy pass goes through
+    # oja_run and is not counted, as test_08 times it apart; d does not enter the counts.
+    counts = []
+
+    def counted(*args, **kwargs):
+        finals, samples = oja_kernel(*args, **kwargs)
+        counts.append(len(finals) * samples)
+        return finals, samples
+
+    monkeypatch.setattr("ojainfer.varest.oja_kernel", counted)
+    monkeypatch.setattr("ojainfer.bootstrap.oja_kernel", counted)
+    work = {}
+    for method in ("ojavarest", "bootstrap:1", "bootstrap:20"):
+        counts.clear()
+        run_bench(n=5000, d=8, methods=(method,), seed=SeedSpec(2008))
+        work[method] = sum(counts)
+    r1 = work["ojavarest"] / work["bootstrap:1"]
+    r20 = work["ojavarest"] / work["bootstrap:20"]
+    scaling = work["bootstrap:20"] / work["bootstrap:1"]
+    # ojavarest at m1 = PAPER_M1 = 3: m2 = ceil(ln 5000) = 9 batches of B = 185 per group.
+    ok = (work == {"ojavarest": 4995, "bootstrap:1": 5000, "bootstrap:20": 100_000}
+          and r1 <= 1.5 and r20 <= 0.15 and 8.0 <= scaling <= 30.0)
+    report(8, "estimator reads as few samples as one replica", ok,
+           f"{work}, vs b1 {r1:.2f}x, vs b20 {r20:.3f}x, b20/b1 {scaling:.1f}x")
 
 def test_09_clt_variance_matching(synth5, asym5, residuals5):
     t0 = time.perf_counter()

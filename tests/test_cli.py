@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ojainfer import SeedSpec, __version__, asymvar, build_sigma, cli, experiments
+from ojainfer import (PAPER_M1, Dataset, SeedSpec, __version__, asymvar, build_sigma, cli,
+                      experiments)
 from ojainfer import io as oio
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import content_hash_config, read_csv
+from ojainfer.oja import estimate_gap
 from ojainfer.synth import HALF_WIDTH
 
 
@@ -104,6 +106,21 @@ class TestOjaCommand:
         assert run(["--quiet", "oja", "--input", tmp_path, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_center_matches_a_pass_over_centred_columns(self, tmp_path, small_csv):
+        # Columns with means far from zero, so that centring moves the gap and the vector.
+        arr = read_csv(small_csv).samples + np.array([3.0, -1.0, 0.5, 2.0])
+        path = tmp_path / "shifted.csv"
+        np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+        for flags in (["--center"], []):
+            assert run(["--quiet", "--seed", "4", "oja", "--input", path, *flags,
+                        "--out", tmp_path / f"v{len(flags)}.json"]) == 0
+        centred = Dataset(arr - arr.mean(axis=0, keepdims=True))
+        gap = estimate_gap(centred)
+        vtilde, _ = experiments.proxy(centred, gap, 2.0, SeedSpec(4))
+        payload = json.loads((tmp_path / "v1.json").read_text())
+        assert payload["gap"] == gap and payload["estimate"] == vtilde.tolist()
+        assert json.loads((tmp_path / "v0.json").read_text())["estimate"] != payload["estimate"]
 
 
 class TestVarestCommand:
@@ -247,10 +264,51 @@ def test_manifest_layout(tmp_path, small_csv):
         config = manifest["config"]
         assert list(config)[-2:] == ["workers", "reruns"]
         assert config["workers"] >= 1 and config["reruns"] == []
-    # asymvar's handler echoes its flags unchanged, so its hash is that of the config less the
-    # records added after it: the BLAS setting and the workers' run record.
+    # asymvar's handler adds only the workers' run record, so its hash is that of the config less
+    # the records added after it: the BLAS setting and the workers' run record.
     flags = {k: v for k, v in config.items() if k not in ("blas_threads", "workers", "reruns")}
     assert manifest["content_hash"] == content_hash_config(flags)
+
+
+# Each command's argv and its manifest config keys in order: the parsed flags, the input's
+# digest, the BLAS setting, then the keys the handler adds. A handler that changes a flag's
+# value (varest's m1 under --preset) leaves the flag in its place.
+_FILE_KEYS = ["seed", "subcommand", "input", "center", "alpha", "gap", "out"]
+_CONFIG_KEYS = {
+    "synth": (["synth", "--n", "50", "--d", "3"],
+              ["seed", "subcommand", "n", "d", "beta", "c", "scale", "out", "blas_threads", "gap"]),
+    "oja": (["oja"], [*_FILE_KEYS, "input_sha256", "blas_threads", "input_cache"]),
+    "varest": (["varest", "--preset", "paper-experiments", "--boosted"],
+               [*_FILE_KEYS, "delta", "m1", "m2", "preset", "boosted", "level", "input_sha256",
+                "blas_threads", "input_cache", "samples_unused"]),
+    "bootstrap": (["bootstrap", "--b", "2"],
+                  [*_FILE_KEYS, "b", "law", "input_sha256", "blas_threads", "input_cache"]),
+    "coverage": (["coverage", "--n", "300", "--d", "4", "--trials", "2", "--methods", "ojavarest",
+                  "--m1", "2", "--m2", "2"],
+                 ["seed", "subcommand", "n", "d", "beta", "trials", "methods", "level", "m1", "m2",
+                  "tracked", "out", "blas_threads", "alpha", "workers", "reruns"]),
+    "bench": (["bench", "--n", "300", "--d", "4", "--methods", "ojavarest,bootstrap:2"],
+              ["seed", "subcommand", "n", "d", "beta", "methods", "out", "blas_threads"]),
+    "oracle": (["oracle", "--n", "4", "--d", "3"],
+               ["seed", "subcommand", "n", "d", "eta", "beta", "out", "blas_threads"]),
+    "asymvar": (["asymvar", "--d", "3", "--mc-samples", "500", "--n", "100", "--trials", "3"],
+                ["seed", "subcommand", "d", "beta", "mc_samples", "n", "alpha", "trials", "out",
+                 "blas_threads", "workers", "reruns"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+def test_manifest_config_key_order(tmp_path, small_csv, command):
+    argv, keys = _CONFIG_KEYS[command]
+    out = tmp_path / "out.json"
+    on_file = ["--input", small_csv] if command in ("oja", "varest", "bootstrap") else []
+    assert run(["--quiet", *argv, *on_file, "--out", out]) == 0
+    config = json.loads((tmp_path / "out.json.manifest.json").read_text())["config"]
+    assert list(config) == keys
+    if command == "varest":
+        assert config["m1"] == PAPER_M1 and config["samples_unused"] == 4
+    if command in ("bench", "coverage"):
+        assert isinstance(config["methods"], list)
 
 
 @pytest.mark.parametrize("flag", [["varest", "--format", "json"], ["varest", "--ci-scale", "full"],

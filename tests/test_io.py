@@ -90,12 +90,6 @@ class TestReadCsv:
         path.write_bytes(b"\xef\xbb\xbf1.5,2\n3,4\n5,6.5\n")
         np.testing.assert_array_equal(read_csv(path).samples, [[1.5, 2.0], [3.0, 4.0], [5.0, 6.5]])
 
-    def test_centering(self, tmp_path):
-        path = tmp_path / "center.csv"
-        path.write_text("1,10\n3,20\n")
-        data = read_csv(path, center=True)
-        np.testing.assert_allclose(data.samples.mean(axis=0), [0.0, 0.0], atol=1e-15)
-
     def test_large_file_loads_fast_and_round_trips(self, tmp_path):
         rng = SeedSpec(191).rng()
         data = Dataset(rng.standard_normal((7352, 561)))

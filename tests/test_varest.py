@@ -117,6 +117,13 @@ class TestMedianOfMeans:
         with pytest.raises(ValueError):
             median_of_means([])
 
+    @pytest.mark.parametrize("m1", [1, 2, 3, 4])
+    def test_group_spreads_give_per_coordinate_medians(self, m1):
+        spreads = SeedSpec(112).rng().standard_exponential((m1, 9))
+        med = median_of_means(spreads)
+        assert med.shape == (9,)
+        np.testing.assert_array_equal(med, np.median(spreads, axis=0))
+
 
 class TestOjaVarEst:
     def test_schedule_collapse_single_batch(self, synth3):
@@ -138,6 +145,8 @@ class TestOjaVarEst:
         assert np.all(result.gamma >= 0.0)
         recomputed = np.median(result.batch_sigma2, axis=0) / (result.eta_b * eigen.gap)
         np.testing.assert_array_equal(result.gamma, recomputed)
+        np.testing.assert_array_equal(
+            result.gamma, median_of_means(result.batch_sigma2) / (result.eta_b * eigen.gap))
         np.testing.assert_array_equal(result.batch_scale_sigma2(),
                                       np.median(result.batch_sigma2, axis=0))
 
