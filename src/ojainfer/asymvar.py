@@ -38,9 +38,8 @@ from .hoeffding import order1_contraction
 from .workers import cpu_ranges, run_parts
 
 DENOM_FLOOR = 1e-12
-# Entries per block of rows: estimate_mtilde draws its chunks, and
-# _operator_norms cuts its blocks, at _BLOCK_ELEMS // d rows (at least one), so
-# each array of the moment loop is about 0.5 MB whatever d.
+# Entries per chunk: estimate_mtilde draws, and _operator_norms takes, _BLOCK_ELEMS // d rows
+# at a time (at least one), so each array of the moment loop is about 0.5 MB whatever d.
 _BLOCK_ELEMS = 65536
 # A cap on the secular iterations; they settle in about five.
 _ROOT_ITERS = 50
@@ -146,10 +145,7 @@ def _operator_norms(x: np.ndarray, eigen: EigenSystem) -> np.ndarray:
     it is the nearest to the bottom root, so those iterates rise too. A row
     leaves the iteration once its step is within a few ulps of the
     spectrum's scale, or once its bottom root is known to lose to its top one.
-    Rows run in (d, rows) blocks of about ``_BLOCK_ELEMS`` entries that stay in
-    cache.
     """
-    m, d = x.shape
     lam = eigen.eigenvalues
     gap = float(lam[0] - lam[1])
     h = (lam[1] - lam[1:])[:, None]
@@ -160,28 +156,20 @@ def _operator_norms(x: np.ndarray, eigen: EigenSystem) -> np.ndarray:
     # floor is read as the larger of the two.
     base = max(2.0 * float(lam[1]), float(h[-1, 0]))
     floor = base + max(tol * abs(base), _TINY)
-    step = _block_rows(d)
-    out = np.empty(m)
-    for lo in range(0, m, step):
-        w = (eigen.eigenvectors.T @ x[lo:lo + step].T) ** 2
-        w1, wb = w[0], w[1:]
-        # The first top iterate is the root of the model at y = inf.
-        y = np.maximum(_model_roots(w1, wb.sum(axis=0), np.ones_like(w1), gap)[0], floor)
-        y = _secular_roots(w1, wb, h, gap, y, True, floor, tol, scale)
-        top = np.where(y > floor, y, base) - lam[1]
-        # lam_2 less the bottom root is at most lam_1, and is lam_1 when g = 0.
-        norm = np.maximum(top, lam[0])
-        rest = np.flatnonzero(top < lam[0])
-        if gap > 0.0 and rest.size:
-            y = _secular_roots(w1[rest], wb[:, rest], h, gap, np.full(rest.size, -gap), False,
-                               lam[1] - top[rest], tol, scale)
-            norm[rest] = np.maximum(top[rest], lam[1] - y)
-        out[lo:lo + step] = norm
-    return out
-
-
-def _block_rows(d: int) -> int:
-    return max(1, _BLOCK_ELEMS // d)
+    w = (eigen.eigenvectors.T @ x.T) ** 2
+    w1, wb = w[0], w[1:]
+    # The first top iterate is the root of the model at y = inf.
+    y = np.maximum(_model_roots(w1, wb.sum(axis=0), np.ones_like(w1), gap)[0], floor)
+    y = _secular_roots(w1, wb, h, gap, y, True, floor, tol, scale)
+    top = np.where(y > floor, y, base) - lam[1]
+    # lam_2 less the bottom root is at most lam_1, and is lam_1 when g = 0.
+    norm = np.maximum(top, lam[0])
+    rest = np.flatnonzero(top < lam[0])
+    if gap > 0.0 and rest.size:
+        y = _secular_roots(w1[rest], wb[:, rest], h, gap, np.full(rest.size, -gap), False,
+                           lam[1] - top[rest], tol, scale)
+        norm[rest] = np.maximum(top[rest], lam[1] - y)
+    return norm
 
 
 def _secular_roots(w1, wb, h, gap, y, top, bound, tol, scale):
@@ -242,7 +230,7 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
     sum_q4 = 0.0
     sum_a = np.zeros((d, d))
     sum_asq = np.zeros((d, d))
-    step = _block_rows(d)
+    step = max(1, _BLOCK_ELEMS // d)
     done = 0
     while done < mc_samples:
         m = min(step, mc_samples - done)
@@ -392,12 +380,12 @@ def moments_and_trials(sampler, eigen: EigenSystem, mc_samples: int, moment_seed
     """:func:`estimate_mtilde`, and with ``trials`` > 0 :func:`empirical_hajek_covariance` beside it.
 
     The parts handed to :func:`~ojainfer.workers.run_parts` are trial range
-    0, the moment estimate, then one contiguous range of trials per further
-    usable CPU; in a single-threaded process range 0 runs here and the others
-    on forked workers. Each range returns its :func:`order1_terms`, joined
-    here in trial order, so both estimates are those of the two calls made
-    one after the other. Returns (moments, the empirical covariance or None,
-    run_parts' run record).
+    0, the moment estimate, then the further ranges of
+    :func:`~ojainfer.workers.cpu_ranges`; range 0 runs here and the others,
+    where the process may fork, on forked workers. Each range returns its
+    :func:`order1_terms`, joined here in trial order, so both estimates are
+    those of the two calls made one after the other. Returns (moments, the
+    empirical covariance or None, run_parts' run record).
     """
     estimate = partial(estimate_mtilde, sampler, eigen, mc_samples, moment_seed)
     if trials == 0:

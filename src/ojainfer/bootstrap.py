@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, SeedSpec
+from .defaults import DEFAULT_LAW
 from .oja import DegenerateIterateError, oja_kernel
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
@@ -36,7 +37,7 @@ def _multipliers(law: str, rng: np.random.Generator, n: int) -> np.ndarray | Non
 
 
 def bootstrap_run(data: Dataset, b: int, eta: float, seed: SeedSpec, u0: np.ndarray,
-                  law: str = "exponential") -> np.ndarray:
+                  law: str = DEFAULT_LAW) -> np.ndarray:
     """Run b weighted replicas over the data at step ``eta``; returns (b, d) rows.
 
     All replicas start from the same ``u0`` and see the samples in the same

@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .defaults import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_METHODS, PAPER_M1
+from .defaults import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_C, DEFAULT_DELTA, DEFAULT_LAW,
+                       DEFAULT_LEVEL, DEFAULT_METHODS, DEFAULT_SCALE, DEFAULT_TRACKED, PAPER_M1)
 
 if TYPE_CHECKING:
     from .core import SeedSpec
@@ -67,9 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=0.01)
-    p.add_argument("--scale", type=float, default=5.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    p.add_argument("--c", type=float, default=DEFAULT_C)
+    p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     p.add_argument("--out", required=True)
 
     sub.add_parser("oja", parents=[on_file], help="single streaming pass over a CSV dataset")
@@ -90,24 +91,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bootstrap", parents=[on_file],
                        help="multiplier-bootstrap variance for a CSV dataset")
     p.add_argument("--b", type=int, default=20)
-    p.add_argument("--law", choices=["exponential", "normal"], default="exponential")
+    p.add_argument("--law", choices=["exponential", "normal"], default=DEFAULT_LAW)
 
     p = sub.add_parser("coverage", help="repeated-trial coverage experiment on synthetic data")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--methods", default=",".join(DEFAULT_METHODS))
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float, default=DEFAULT_LEVEL)
     p.add_argument("--m1", type=int, default=PAPER_M1)
     p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--tracked", default="1,2", help="1-based coordinates to track in records")
+    p.add_argument("--tracked", default=",".join(map(str, DEFAULT_TRACKED)),
+                   help="1-based coordinates to track in records")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="wall-clock comparison of the variance estimators")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--methods", default="ojavarest,bootstrap:1,bootstrap:10,bootstrap:20")
     p.add_argument("--out", required=True)
 
@@ -115,12 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("asymvar", help="limit covariance of the synthetic family")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--mc-samples", type=int, default=200000)
     p.add_argument("--n", type=int, default=None,
                    help="also include the finite-horizon block at this length")

@@ -15,11 +15,12 @@ import numpy as np
 
 from .bootstrap import bootstrap_run
 from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
-from .defaults import DEFAULT_ALPHA, DEFAULT_DELTA, DEFAULT_METHODS, PAPER_M1
+from .defaults import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA, DEFAULT_LAW, DEFAULT_LEVEL,
+                       DEFAULT_METHODS, DEFAULT_TRACKED, PAPER_M1)
 from .inference import CoverageReport, band_hits, build_ci, check_level
-from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run
+from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run, require_regime
 from .synth import build_sigma, sample
-from .varest import VarEstResult, batch_variance, ojavarest, plan_schedule
+from .varest import VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
 from .workers import cpu_ranges, run_parts
 
 
@@ -51,18 +52,21 @@ def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
     """The proxy vector vtilde and the full-sample step eta_n it was run at.
 
     One streaming pass from a start drawn from ``stream.child(SeedLabel.START)``,
-    or with ``boosted_delta`` the central candidate of :func:`oja_boosted`.
+    refused by :func:`require_regime` when eta_n * lambda_1 >= 1, or with
+    ``boosted_delta`` the central candidate of :func:`oja_boosted`.
     """
     eta_n = learning_rate(data.n, gap, alpha)
     start = stream.child(SeedLabel.START)
     if boosted_delta is not None:
         return oja_boosted(data, boosted_delta, gap, alpha, start), eta_n
-    return oja_run(data, eta_n, gaussian_unit(start.rng(), data.d)), eta_n
+    vtilde = oja_run(data, eta_n, gaussian_unit(start.rng(), data.d))
+    require_regime(data.samples, vtilde, eta_n, gap, "eta_n", "full-sample")
+    return vtilde, eta_n
 
 
 def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, alpha: float,
                     stream: SeedSpec, delta: float = DEFAULT_DELTA, m1: int | None = PAPER_M1,
-                    m2: int | None = None, law: str = "exponential"
+                    m2: int | None = None, law: str = DEFAULT_LAW
                     ) -> tuple[np.ndarray, VarEstResult | np.ndarray]:
     """One method's per-coordinate variance around ``vtilde`` at the interval's scale.
 
@@ -81,7 +85,7 @@ def method_variance(method: str, data: Dataset, vtilde: np.ndarray, gap: float, 
         return batch_variance(replicas, vtilde), replicas
     result = ojavarest(data, delta, vtilde, gap, m1=m1, m2=m2, alpha=alpha,
                        seed=stream.child(SeedLabel.VAREST))
-    return result.batch_scale_sigma2() * (eta_n / result.eta_b), result
+    return median_of_means(result.batch_sigma2) * (eta_n / result.eta_b), result
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,11 @@ def run_coverage_experiment(
     beta: float,
     trials: int,
     methods: tuple[str, ...] = DEFAULT_METHODS,
-    level: float = 0.95,
+    level: float = DEFAULT_LEVEL,
     seed: SeedSpec = SeedSpec(0),
     m1: int | None = PAPER_M1,
     m2: int | None = None,
-    tracked: tuple[int, ...] = (1, 2),
+    tracked: tuple[int, ...] = DEFAULT_TRACKED,
 ) -> CoverageOutcome:
     """Repeated-trial coverage of per-coordinate intervals on synthetic data.
 
@@ -132,12 +136,11 @@ def run_coverage_experiment(
     fix ojavarest's schedule, which is checked, with ``level`` and
     ``tracked``, before any trial runs.
 
-    The trials are cut into one contiguous range per usable CPU and run by
-    :func:`~ojainfer.workers.run_parts`: in a single-threaded process range 0
-    runs here and each other range in a forked child that pickles its hits
-    and records back. Outputs are those of the in-process loop, bar the
-    ``*_ms`` clocks, which time the process that ran the trial. The config
-    ends with run_parts' ``workers`` and ``reruns``.
+    The trials are cut by :func:`~ojainfer.workers.cpu_ranges` and run by
+    :func:`~ojainfer.workers.run_parts`: range 0 runs here and each other in
+    a forked child that pickles its hits and records back. Outputs are those
+    of the in-process loop, bar the ``*_ms`` clocks, which time the process
+    that ran the trial. The config ends with run_parts' ``workers`` and ``reruns``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -197,7 +200,7 @@ def run_bench(
     n: int,
     d: int,
     methods: tuple[str, ...],
-    beta: float = 1.0,
+    beta: float = DEFAULT_BETA,
     seed: SeedSpec = SeedSpec(0),
 ) -> list[dict]:
     """Time each method on one shared dataset, one phase at a time.

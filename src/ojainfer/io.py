@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset
-from .workers import fork_allowed, run_parts, usable_cpus
+from .workers import cpu_ranges, run_parts
 
 
 def _fmt(value) -> str:
@@ -207,16 +207,16 @@ def _read_pieces(path, skip: int) -> np.ndarray | None:
     is parsed here, the others in forked children that pickle their arrays
     back, and a range whose child died is parsed again here. The parts are
     copied into one (n, d) array, each dropped once copied, so the peak is
-    the array and one range. None (parse the whole file instead) for a file
-    under 2 × ``_PIECE_BYTES``, one usable CPU, a process that may not fork
-    (:func:`~ojainfer.workers.fork_allowed`), a cut at EOF, a range that
+    the array and one range. The ranges are as many as the
+    :func:`~ojainfer.workers.cpu_ranges` of size // ``_PIECE_BYTES``. None
+    (parse the whole file instead) for fewer than two, a cut at EOF, a range that
     fails to parse or ends inside a quoted field, or ranges whose column
     counts differ. So every error message comes from the whole-file parse,
     with its row numbers.
     """
     size = os.path.getsize(path)
-    pieces = min(usable_cpus(), size // _PIECE_BYTES)
-    if pieces < 2 or not fork_allowed():
+    pieces = len(cpu_ranges(size // _PIECE_BYTES))
+    if pieces < 2:
         return None
     cuts = [0]
     with open(path, "rb") as fh:

@@ -18,8 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import UNIT_TOL, Dataset, SeedSpec, require_gap, sample_covariance, sin2
-from .defaults import DEFAULT_ALPHA
+from .core import UNIT_TOL, Dataset, RegimeError, SeedSpec, require_gap, sample_covariance, sin2
 
 
 def learning_rate(n: float, gap: float, alpha: float) -> float:
@@ -31,6 +30,19 @@ def learning_rate(n: float, gap: float, alpha: float) -> float:
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"alpha must exceed 1 and be finite (got {alpha})")
     return alpha * math.log(n) / (n * gap)
+
+
+def require_regime(samples: np.ndarray, v: np.ndarray, eta: float, gap: float, name: str,
+                   kind: str) -> None:
+    """Raise RegimeError unless eta * lambda_1 < 1, with lambda_1 read off as the unit vector
+    ``v``'s Rayleigh quotient on the (n, d) ``samples`` that a pass at step ``eta`` read.
+
+    The message names the step as ``name`` (``eta_B``, ``eta_n``) and the pass as ``kind``.
+    """
+    step = eta * float(np.mean((samples @ v) ** 2))
+    if step >= 1.0:
+        raise RegimeError(f"{name} * lambda_1 = {step:.3g} >= 1: the {kind} step size {eta:.3g} "
+                          f"is out of the regime the estimator covers; is the gap {gap:.3g} at noise level?")
 
 
 def gaussian_unit(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -18,12 +18,13 @@ import math
 import numpy as np
 
 from .core import Dataset, EigenSystem, eigendecompose, psd_sqrt
+from .defaults import DEFAULT_C, DEFAULT_SCALE
 
 HALF_WIDTH = math.sqrt(3.0)
 
 
-def build_sigma(d: int, beta: float, c: float = 0.01,
-                scale: float = 5.0) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
+def build_sigma(d: int, beta: float, c: float = DEFAULT_C,
+                scale: float = DEFAULT_SCALE) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
     """Construct the covariance, its eigendecomposition and its square root.
 
     ``beta`` controls how fast coordinate scales decay, ``c`` the correlation

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNIT_TOL, Dataset, RegimeError, SeedSpec, _check_unit
-from .defaults import DEFAULT_ALPHA, DEFAULT_DELTA, PAPER_M1
-from .oja import gaussian_unit, learning_rate, oja_kernel
+from .core import UNIT_TOL, Dataset, SeedSpec, _check_unit
+from .defaults import DEFAULT_ALPHA
+from .oja import gaussian_unit, learning_rate, oja_kernel, require_regime
 
 log = logging.getLogger(__name__)
 
@@ -44,10 +44,6 @@ class VarEstResult:
     def __post_init__(self) -> None:
         if np.any(self.gamma < 0.0):
             raise ValueError("per-coordinate variance estimates must be nonnegative")
-
-    def batch_scale_sigma2(self) -> np.ndarray:
-        """Median group spread, i.e. gamma rescaled back by eta_B * gap."""
-        return median_of_means(self.batch_sigma2)
 
 
 def plan_schedule(n: int, d: int, delta: float,
@@ -139,10 +135,7 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
     eta_b = learning_rate(batch, gap, alpha)
     used = m1 * m2 * batch
     unused = data.n - used
-    step = eta_b * float(np.mean((data.samples[:used] @ vt) ** 2))
-    if step >= 1.0:
-        raise RegimeError(f"eta_B * lambda_1 = {step:.3g} >= 1: the batch step size {eta_b:.3g} "
-                          f"is out of the regime the estimator covers; is the gap {gap:.3g} at noise level?")
+    require_regime(data.samples[:used], vt, eta_b, gap, "eta_B", "batch")
     if unused:
         log.info("schedule uses %d of %d samples (%d trailing dropped)", used, data.n, unused)
 

@@ -3,8 +3,8 @@
 :func:`run_parts` runs the first part here and each other part in a forked
 child that pickles its result back down a pipe; a part whose child failed
 runs again here. Its callers are ``read_csv``'s byte ranges, the coverage
-trials and ``asymvar``'s estimators. :func:`fork_allowed` is its one fork
-decision, which ``read_csv`` also asks before it cuts a file.
+trials and ``asymvar``'s estimators, which count their parts with :func:`cpu_ranges`;
+both ask :func:`fork_allowed`, the one fork decision.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ def usable_cpus() -> int:
 
 
 def cpu_ranges(count: int) -> list[tuple[int, int]]:
-    """``count`` items cut into min(usable CPUs, count) contiguous (lo, hi) ranges, in order."""
-    parts = min(usable_cpus(), count)
+    """``count`` items cut into contiguous (lo, hi) ranges, in order: min(usable CPUs, count)
+    of them where :func:`fork_allowed`, else at most one, since every part then runs here."""
+    parts = min(usable_cpus() if fork_allowed() else 1, count)
     return [(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
 
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 from datetime import datetime
@@ -10,6 +11,7 @@ import pytest
 from ojainfer import (PAPER_M1, Dataset, SeedSpec, __version__, asymvar, build_sigma, cli,
                       experiments)
 from ojainfer import io as oio
+from ojainfer.bootstrap import bootstrap_run
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import content_hash_config, read_csv
 from ojainfer.oja import estimate_gap
@@ -328,6 +330,41 @@ def test_pure_noise_varest_exits_1_naming_the_step(tmp_path, capsys):
     assert code == 1
     assert "eta_B * lambda_1 = " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["oja"], ["bootstrap", "--b", "5"]], ids=" ".join)
+def test_proxy_outside_the_step_regime_exits_1_naming_the_step(tmp_path, capsys, command):
+    # lambda_1 is about 42 on this file, so --gap 1 sets eta_n * lambda_1 near 1.6.
+    path, out = tmp_path / "data.csv", tmp_path / "o.json"
+    assert run(["--quiet", "--seed", "1", "synth", "--n", "300", "--d", "6", "--out", path]) == 0
+    assert run(["--quiet", *command, "--input", path, "--gap", "1.0", "--out", out]) == 1
+    assert "eta_n * lambda_1 = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+
+    def parsed(*argv):
+        return parser.parse_args([*argv, "--out", "o"])
+
+    def defaults(function, *names):
+        params = inspect.signature(function).parameters
+        return {name: params[name].default for name in names}
+
+    synth = parsed("synth", "--n", "2", "--d", "2")
+    assert {"c": synth.c, "scale": synth.scale} == defaults(build_sigma, "c", "scale")
+    coverage = parsed("coverage", "--n", "2", "--d", "2", "--trials", "1")
+    assert ({"level": coverage.level, "m1": coverage.m1, "tracked": cli._tracked(coverage),
+             "methods": cli._methods(coverage)}
+            == defaults(experiments.run_coverage_experiment, "level", "m1", "tracked", "methods"))
+    beta = defaults(experiments.run_bench, "beta")["beta"]
+    for argv in (["synth", "--n", "2", "--d", "2"], ["coverage", "--n", "2", "--d", "2", "--trials", "1"],
+                 ["bench", "--n", "2", "--d", "2"], ["oracle"], ["asymvar", "--d", "2"]):
+        assert parsed(*argv).beta == beta, argv
+    law = parsed("bootstrap", "--input", "x").law
+    assert law == defaults(experiments.method_variance, "law")["law"]
+    assert law == defaults(bootstrap_run, "law")["law"]
 
 
 @pytest.mark.parametrize("argv", [

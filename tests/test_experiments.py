@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from ojainfer import SeedLabel, SeedSpec, batch_variance, bootstrap_run, experiments, learning_rate, workers
+from ojainfer import (SeedLabel, SeedSpec, batch_variance, bootstrap_run, experiments, learning_rate,
+                      median_of_means, workers)
 from ojainfer.core import RegimeError
 from ojainfer.experiments import (
     method_variance,
@@ -114,13 +115,14 @@ class TestForkedTrials:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Count the parent's os.fork calls; split(w) forces w workers, split(1) the in-process loop."""
+        """Count the parent's os.fork calls; split(w) forces w workers, split(1) the in-process loop,
+        and split(w, fork=False) sets w usable CPUs and shuts the gate."""
         calls = []
         real = os.fork
         monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
 
-        def split(cpus):
-            monkeypatch.setattr(workers, "IMPORT_THREADS", 1)
+        def split(cpus, fork=True):
+            monkeypatch.setattr(workers, "IMPORT_THREADS", 1 if fork else 2)
             monkeypatch.setattr(workers, "os_threads", lambda: 1)
             monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
 
@@ -140,16 +142,26 @@ class TestForkedTrials:
 
     @pytest.mark.parametrize("trials", [1, 2, 5])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_outputs_match_the_in_process_loop(self, forks, trials, workers):
+    def test_outputs_match_the_in_process_loop(self, forks, monkeypatch, trials, workers):
         calls, split = forks
+        real, part_counts = experiments.run_parts, []
+        monkeypatch.setattr(experiments, "run_parts",
+                            lambda parts: part_counts.append(len(parts)) or real(parts))
         split(1)
         want = _outputs(run_coverage_experiment(trials=trials, **FORKED))
         assert calls == []
+        # Where the process may not fork, the trials are one range, run here as one part.
+        split(workers, fork=False)
+        assert experiments.cpu_ranges(trials) == [(0, trials)]
+        outcome = run_coverage_experiment(trials=trials, **FORKED)
+        assert _outputs(outcome) == want
+        assert (calls, outcome.config["workers"]) == ([], 1)
         split(workers)
         outcome = run_coverage_experiment(trials=trials, **FORKED)
         assert _outputs(outcome) == want
         assert len(calls) == min(workers, trials) - 1
         assert (outcome.config["workers"], outcome.config["reruns"]) == (min(workers, trials), [])
+        assert part_counts == [1, 1, min(workers, trials)]
 
     def test_error_in_a_child_is_raised_as_in_process(self, forks, monkeypatch):
         calls, split = forks
@@ -252,7 +264,7 @@ class TestMethodVariance:
         assert proxy_eta == eta_n
         full, result = method_variance("ojavarest", data, vt, gap, 3.0, stream, m1=2, m2=2)
         assert result.eta_b == learning_rate(result.batch_size, gap, 3.0)
-        np.testing.assert_array_equal(full, result.batch_scale_sigma2() * (eta_n / result.eta_b))
+        np.testing.assert_array_equal(full, median_of_means(result.batch_sigma2) * (eta_n / result.eta_b))
         boot, replicas = method_variance("bootstrap:3", data, vt, gap, 3.0, stream)
         u0 = gaussian_unit(stream.child(SeedLabel.BOOTSTRAP_START).rng(), data.d)
         np.testing.assert_array_equal(

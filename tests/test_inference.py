@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ojainfer import ConfidenceBand, SeedSpec, build_ci, normal_quantile
+from ojainfer import ConfidenceBand, SeedSpec, build_ci, median_of_means, normal_quantile
 from ojainfer.experiments import method_variance
 from ojainfer.inference import (
     AD_CRITICAL,
@@ -62,7 +62,7 @@ class TestBuildCi:
         eta_n = learning_rate(data.n, eigen.gap, 2.0)
         args = ("ojavarest", data, eigen.leading, eigen.gap, 2.0, SeedSpec(170), 0.05, 2, 2)
         full_s2, result = method_variance(*args)
-        batch = build_ci(eigen.leading, result.batch_scale_sigma2(), 0.95)
+        batch = build_ci(eigen.leading, median_of_means(result.batch_sigma2), 0.95)
         full = build_ci(eigen.leading, full_s2, 0.95)
         ratio = math.sqrt(eta_n / result.eta_b)
         np.testing.assert_allclose(full.half_width, batch.half_width * ratio, rtol=1e-12)

@@ -125,7 +125,7 @@ class TestSplitParse:
     @pytest.fixture(autouse=True)
     def pieces(self, monkeypatch):
         monkeypatch.setattr(oio, "_PIECE_BYTES", 16)
-        monkeypatch.setattr(oio, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
         monkeypatch.setattr(workers, "IMPORT_THREADS", 1)
         monkeypatch.setattr(workers, "os_threads", lambda: 1)
         split = oio._read_pieces
@@ -191,7 +191,7 @@ class TestSplitParse:
 
     def test_ragged_only_across_the_cut(self, tmp_path, monkeypatch):
         # Two ranges, cut at the boundary: each parses, their widths differ.
-        monkeypatch.setattr(oio, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         path = tmp_path / "named.csv"
         path.write_text("1,2\n" * 25 + "1,2,3\n" * 16)
         split = _message(path)
@@ -201,7 +201,7 @@ class TestSplitParse:
     def test_quote_open_at_the_cut(self, tmp_path, monkeypatch):
         # A quote opened on the line that ends at the cut runs to the end of
         # the file, so the whole-file parse fails; each range alone parses.
-        monkeypatch.setattr(oio, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         rows = [f"{i}.25\n" for i in range(40)]
         for j in range(len(rows)):
             start = len("".join(rows[:j]))
@@ -227,7 +227,7 @@ class TestSplitParse:
     @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle", "exit-3-after-sending"])
     def test_dead_child_falls_back(self, tmp_path, monkeypatch, caplog, pieces, death):
         # Two ranges, so one child; run_parts parses its range again here, and the split stands.
-        monkeypatch.setattr(oio, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         path = tmp_path / "split.csv"
         path.write_text(self.ROWS)
         parent, real = os.getpid(), oio._parse_range

@@ -147,7 +147,7 @@ class TestOjaVarEst:
         np.testing.assert_array_equal(result.gamma, recomputed)
         np.testing.assert_array_equal(
             result.gamma, median_of_means(result.batch_sigma2) / (result.eta_b * eigen.gap))
-        np.testing.assert_array_equal(result.batch_scale_sigma2(),
+        np.testing.assert_array_equal(median_of_means(result.batch_sigma2),
                                       np.median(result.batch_sigma2, axis=0))
 
     def test_determinism(self, synth3):
