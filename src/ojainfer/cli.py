@@ -158,8 +158,8 @@ def _check_flags(args) -> None:
         _tracked(args)
     if args.subcommand == "bootstrap" and args.b < 1:
         raise ValueError(f"--b must be at least 1 (got {args.b})")
-    if args.subcommand == "oracle" and not args.eta > 0.0:
-        raise ValueError(f"--eta must be positive (got {args.eta})")
+    if args.subcommand == "oracle" and not 0.0 < args.eta < math.inf:
+        raise ValueError(f"--eta must be positive and finite (got {args.eta})")
     if args.subcommand == "varest":
         if args.preset and args.m1 is not None:
             raise ValueError("--m1 and --preset both set m1: give one of them")
@@ -304,7 +304,7 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
     from .asymvar import build_r0_v, ck_diagnostic, moments_and_trials, with_rn
-    from .core import SeedLabel
+    from .core import RegimeError, SeedLabel
     from .io import write_json
     from .oja import learning_rate
     from .synth import build_sigma, vector_sampler
@@ -312,6 +312,10 @@ def _cmd_asymvar(args, seed: SeedSpec) -> dict:
     _, eigen, root = build_sigma(args.d, args.beta)
     gap = eigen.require_gap()
     eta = None if args.n is None else learning_rate(args.n, gap, args.alpha)
+    # build_rn would refuse this too, but only after the Monte Carlo has run.
+    if eta is not None and (step := eta * float(eigen.eigenvalues[0])) >= 1.0:
+        raise RegimeError(f"eta * lambda_1 = {step:.3g} >= 1: the step size "
+                          f"{eta:.3g} that --n and --alpha set is out of the regime the estimator covers")
     moments, emp, run = moments_and_trials(
         vector_sampler(root), eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS),
         args.n, eta, args.trials, seed.child(SeedLabel.EMPIRICAL))

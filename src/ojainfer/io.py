@@ -9,23 +9,19 @@ the manifest).
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import json
 import os
 import tempfile
-import warnings
 import zlib
 from contextlib import suppress
 from dataclasses import fields, is_dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import Dataset
-from .workers import cpu_ranges, run_parts
 
 
 def _fmt(value) -> str:
@@ -34,9 +30,6 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-# The one set of loadtxt options: the whole file and every byte range parse alike.
-# Both read UTF-8 and skip a byte order mark at the start of the file only.
-_LOADTXT = dict(delimiter=",", ndmin=2, dtype=np.float64, comments=None, quotechar='"')
 # Version of the parse rules that read_csv applies; bump it whenever a file
 # could parse to another array, so that no cache entry made under the old
 # rules is read again.
@@ -44,9 +37,6 @@ _PARSE_RULES = 2
 # Size limit of the parsed-array cache directory; the least recently used
 # entries are deleted past it.
 _CACHE_BYTES = 1 << 30
-# A large file is parsed in min(usable CPUs, size // _PIECE_BYTES) line-aligned
-# byte ranges, the ranges after the first in forked workers.
-_PIECE_BYTES = 8 << 20
 # write_csv converts at most this many cells to Python floats at once.
 _WRITE_BLOCK = 1 << 16
 
@@ -58,9 +48,8 @@ def read_csv(path) -> Dataset:
     not parseable as a number, the row is skipped. Ragged rows, non-numeric
     cells past the header (a ``#`` row included), and files without a numeric
     row are rejected; blank lines are ignored. A UTF-8 byte order mark at
-    the start of the file is skipped.
-    Large files are parsed in pieces on several CPUs where the process may
-    fork (``_read_pieces``); the array is the whole-file parse's, bit for bit.
+    the start of the file is skipped. The file is parsed once, whole, by
+    ``np.loadtxt``; :func:`read_csv_cached` keeps the array for repeat reads.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
@@ -73,12 +62,11 @@ def read_csv(path) -> Dataset:
         # loadtxt would only warn on a file without a data row.
         if (skip or not first) and not any(rows):
             raise ValueError(f"{path}: no numeric rows found")
-    arr = _read_pieces(path, skip)
-    if arr is None:
-        try:
-            arr = np.loadtxt(path, skiprows=skip, encoding="utf-8-sig", **_LOADTXT)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    try:
+        arr = np.loadtxt(path, delimiter=",", skiprows=skip, encoding="utf-8-sig", ndmin=2,
+                         dtype=np.float64, comments=None, quotechar='"')
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return Dataset(arr)
 
 
@@ -198,81 +186,6 @@ def _evict(cache: Path, keep: Path) -> None:
             with suppress(OSError):
                 os.unlink(name)
             total -= size
-
-
-def _read_pieces(path, skip: int) -> np.ndarray | None:
-    """Parse the file as byte ranges cut at line starts, or return None.
-
-    Each range is one part of :func:`~ojainfer.workers.run_parts`: range 0
-    is parsed here, the others in forked children that pickle their arrays
-    back, and a range whose child died is parsed again here. The parts are
-    copied into one (n, d) array, each dropped once copied, so the peak is
-    the array and one range. The ranges are as many as the
-    :func:`~ojainfer.workers.cpu_ranges` of size // ``_PIECE_BYTES``. None
-    (parse the whole file instead) for fewer than two, a cut at EOF, a range that
-    fails to parse or ends inside a quoted field, or ranges whose column
-    counts differ. So every error message comes from the whole-file parse,
-    with its row numbers.
-    """
-    size = os.path.getsize(path)
-    pieces = len(cpu_ranges(size // _PIECE_BYTES))
-    if pieces < 2:
-        return None
-    cuts = [0]
-    with open(path, "rb") as fh:
-        for k in range(1, pieces):
-            fh.seek(max(size * k // pieces, cuts[-1]))
-            fh.readline()
-            cuts.append(fh.tell())
-    if cuts[-1] >= size:
-        return None
-    cuts.append(size)
-    parts, _ = run_parts([partial(_parse_range, path, cuts[k], cuts[k + 1], skip if k == 0 else 0)
-                          for k in range(pieces)])
-    if any(part is None for part in parts):
-        return None
-    # A range of blank lines parses to (0, 1); it adds no row in either parse.
-    widths = {part.shape[1] for part in parts if len(part)}
-    if len(widths) != 1:
-        return None
-    out = np.empty((sum(map(len, parts)), widths.pop()))
-    lo = 0
-    for k, part in enumerate(parts):
-        out[lo:lo + len(part)] = part
-        lo += len(part)
-        parts[k] = None
-    return out
-
-
-def _parse_range(path, start: int, stop: int, skip: int) -> np.ndarray | None:
-    """loadtxt over the lines in bytes [start, stop) of the file, or None if they fail to parse.
-
-    A range holding an odd number of ``"`` ends inside a quoted field, which
-    may go on past the cut, so it is None too.
-    """
-    quotes = 0
-
-    def lines():
-        nonlocal quotes
-        with open(path, "rb") as fh:
-            # Per-line utf-8-sig would also drop a mark that starts a later line.
-            pos = 3 if start == 0 and fh.read(3) == codecs.BOM_UTF8 else start
-            fh.seek(pos)
-            for line in fh:
-                if b'"' in line:  # a memchr scan; the count is slower
-                    quotes += line.count(b'"')
-                yield line
-                pos += len(line)
-                if pos >= stop:
-                    return
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # "no data" from a range of blank lines
-            arr = np.loadtxt(lines(), skiprows=skip, encoding="utf-8", **_LOADTXT)
-    except (ValueError, OSError):
-        return None
-    return None if quotes % 2 else np.ascontiguousarray(arr)
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -2,9 +2,9 @@
 
 :func:`run_parts` runs the first part here and each other part in a forked
 child that pickles its result back down a pipe; a part whose child failed
-runs again here. Its callers are ``read_csv``'s byte ranges, the coverage
-trials and ``asymvar``'s estimators, which count their parts with :func:`cpu_ranges`;
-both ask :func:`fork_allowed`, the one fork decision.
+runs again here. Its callers are the coverage trials and ``asymvar``'s
+estimators, which count their parts with :func:`cpu_ranges`; both ask
+:func:`fork_allowed`, the one fork decision.
 """
 
 from __future__ import annotations

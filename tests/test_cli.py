@@ -425,6 +425,17 @@ def test_asymvar_short_n_or_mc_samples_is_refused_before_the_moments(tmp_path, c
     assert not out.exists()
 
 
+def test_asymvar_out_of_regime_step_is_refused_before_the_moments(tmp_path, capsys, monkeypatch):
+    # At d = 5, n = 3 and alpha = 5 the step puts eta * lambda_1 at 1.84.
+    monkeypatch.setattr(asymvar, "estimate_mtilde", lambda *a, **k: pytest.fail("the moments ran"))
+    out = tmp_path / "asym.json"
+    assert run(["--quiet", "asymvar", "--d", "5", "--mc-samples", "2000000", "--n", "3",
+                "--alpha", "5", "--trials", "10", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: eta * lambda_1 = 1.84 >= 1" in err and "--n and --alpha" in err
+    assert not out.exists()
+
+
 def test_preset_with_m1_is_refused(tmp_path, small_csv, capsys):
     # --preset fixes m1 to the paper's value, so an --m1 beside it would be silently overridden or ignored.
     out = tmp_path / "x.json"
@@ -708,7 +719,7 @@ class TestOracleCommand:
         assert payload["n"] == 6 and payload["d"] == 3
         assert len(payload["terms"]) == 7
 
-    @pytest.mark.parametrize("eta", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("eta", ["-1", "0", "nan", "inf"])
     def test_nonpositive_eta_is_validation_error(self, tmp_path, capsys, eta):
         out = tmp_path / "report.json"
         assert run(["--quiet", "oracle", "--eta", eta, "--out", out]) == 1

@@ -103,6 +103,10 @@ FORKED = dict(n=300, d=6, beta=1.0, m1=2, m2=2, methods=("ojavarest", "bootstrap
               tracked=(1, 4), seed=SeedSpec(35))
 
 
+# The real sender, for the test that wraps it.
+SEND = workers._send
+
+
 def _outputs(outcome):
     """The coverage table and the records without their wall clocks."""
     records = [{k: v for k, v in r.items() if not k.endswith("_ms")}
@@ -184,7 +188,12 @@ class TestForkedTrials:
         with open(wfd, "wb") as out:
             out.write(pickle.dumps(part())[:-8])
 
-    @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle"])
+    @staticmethod
+    def _send_then_exit_3(part, wfd):
+        SEND(part, wfd)
+        os._exit(3)
+
+    @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle", "exit-3-after-sending"])
     def test_failed_child_is_recomputed_here(self, forks, monkeypatch, caplog, death):
         calls, split = forks
         split(1)
@@ -192,6 +201,9 @@ class TestForkedTrials:
         parent = os.getpid()
         if death == "short-pickle":
             monkeypatch.setattr(workers, "_send", self._short_pickle)
+        elif death == "exit-3-after-sending":
+            # The whole pickle arrived, but a non-zero exit still voids it.
+            monkeypatch.setattr(workers, "_send", self._send_then_exit_3)
         else:
             kill = {"sigkill": lambda pid: os.kill(pid, signal.SIGKILL), "exit-3": lambda pid: os._exit(3)}
             self._at_trial(monkeypatch, 3, lambda pid: pid != parent and kill[death](pid))

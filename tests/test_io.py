@@ -1,9 +1,5 @@
 import csv
-import logging
 import os
-import pickle
-import signal
-import threading
 import time
 import warnings
 from types import SimpleNamespace
@@ -16,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from ojainfer import Dataset, SeedSpec
 from ojainfer import io as oio
-from ojainfer import workers
 from ojainfer.io import (
     content_hash_config,
     content_hash_file,
@@ -78,10 +73,11 @@ class TestReadCsv:
             with pytest.raises(ValueError, match="no numeric rows"):
                 read_csv(path)
 
-    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,\n", "1,2\n#3,4\n", '1,2\n3,"x"\n'])
+    # Only the mark that starts the file is skipped; one that starts a later line is a bad cell.
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,\n", "1,2\n#3,4\n", '1,2\n3,"x"\n', "1,2\n\ufeff3,4\n"])
     def test_errors_name_the_path(self, tmp_path, text):
         path = tmp_path / "named.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="named.csv"):
             read_csv(path)
 
@@ -103,189 +99,6 @@ class TestReadCsv:
         second = tmp_path / "again.csv"
         write_csv(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-
-
-# The real worker probes and sender, for tests that patch them.
-OS_THREADS, SEND = workers.os_threads, workers._send
-
-
-def _whole_file(path, skip):
-    return np.loadtxt(path, skiprows=skip, encoding="utf-8-sig", **oio._LOADTXT)
-
-
-def _message(path):
-    with pytest.raises(ValueError) as info:
-        read_csv(path)
-    return str(info.value)
-
-
-class TestSplitParse:
-    """read_csv's byte-range parse, forced onto small files: 3 ranges, 2 forked children."""
-
-    @pytest.fixture(autouse=True)
-    def pieces(self, monkeypatch):
-        monkeypatch.setattr(oio, "_PIECE_BYTES", 16)
-        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(workers, "IMPORT_THREADS", 1)
-        monkeypatch.setattr(workers, "os_threads", lambda: 1)
-        split = oio._read_pieces
-        results = []  # what each _read_pieces call returned; None means the fallback ran
-
-        def recorded(path, skip):
-            results.append(split(path, skip))
-            return results[-1]
-
-        monkeypatch.setattr(oio, "_read_pieces", recorded)
-        return results
-
-    ROWS = "".join(f"{i}.25,{-i}e-3\n" for i in range(40))
-
-    @pytest.mark.parametrize("text,skip", [
-        (ROWS, 0),
-        (ROWS[:200] + "\n" * 300 + ROWS[200:], 0),  # the first cut lands in the blank lines
-        ("\n" * 10 + ROWS + "\n" * 400, 0),  # the last range is blank lines only
-        ("a,b\r\n" + ROWS.replace("\n", "\r\n"), 1),
-        ("alpha,beta\n" + ROWS, 1),
-        (ROWS.replace(",", ',"').replace("\n", '"\n'), 0),
-        ("".join(f'"{i}\n",{i}\n' for i in range(60)), 0),  # both cuts fall outside the quotes
-        ("\ufeff" + ROWS, 0),
-        ("\ufeffalpha,beta\n" + ROWS, 1),
-    ], ids=["plain", "cut-on-blank-line", "blank-range", "crlf-header", "header", "quoted",
-            "quoted-line-break", "bom", "bom-header"])
-    def test_split_bits_match_whole_file(self, tmp_path, pieces, text, skip):
-        path = tmp_path / "split.csv"
-        path.write_bytes(text.encode())
-        got = read_csv(path).samples
-        assert pieces[0] is not None  # parsed in ranges, not by the fallback
-        want = _whole_file(path, skip)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_quoted_line_breaks_fall_back(self, tmp_path, pieces):
-        path = tmp_path / "whole.csv"
-        path.write_text("".join(f'{i},"{i}\n"\n' for i in range(60)))
-        got = read_csv(path).samples
-        assert pieces[0] is None
-        assert got.tobytes() == _whole_file(path, 0).tobytes()
-
-    def test_bare_cr_falls_back_without_forking(self, tmp_path, monkeypatch, pieces):
-        # No line feed to cut at: every cut lands at the end of the file.
-        path = tmp_path / "whole.csv"
-        path.write_bytes(self.ROWS.replace("\n", "\r").encode())
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a file it cannot cut"))
-        got = read_csv(path).samples
-        assert pieces[0] is None
-        assert got.tobytes() == _whole_file(path, 0).tobytes()
-
-    # The last entry fills a whole range with rows that are ragged only against the others.
-    @pytest.mark.parametrize("bad", ["3,\n", "#3,4\n", '3,"x"\n', "3,4,5\n", "3,x\n", "3\n",
-                                     "\ufeff3,4\n", "7,8,9\n" * 60])
-    @pytest.mark.parametrize("where", ["first", "last"])
-    def test_errors_match_the_whole_file_parse(self, tmp_path, monkeypatch, bad, where):
-        path = tmp_path / "named.csv"
-        path.write_text("a,b\n" + (bad + self.ROWS if where == "first" else self.ROWS + bad),
-                        encoding="utf-8")
-        split = _message(path)
-        monkeypatch.setattr(oio, "_PIECE_BYTES", 1 << 40)
-        assert split == _message(path)
-        assert "named.csv" in split
-
-    def test_ragged_only_across_the_cut(self, tmp_path, monkeypatch):
-        # Two ranges, cut at the boundary: each parses, their widths differ.
-        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-        path = tmp_path / "named.csv"
-        path.write_text("1,2\n" * 25 + "1,2,3\n" * 16)
-        split = _message(path)
-        monkeypatch.setattr(oio, "_PIECE_BYTES", 1 << 40)
-        assert split == _message(path)
-
-    def test_quote_open_at_the_cut(self, tmp_path, monkeypatch):
-        # A quote opened on the line that ends at the cut runs to the end of
-        # the file, so the whole-file parse fails; each range alone parses.
-        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-        rows = [f"{i}.25\n" for i in range(40)]
-        for j in range(len(rows)):
-            start = len("".join(rows[:j]))
-            text = "".join(rows[:j]) + '"' + "".join(rows[j:])
-            if start <= len(text) // 2 < start + 1 + len(rows[j]):
-                break
-        path = tmp_path / "named.csv"
-        path.write_text(text)
-        split = _message(path)
-        monkeypatch.setattr(oio, "_PIECE_BYTES", 1 << 40)
-        assert split == _message(path)
-
-    @staticmethod
-    def _short_pickle(part, wfd):
-        with open(wfd, "wb") as out:
-            out.write(pickle.dumps(part())[:-8])
-
-    @staticmethod
-    def _send_then_exit_3(part, wfd):
-        SEND(part, wfd)
-        os._exit(3)
-
-    @pytest.mark.parametrize("death", ["sigkill", "exit-3", "short-pickle", "exit-3-after-sending"])
-    def test_dead_child_falls_back(self, tmp_path, monkeypatch, caplog, pieces, death):
-        # Two ranges, so one child; run_parts parses its range again here, and the split stands.
-        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-        path = tmp_path / "split.csv"
-        path.write_text(self.ROWS)
-        parent, real = os.getpid(), oio._parse_range
-
-        def dying(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL) if death == "sigkill" else os._exit(3)
-            return real(*args)
-
-        if death == "short-pickle":
-            monkeypatch.setattr(workers, "_send", self._short_pickle)
-        elif death == "exit-3-after-sending":
-            monkeypatch.setattr(workers, "_send", self._send_then_exit_3)
-        else:
-            monkeypatch.setattr(oio, "_parse_range", dying)
-        with caplog.at_level(logging.WARNING, logger="ojainfer.workers"):
-            got = read_csv(path).samples
-        assert pieces[0] is not None  # the split, its range 1 parsed again here
-        assert got.tobytes() == _whole_file(path, 0).tobytes()
-        assert [r.getMessage() for r in caplog.records] == [
-            "part 1 of 2: its worker failed, so it runs again here"]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch, pieces):
-        path = tmp_path / "whole.csv"
-        path.write_text(self.ROWS)
-        assert path.stat().st_size >= oio._PIECE_BYTES
-        monkeypatch.setattr(workers, "os_threads", OS_THREADS)
-        forks, loads = [], []
-        fork, loadtxt = os.fork, np.loadtxt
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loads.append(1) or loadtxt(*args, **kwargs))
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            assert OS_THREADS() >= 2
-            got = read_csv(path).samples
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
-        assert (forks, loads, pieces) == ([], [1], [None])
-        assert got.tobytes() == _whole_file(path, 0).tobytes()
-
-    def test_interrupt_reaps_the_children(self, tmp_path, monkeypatch):
-        # Ctrl-C during the parent's own range; the conftest fixture checks
-        # that no child is left.
-        path = tmp_path / "split.csv"
-        path.write_text(self.ROWS)
-
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(oio, "_parse_range", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            read_csv(path)
 
 
 CELLS = st.one_of(
