@@ -74,7 +74,8 @@ class TestReadCsv:
                 read_csv(path)
 
     # Only the mark that starts the file is skipped; one that starts a later line is a bad cell.
-    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,\n", "1,2\n#3,4\n", '1,2\n3,"x"\n', "1,2\n\ufeff3,4\n"])
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n3,\n", "1,2\n#3,4\n", '1,2\n3,"x"\n', "1,2\n\ufeff3,4\n",
+                                      "a,b\n\ufeff3,4\n1,2\n"])
     def test_errors_name_the_path(self, tmp_path, text):
         path = tmp_path / "named.csv"
         path.write_text(text, encoding="utf-8")
