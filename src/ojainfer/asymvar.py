@@ -34,7 +34,9 @@ from functools import partial
 import numpy as np
 
 from .core import EigenSystem, SeedSpec
+from .defaults import require_at_least, require_positive
 from .hoeffding import order1_contraction
+from .oja import require_step
 from .workers import cpu_ranges, run_parts
 
 DENOM_FLOOR = 1e-12
@@ -214,8 +216,7 @@ def estimate_mtilde(sampler, eigen: EigenSystem, mc_samples: int, seed: SeedSpec
         Random stream key, recorded in the output.
     """
     eigen.require_gap()
-    if mc_samples < 100:
-        raise ValueError(f"need mc_samples >= 100 (got {mc_samples})")
+    require_at_least("mc_samples", mc_samples, 100)
     d = eigen.d
     v1 = eigen.leading
     vp = eigen.tail_basis
@@ -293,16 +294,15 @@ def contraction_factors(eigen: EigenSystem, eta: float) -> np.ndarray:
 def build_rn(moments: MomentEstimates, eigen: EigenSystem, n: int, eta: float) -> np.ndarray:
     """Finite-horizon covariance block of the order-1 fluctuation term.
 
-    Requires 0 < eta * l_1 < 1 and a positive gap; the geometric-series
-    denominator 1 - d_k d_l cannot vanish under those conditions but is
-    guarded anyway.
+    Requires a positive, finite eta with eta * l_1 < 1 (a RegimeError
+    otherwise) and a positive gap; the geometric-series denominator
+    1 - d_k d_l cannot vanish under those conditions but is guarded anyway.
     """
     eigen.require_gap()
-    if n < 1:
-        raise ValueError(f"need n >= 1 (got {n})")
+    require_at_least("n", n, 1)
+    require_positive("eta", eta)
     lam1 = float(eigen.eigenvalues[0])
-    if not 0.0 < eta * lam1 < 1.0:
-        raise ValueError(f"need 0 < eta*lambda_1 < 1 (got {eta * lam1})")
+    require_step(eta, lam1, "eta", "the finite-horizon block needs a smaller eta")
     dk = contraction_factors(eigen, eta)
     prod = dk[:, None] * dk[None, :]
     denom = 1.0 - prod
@@ -339,7 +339,7 @@ def empirical_hajek_covariance(sampler, eigen: EigenSystem, n: int, eta: float,
     product, so no initial vector enters. Matches eta^2 Vp Rn Vp^T in
     expectation.
     """
-    _check_trials(eigen, trials)
+    _check_trials(eigen, eta, trials)
     return _covariance(order1_terms(sampler, eigen, n, eta, seed, 0, trials), seed)
 
 
@@ -358,10 +358,10 @@ def order1_terms(sampler, eigen: EigenSystem, n: int, eta: float, seed: SeedSpec
     return psi
 
 
-def _check_trials(eigen: EigenSystem, trials: int) -> None:
+def _check_trials(eigen: EigenSystem, eta: float, trials: int) -> None:
     eigen.require_gap()
-    if trials < 1:
-        raise ValueError(f"need trials >= 1 (got {trials})")
+    require_positive("eta", eta)
+    require_at_least("trials", trials, 1)
 
 
 def _covariance(psi: np.ndarray, seed: SeedSpec) -> EmpiricalCovariance:
@@ -387,11 +387,12 @@ def moments_and_trials(sampler, eigen: EigenSystem, mc_samples: int, moment_seed
     those of the two calls made one after the other. Returns (moments, the
     empirical covariance or None, run_parts' run record).
     """
+    require_at_least("trials", trials, 0)
     estimate = partial(estimate_mtilde, sampler, eigen, mc_samples, moment_seed)
     if trials == 0:
         (moments,), run = run_parts([estimate])
         return moments, None, run
-    _check_trials(eigen, trials)
+    _check_trials(eigen, eta, trials)
     ranges = [partial(order1_terms, sampler, eigen, n, eta, trial_seed, lo, hi)
               for lo, hi in cpu_ranges(trials)]
     (first, moments, *rest), run = run_parts([ranges[0], estimate, *ranges[1:]])
@@ -405,7 +406,7 @@ def ck_diagnostic(psi_variances: np.ndarray, eta: float, gap: float, m2: float) 
     covariance (see :func:`empirical_hajek_covariance`). Exposed as a
     diagnostic only; no data-driven estimator of these constants is claimed.
     """
-    if eta <= 0.0 or gap <= 0.0 or m2 <= 0.0:
-        raise ValueError("eta, gap, and m2 must all be positive")
+    for name, value in (("eta", eta), ("gap", gap), ("m2", m2)):
+        require_positive(name, value)
     vals = np.maximum(np.asarray(psi_variances, dtype=np.float64), 0.0)
     return np.sqrt(vals / eta * gap / (m2 * m2))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, SeedSpec
-from .defaults import DEFAULT_LAW
+from .defaults import DEFAULT_LAW, require_at_least
 from .oja import DegenerateIterateError, oja_kernel
 
 MULTIPLIER_LAWS = ("exponential", "normal", "constant")
@@ -51,8 +51,7 @@ def bootstrap_run(data: Dataset, b: int, eta: float, seed: SeedSpec, u0: np.ndar
     the first chunk that holds one, it names the earliest degenerate samples
     and the lowest replica there.
     """
-    if b < 1:
-        raise ValueError(f"need at least one replica (got b={b})")
+    require_at_least("b", b, 1)
     if law not in MULTIPLIER_LAWS:
         raise ValueError(f"unknown multiplier law {law!r}; pick from {MULTIPLIER_LAWS}")
     n, d = data.n, data.d

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -22,7 +21,8 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .defaults import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_C, DEFAULT_DELTA, DEFAULT_LAW,
-                       DEFAULT_LEVEL, DEFAULT_METHODS, DEFAULT_SCALE, DEFAULT_TRACKED, PAPER_M1)
+                       DEFAULT_LEVEL, DEFAULT_METHODS, DEFAULT_SCALE, DEFAULT_TRACKED, PAPER_M1,
+                       require_above_one, require_at_least, require_open_unit, require_positive)
 
 if TYPE_CHECKING:
     from .core import SeedSpec
@@ -134,32 +134,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_flags(args) -> None:
-    """Refuse a flag that would change nothing in its combination, then fill defaults.
+# The rule of ojainfer.defaults that each flag's value must pass, with its k for require_at_least:
+# the rule, and the text, that the library applies to the parameter the flag sets. asymvar's --n
+# sets a learning rate, and its --trials 0 skips the empirical check.
+_FLAG_RULES = {
+    "level": (require_open_unit,), "gap": (require_positive,), "alpha": (require_above_one,),
+    "delta": (require_open_unit,), "m1": (require_at_least, 1), "m2": (require_at_least, 1),
+    "b": (require_at_least, 1), "eta": (require_positive,), "mc_samples": (require_at_least, 100),
+}
+_ASYMVAR_RULES = {"trials": (require_at_least, 0), "n": (require_at_least, 2)}
 
-    Such flags default to None, so that a value given can be told from the default.
-    A value out of its range is refused here too, before any input is read.
-    """
-    if getattr(args, "level", None) is not None and not 0.0 < args.level < 1.0:
-        raise ValueError(f"--level must lie in (0, 1) (got {args.level})")
-    if getattr(args, "gap", None) is not None and not 0.0 < args.gap < math.inf:
-        raise ValueError(f"--gap must be positive and finite (got {args.gap})")
-    if getattr(args, "alpha", None) is not None and not 1.0 < args.alpha < math.inf:
-        raise ValueError(f"--alpha must exceed 1 and be finite (got {args.alpha})")
-    if getattr(args, "delta", None) is not None and not 0.0 < args.delta < 1.0:
-        raise ValueError(f"--delta must lie in (0, 1) (got {args.delta})")
-    for flag in ("m1", "m2"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{flag} must be at least 1 (got {value})")
+
+def _check_flags(args) -> None:
+    """Refuse, before any input is read, a value that fails its flag's rule (``_FLAG_RULES``), a list
+    that does not parse, or a flag that would change nothing in its combination; then fill the
+    defaults of such flags, which are None so that a value given can be told from the default."""
+    rules = _FLAG_RULES | (_ASYMVAR_RULES if args.subcommand == "asymvar" else {})
+    for attr, (rule, *k) in rules.items():
+        if (value := getattr(args, attr, None)) is not None:
+            rule("--" + attr.replace("_", "-"), value, *k)
     if args.subcommand in ("coverage", "bench") and not _methods(args):
         raise ValueError(f"--methods names no method (got {args.methods!r})")
     if args.subcommand == "coverage":
         _tracked(args)
-    if args.subcommand == "bootstrap" and args.b < 1:
-        raise ValueError(f"--b must be at least 1 (got {args.b})")
-    if args.subcommand == "oracle" and not 0.0 < args.eta < math.inf:
-        raise ValueError(f"--eta must be positive and finite (got {args.eta})")
     if args.subcommand == "varest":
         if args.preset and args.m1 is not None:
             raise ValueError("--m1 and --preset both set m1: give one of them")
@@ -167,12 +164,6 @@ def _check_flags(args) -> None:
             raise ValueError("--delta changes nothing once --m1 or --preset fixes m1 without --boosted")
         args.delta = DEFAULT_DELTA if args.delta is None else args.delta
     elif args.subcommand == "asymvar":
-        if args.trials < 0:
-            raise ValueError(f"--trials must be at least 0 (got {args.trials})")
-        if args.mc_samples < 100:
-            raise ValueError(f"--mc-samples must be at least 100 (got {args.mc_samples})")
-        if args.n is not None and args.n < 2:
-            raise ValueError(f"--n must be at least 2 (got {args.n})")
         if args.trials > 0 and args.n is None:
             raise ValueError("--trials needs --n: the empirical check runs at that horizon")
         if args.alpha is not None and args.n is None:
@@ -304,18 +295,16 @@ def _cmd_oracle(args, seed: SeedSpec) -> dict:
 
 def _cmd_asymvar(args, seed: SeedSpec) -> dict:
     from .asymvar import build_r0_v, ck_diagnostic, moments_and_trials, with_rn
-    from .core import RegimeError, SeedLabel
+    from .core import SeedLabel
     from .io import write_json
-    from .oja import learning_rate
+    from .oja import learning_rate, require_step
     from .synth import build_sigma, vector_sampler
 
     _, eigen, root = build_sigma(args.d, args.beta)
     gap = eigen.require_gap()
     eta = None if args.n is None else learning_rate(args.n, gap, args.alpha)
-    # build_rn would refuse this too, but only after the Monte Carlo has run.
-    if eta is not None and (step := eta * float(eigen.eigenvalues[0])) >= 1.0:
-        raise RegimeError(f"eta * lambda_1 = {step:.3g} >= 1: the step size "
-                          f"{eta:.3g} that --n and --alpha set is out of the regime the estimator covers")
+    if eta is not None:  # build_rn refuses this too, but only after the Monte Carlo has run
+        require_step(eta, float(eigen.eigenvalues[0]), "eta", "--n and --alpha set it")
     moments, emp, run = moments_and_trials(
         vector_sampler(root), eigen, args.mc_samples, seed.child(SeedLabel.MOMENTS),
         args.n, eta, args.trials, seed.child(SeedLabel.EMPIRICAL))

@@ -16,8 +16,8 @@ import numpy as np
 from .bootstrap import bootstrap_run
 from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
 from .defaults import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA, DEFAULT_LAW, DEFAULT_LEVEL,
-                       DEFAULT_METHODS, DEFAULT_TRACKED, PAPER_M1)
-from .inference import CoverageReport, band_hits, build_ci, check_level
+                       DEFAULT_METHODS, DEFAULT_TRACKED, PAPER_M1, require_at_least, require_open_unit)
+from .inference import CoverageReport, band_hits, build_ci
 from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run, require_regime
 from .synth import build_sigma, sample
 from .varest import VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
@@ -33,8 +33,7 @@ def parse_method(spec: str) -> tuple[str, int | None]:
             b = int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"method {spec!r}: the replica count is not an integer") from None
-        if b < 1:
-            raise ValueError(f"method {spec!r}: bootstrap replica count must be >= 1 (got {b})")
+        require_at_least(f"method {spec!r}: the replica count", b, 1)
         return "bootstrap", b
     raise ValueError(f"unknown method {spec!r}; expected 'ojavarest' or 'bootstrap:<b>'")
 
@@ -44,6 +43,14 @@ def parse_methods(specs: tuple[str, ...]) -> dict[str, int | None]:
     counts = {m: parse_method(m)[1] for m in specs}
     if len(counts) < len(specs):
         raise ValueError(f"methods repeat: {list(specs)}")
+    return counts
+
+
+def _plan(specs: tuple[str, ...], n: int, d: int, m1: int | None, m2: int | None) -> dict[str, int | None]:
+    """:func:`parse_methods`, and ojavarest's :func:`plan_schedule`: a driver's checks before any work."""
+    counts = parse_methods(specs)
+    if "ojavarest" in counts:
+        plan_schedule(n, d, DEFAULT_DELTA, m1, m2)
     return counts
 
 
@@ -60,7 +67,7 @@ def proxy(data: Dataset, gap: float, alpha: float, stream: SeedSpec,
     if boosted_delta is not None:
         return oja_boosted(data, boosted_delta, gap, alpha, start), eta_n
     vtilde = oja_run(data, eta_n, gaussian_unit(start.rng(), data.d))
-    require_regime(data.samples, vtilde, eta_n, gap, "eta_n", "full-sample")
+    require_regime(data.samples, vtilde, eta_n, gap, "eta_n")
     return vtilde, eta_n
 
 
@@ -142,18 +149,15 @@ def run_coverage_experiment(
     of the in-process loop, bar the ``*_ms`` clocks, which time the process
     that ran the trial. The config ends with run_parts' ``workers`` and ``reruns``.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    check_level(level)
-    replica_counts = parse_methods(methods)
+    require_at_least("trials", trials, 1)
+    require_open_unit("level", level)
+    replica_counts = _plan(methods, n, d, m1, m2)
     tracked = tuple(tracked)
     for i, c in enumerate(tracked):
         if not 1 <= c <= d:
             raise ValueError(f"tracked coordinate {c} is outside 1..{d}")
         if c in tracked[:i]:
             raise ValueError(f"tracked coordinate {c} repeats: {list(tracked)}")
-    if "ojavarest" in replica_counts:
-        plan_schedule(n, d, DEFAULT_DELTA, m1, m2)  # refuse a schedule before the first trial
     _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
 
@@ -210,10 +214,10 @@ def run_bench(
     from the variance estimation: the estimators take the proxy as an input,
     so ``estimate_ms`` is the apples-to-apples cost of the uncertainty step
     itself. An untimed warmup pass runs first so the earliest method is not
-    charged for cache faults. Every spec is parsed, and a repeat refused,
-    before any of that runs.
+    charged for cache faults. Every spec is parsed, a repeat refused and
+    ojavarest's schedule planned before any of that runs.
     """
-    parse_methods(methods)
+    _plan(methods, n, d, PAPER_M1, None)
     _, eigen, root = build_sigma(d, beta)
     gap = eigen.require_gap()
     data = sample(root, n, seed.child(SeedLabel.DATA).rng())

@@ -25,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import EigenSystem, _check_unit
+from .defaults import require_positive
 
 # C(14, 7) subsets keep full enumeration sub-second at oracle sizes.
 ENUMERATION_CAP = 14
@@ -212,6 +213,7 @@ def residual_decomposition(
     from the enumerated order >= 2 terms as a cross-check.
     """
     eigen.require_gap()
+    require_positive("eta", eta)
     sigma = np.asarray(sigma, dtype=np.float64)
     samples = _rows(samples, sigma.shape[0])
     n, d = samples.shape

@@ -14,6 +14,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import sign_align, _check_unit
+from .defaults import require_at_least, require_open_unit, require_positive
 
 # Anderson-Darling critical value for normality at significance AD_SIGNIFICANCE,
 # with estimated mean and variance (statistic modified by (1 + 0.75/n + 2.25/n^2)).
@@ -36,15 +37,8 @@ def normal_quantile(p: float) -> float:
     Example: ``normal_quantile(0.975)`` is 1.959964... for a two-sided 95%
     interval.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1) (got {p})")
+    require_open_unit("quantile argument", p)
     return NormalDist().inv_cdf(p)
-
-
-def check_level(level: float) -> None:
-    """Refuse a confidence level outside (0, 1), NaN included."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1) (got {level})")
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class ConfidenceBand:
             raise ValueError("half_width must match the center's dimension")
         if np.any(hw < 0.0):
             raise ValueError("half widths must be nonnegative")
-        check_level(self.level)
+        require_open_unit("level", self.level)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_width", hw)
 
@@ -79,7 +73,7 @@ def build_ci(vtilde: np.ndarray, sigma2: np.ndarray, level: float) -> Confidence
     ``sigma2`` is the variance at the interval's scale, as
     :func:`ojainfer.experiments.method_variance` returns it.
     """
-    check_level(level)
+    require_open_unit("level", level)
     sigma2 = np.asarray(sigma2, dtype=np.float64).reshape(-1)
     if np.any(sigma2 < 0.0):
         raise ValueError("variance estimates must be nonnegative")
@@ -97,8 +91,7 @@ class CoverageReport:
 
     def __post_init__(self) -> None:
         hits = np.asarray(self.hits, dtype=np.int64)
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        require_at_least("trials", self.trials, 1)
         if np.any(hits < 0) or np.any(hits > self.trials):
             raise ValueError("hit counts must lie in [0, trials]")
         object.__setattr__(self, "hits", hits)
@@ -127,8 +120,7 @@ def anderson_darling(values: np.ndarray) -> float:
     """
     x = np.sort(np.asarray(values, dtype=np.float64).reshape(-1))
     n = x.shape[0]
-    if n < 8:
-        raise ValueError(f"need at least 8 values (got {n})")
+    require_at_least("n", n, 8)
     mean = float(x.mean())
     std = float(x.std(ddof=1))
     if std == 0.0:
@@ -167,13 +159,12 @@ def check_entrywise_bound(residuals: np.ndarray, v_diag: np.ndarray, eta_n: floa
     """
     res = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
     trials, d = res.shape
-    if trials < 200:
-        raise ValueError(f"need at least 200 trials (got {trials})")
+    require_at_least("trials", trials, 200)
     v_diag = np.asarray(v_diag, dtype=np.float64).reshape(-1)
     if v_diag.shape[0] != d:
         raise ValueError("variance diagonal does not match residual dimension")
-    if eta_n <= 0.0 or gap <= 0.0:
-        raise ValueError("eta_n and gap must be positive")
+    require_positive("eta_n", eta_n)
+    require_positive("gap", gap)
     log_d = math.log(d) if d > 1 else 1.0
     ratios: dict[int, float] = {}
     flagged: list[int] = []
@@ -215,8 +206,7 @@ def check_clt(residuals: np.ndarray, v_diag: np.ndarray, eta_n: float, gap: floa
     """
     res = np.atleast_2d(np.asarray(residuals, dtype=np.float64))
     trials, d = res.shape
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials (got {trials})")
+    require_at_least("trials", trials, 1000)
     v_diag = np.asarray(v_diag, dtype=np.float64).reshape(-1)
     if v_diag.shape[0] != d:
         raise ValueError("variance diagonal does not match residual dimension")

@@ -19,30 +19,31 @@ from itertools import islice
 import numpy as np
 
 from .core import UNIT_TOL, Dataset, RegimeError, SeedSpec, require_gap, sample_covariance, sin2
+from .defaults import require_above_one, require_at_least, require_open_unit, require_positive
 
 
 def learning_rate(n: float, gap: float, alpha: float) -> float:
     """Constant step size alpha * ln(n) / (n * gap) for a pass of length n."""
-    if not n >= 2:
-        raise ValueError(f"need n >= 2 samples for a learning rate (got {n})")
-    if not 0.0 < gap < math.inf:
-        raise ValueError(f"gap must be positive and finite (got {gap})")
-    if not 1.0 < alpha < math.inf:
-        raise ValueError(f"alpha must exceed 1 and be finite (got {alpha})")
+    require_at_least("n", n, 2)
+    require_positive("gap", gap)
+    require_above_one("alpha", alpha)
     return alpha * math.log(n) / (n * gap)
 
 
-def require_regime(samples: np.ndarray, v: np.ndarray, eta: float, gap: float, name: str,
-                   kind: str) -> None:
-    """Raise RegimeError unless eta * lambda_1 < 1, with lambda_1 read off as the unit vector
-    ``v``'s Rayleigh quotient on the (n, d) ``samples`` that a pass at step ``eta`` read.
+def require_step(eta: float, lambda_1: float, name: str, advice: str) -> None:
+    """Raise RegimeError unless eta * lambda_1 < 1, the step-size regime of Oja's rule that the
+    guarantees cover (Jain et al., COLT 2016). The message names the step as ``name`` (``eta_B``,
+    ``eta_n``, ``eta``) and ends with ``advice``."""
+    step = eta * lambda_1
+    if not step < 1.0:
+        raise RegimeError(f"{name} * lambda_1 = {step:.3g} >= 1: the step size {eta:.3g} "
+                          f"is out of the regime the estimator covers; {advice}")
 
-    The message names the step as ``name`` (``eta_B``, ``eta_n``) and the pass as ``kind``.
-    """
-    step = eta * float(np.mean((samples @ v) ** 2))
-    if step >= 1.0:
-        raise RegimeError(f"{name} * lambda_1 = {step:.3g} >= 1: the {kind} step size {eta:.3g} "
-                          f"is out of the regime the estimator covers; is the gap {gap:.3g} at noise level?")
+
+def require_regime(samples: np.ndarray, v: np.ndarray, eta: float, gap: float, name: str) -> None:
+    """:func:`require_step` with lambda_1 read off as the unit vector ``v``'s Rayleigh quotient
+    on the (n, d) ``samples`` that a pass at step ``eta`` read; the message asks after ``gap``."""
+    require_step(eta, float(np.mean((samples @ v) ** 2)), name, f"is the gap {gap:.3g} at noise level?")
 
 
 def gaussian_unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -149,8 +150,7 @@ def oja_kernel(blocks, eta: float, U0: np.ndarray, weights=None) -> tuple[np.nda
     the starts', and a zero or non-finite iterate (a DegenerateIterateError
     naming its state and samples).
     """
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite (got {eta})")
+    require_positive("eta", eta)
     U = np.array(U0, dtype=np.float64, ndmin=2)[:, :, None]
     K, d, _ = U.shape
     norms = np.linalg.norm(U[:, :, 0], axis=1)
@@ -222,14 +222,10 @@ def oja_boosted(data: Dataset, delta: float, gap: float, alpha: float, seed: See
     deterministic. With a single batch this reduces to a plain pass over the
     whole dataset. Candidate j starts from ``seed.child(j)``.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1) (got {delta})")
+    require_open_unit("delta", delta)
     q = max(1, math.ceil(math.log(1.0 / delta)))
     batch = data.n // q
-    if batch < 2:
-        raise ValueError(
-            f"need at least 2 samples per batch: n={data.n} gives batches of {batch} for q={q}"
-        )
+    require_at_least(f"the batch size at n={data.n}, q={q}", batch, 2)
     eta = learning_rate(batch, gap, alpha)
     starts = np.array([gaussian_unit(seed.child(j).rng(), data.d) for j in range(q)])
     finals, _ = oja_kernel(data.samples[: q * batch].reshape(q, batch, data.d), eta, starts)

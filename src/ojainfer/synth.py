@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .core import Dataset, EigenSystem, eigendecompose, psd_sqrt
-from .defaults import DEFAULT_C, DEFAULT_SCALE
+from .defaults import DEFAULT_C, DEFAULT_SCALE, require_at_least, require_positive
 
 HALF_WIDTH = math.sqrt(3.0)
 
@@ -39,14 +39,11 @@ def build_sigma(d: int, beta: float, c: float = DEFAULT_C,
         construction is positive semidefinite by design; tiny negative
         values from roundoff are clamped in the square root.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2 (got {d})")
+    require_at_least("d", d, 2)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite (got {beta})")
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"kernel decay c must be positive and finite (got {c})")
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite (got {scale})")
+    require_positive("c", c)
+    require_positive("scale", scale)
     idx = np.arange(d)
     kernel = np.exp(-c * np.abs(idx[:, None] - idx[None, :]))
     scales = scale * (idx + 1.0) ** (-beta)
@@ -71,8 +68,7 @@ def sample(root: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
     Each block of Z is multiplied straight into its rows of the output, so
     the draw holds one (n, d) array and one block of Z.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples (got {n})")
+    require_at_least("n", n, 1)
     root = np.asarray(root, dtype=np.float64)
     if root.ndim != 2 or root.shape[0] != root.shape[1]:
         raise ValueError(f"root must be a square (d, d) matrix (got shape {root.shape})")

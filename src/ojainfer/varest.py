@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UNIT_TOL, Dataset, SeedSpec, _check_unit
-from .defaults import DEFAULT_ALPHA
+from .defaults import DEFAULT_ALPHA, require_at_least, require_open_unit
 from .oja import gaussian_unit, learning_rate, oja_kernel, require_regime
 
 log = logging.getLogger(__name__)
@@ -55,22 +55,16 @@ def plan_schedule(n: int, d: int, delta: float,
     batches per group, B = n // (m1 * m2) samples per batch. Fails when the
     data cannot give every batch at least 2 samples.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4 samples (got {n})")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1) (got {delta})")
-    if d < 1:
-        raise ValueError(f"need d >= 1 (got {d})")
+    require_at_least("n", n, 4)
+    require_open_unit("delta", delta)
+    require_at_least("d", d, 1)
     m1 = m1_override if m1_override is not None else math.ceil(8.0 * math.log(d / delta))
     m2 = m2_override if m2_override is not None else max(2, math.ceil(math.log(n)))
-    if m1 < 1 or m2 < 1:
-        raise ValueError(f"schedule collapsed to m1={m1}, m2={m2}")
+    require_at_least("m1", m1, 1)
+    require_at_least("m2", m2, 1)
     batch = n // (m1 * m2)
-    if batch < 2:
-        raise ValueError(
-            f"insufficient data for the schedule: n={n} gives batches of "
-            f"{batch} with m1={m1}, m2={m2}"
-        )
+    require_at_least(f"insufficient data for the schedule: the batch size at n={n}, m1={m1}, m2={m2}",
+                     batch, 2)
     return m1, m2, batch
 
 
@@ -135,7 +129,7 @@ def ojavarest(data: Dataset, delta: float, vtilde: np.ndarray, gap: float, *,
     eta_b = learning_rate(batch, gap, alpha)
     used = m1 * m2 * batch
     unused = data.n - used
-    require_regime(data.samples[:used], vt, eta_b, gap, "eta_B", "batch")
+    require_regime(data.samples[:used], vt, eta_b, gap, "eta_B")
     if unused:
         log.info("schedule uses %d of %d samples (%d trailing dropped)", used, data.n, unused)
 

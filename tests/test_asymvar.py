@@ -241,6 +241,20 @@ class TestEmpiricalHajekCovariance:
         emp = empirical_hajek_covariance(sampler, eigen, 10, 0.01, trials=5, seed=SeedSpec(13))
         np.testing.assert_allclose(emp.matrix, np.zeros((3, 3)), atol=1e-14)
 
+    @pytest.mark.parametrize("eta", [-0.01, float("nan")])
+    def test_step_must_be_positive_and_finite_before_any_draw(self, synth3, eta):
+        # A NaN step once gave a non-finite matrix; now neither entry point draws a row.
+        sigma, eigen, root = synth3
+
+        def sampler(rng_, m):
+            pytest.fail("a trial drew rows")
+
+        match = rf"^eta must be positive and finite \(got {eta}\)"
+        with pytest.raises(ValueError, match=match):
+            empirical_hajek_covariance(sampler, eigen, 10, eta, trials=3, seed=SeedSpec(15))
+        with pytest.raises(ValueError, match=match):
+            moments_and_trials(sampler, eigen, 200, SeedSpec(15), 10, eta, 3, SeedSpec(16))
+
     def test_single_trial_is_one_outer_product(self):
         # Diagonal instance: the eigendecomposition is exact and v1 is a unit
         # axis, so x (x . v1) and (x x^T) v1 round alike, and the mean of one

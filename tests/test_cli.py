@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ojainfer import (PAPER_M1, Dataset, SeedSpec, __version__, asymvar, build_sigma, cli,
-                      experiments)
+from ojainfer import (PAPER_M1, Dataset, SeedSpec, __version__, asymvar, build_ci, build_sigma, cli,
+                      estimate_mtilde, experiments, learning_rate, plan_schedule)
 from ojainfer import io as oio
+from ojainfer.asymvar import moments_and_trials
 from ojainfer.bootstrap import bootstrap_run
 from ojainfer.cli import cli_dispatch
 from ojainfer.io import content_hash_config, read_csv
-from ojainfer.oja import estimate_gap
+from ojainfer.oja import estimate_gap, oja_kernel
 from ojainfer.synth import HALF_WIDTH
 
 
@@ -381,6 +382,45 @@ def test_flag_out_of_range_is_refused_before_the_input_is_read(tmp_path, capsys,
     assert run(["--quiet", *argv, "--input", tmp_path / "nope.csv", "--out", out]) == 1
     assert f"error: {argv[1]} must" in capsys.readouterr().err
     assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+E1 = np.array([1.0, 0.0])
+
+
+def _eigen3():
+    return build_sigma(3, 1.0)[1]
+
+
+# (flag, argv, a library call that the rule behind the flag refuses)
+RULE_CASES = [
+    ("--alpha", ["oja", "--input", "nope.csv", "--alpha", "0.5"], lambda: learning_rate(100, 1.0, 0.5)),
+    ("--gap", ["oja", "--input", "nope.csv", "--gap", "0"], lambda: learning_rate(100, 0.0, 2.0)),
+    ("--level", ["varest", "--input", "nope.csv", "--level", "1.5"],
+     lambda: build_ci(E1, np.zeros(2), 1.5)),
+    ("--delta", ["varest", "--input", "nope.csv", "--delta", "1.5"], lambda: plan_schedule(100, 2, 1.5)),
+    ("--m1", ["varest", "--input", "nope.csv", "--m1", "0"], lambda: plan_schedule(100, 2, 0.05, 0)),
+    ("--b", ["bootstrap", "--input", "nope.csv", "--b", "0"],
+     lambda: bootstrap_run(Dataset(np.eye(2)), 0, 0.1, SeedSpec(0), E1)),
+    ("--eta", ["oracle", "--eta", "-1"], lambda: oja_kernel(np.eye(2), -1.0, E1)),
+    ("--mc-samples", ["asymvar", "--d", "3", "--mc-samples", "99"],
+     lambda: estimate_mtilde(None, _eigen3(), 99, SeedSpec(0))),
+    ("--trials", ["asymvar", "--d", "3", "--n", "10", "--trials", "-1"],
+     lambda: moments_and_trials(None, _eigen3(), 200, SeedSpec(0), 10, 0.01, -1, SeedSpec(1))),
+    ("--n", ["asymvar", "--d", "3", "--n", "1"], lambda: learning_rate(1, 1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("flag, argv, refuse", [pytest.param(*case, id=case[0]) for case in RULE_CASES])
+def test_parser_and_library_refuse_with_one_text(tmp_path, capsys, flag, argv, refuse):
+    # One rule of ojainfer.defaults refuses both: the parser names the flag, the library its parameter.
+    name = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError) as library:
+        refuse()
+    text = str(library.value)
+    assert text.startswith(f"{name} must ")
+    assert run(["--quiet", *argv, "--out", tmp_path / "x.out"]) == 1
+    assert capsys.readouterr().err == f"error: {flag}{text[len(name):]}\n"
     assert list(tmp_path.iterdir()) == []
 
 

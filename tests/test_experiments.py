@@ -15,6 +15,7 @@ from ojainfer.experiments import (
     parse_method,
     parse_methods,
     proxy,
+    run_bench,
     run_coverage_experiment,
 )
 from ojainfer.oja import gaussian_unit
@@ -72,9 +73,16 @@ class TestCoverageExperiment:
     def test_collapsed_schedule_rejected_before_the_first_trial(self, monkeypatch):
         calls = []
         monkeypatch.setattr(experiments, "proxy", lambda *a, **k: calls.append(1))
-        with pytest.raises(ValueError, match="schedule collapsed to m1=0"):
+        with pytest.raises(ValueError, match=r"m1 must be at least 1 \(got 0\)"):
             run_coverage_experiment(methods=("bootstrap:2", "ojavarest"), **(SMALL | {"m1": 0}))
         assert calls == []
+
+    def test_bench_refuses_the_schedule_before_any_pass(self, monkeypatch):
+        # n = 16 leaves PAPER_M1's batches under 2 samples; no Sigma, sample or pass comes first.
+        for name in ("build_sigma", "sample", "proxy", "bootstrap_run", "ojavarest"):
+            monkeypatch.setattr(experiments, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} ran"))
+        with pytest.raises(ValueError, match="insufficient data for the schedule"):
+            run_bench(n=16, d=4, methods=("bootstrap:1", "ojavarest"))
 
     @pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
     def test_bad_level_rejected_before_the_first_trial(self, monkeypatch, level):

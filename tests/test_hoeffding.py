@@ -201,6 +201,15 @@ class TestResidualDecomposition:
         with pytest.raises(ValueError, match="orthogonal"):
             residual_decomposition(draw(None, 3), sigma, eigen, 0.1, u0, eigen.leading)
 
+    @pytest.mark.parametrize("eta", [-0.05, 0.0, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, synth3, eta):
+        # The rule oracle --eta applies; a NaN step once reached "(1 + eta*lambda_1)^n overflowed".
+        sigma, eigen, root = synth3
+        rng = SeedSpec(96).rng()
+        x = sample(root, 4, rng=rng).samples
+        with pytest.raises(ValueError, match=rf"^eta must be positive and finite \(got {eta}\)"):
+            residual_decomposition(x, sigma, eigen, eta, random_unit(rng, 3), eigen.leading)
+
     def test_json_round_trip(self, synth3, tmp_path):
         sigma, eigen, root = synth3
         rng = SeedSpec(95).rng()

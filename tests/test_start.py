@@ -57,8 +57,10 @@ def default_pool_threads(**env) -> int:
 
 @pytest.mark.parametrize("entry", [CONSOLE, MODULE], ids=["console", "module"])
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["varest", "--help"], 0),
-                                        (["synth", "--n", "10"], 1)],
-                         ids=["help", "varest-help", "usage-error"])
+                                        (["synth", "--n", "10"], 1),
+                                        (["varest", "--input", "nope.csv", "--alpha", "0.5",
+                                          "--out", "x"], 1)],
+                         ids=["help", "varest-help", "usage-error", "out-of-range"])
 def test_parse_runs_before_numpy(entry, argv, code):
     assert json.loads(python(entry, *argv).splitlines()[-1]) == [code, False]
 

@@ -187,7 +187,7 @@ class TestOjaVarEst:
     def test_collapsed_schedule_refused(self, synth3):
         sigma, eigen, root = synth3
         data = sample(root, 100, rng=SeedSpec(112).rng())
-        with pytest.raises(ValueError, match="schedule collapsed to m1=0"):
+        with pytest.raises(ValueError, match=r"m1 must be at least 1 \(got 0\)"):
             ojavarest(data, 0.1, eigen.leading, eigen.gap, m1=0)
 
     def test_gap_must_be_positive(self, synth3):
