@@ -135,21 +135,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # The rule of ojainfer.defaults that each flag's value must pass, with its k for require_at_least:
-# the rule, and the text, that the library applies to the parameter the flag sets. asymvar's --n
-# sets a learning rate, and its --trials 0 skips the empirical check.
+# the rule, and the text, that the library applies to the parameter the flag sets.
 _FLAG_RULES = {
     "level": (require_open_unit,), "gap": (require_positive,), "alpha": (require_above_one,),
     "delta": (require_open_unit,), "m1": (require_at_least, 1), "m2": (require_at_least, 1),
     "b": (require_at_least, 1), "eta": (require_positive,), "mc_samples": (require_at_least, 100),
+    "d": (require_at_least, 2),
 }
-_ASYMVAR_RULES = {"trials": (require_at_least, 0), "n": (require_at_least, 2)}
+# The rules of the flags whose rule depends on the subcommand. asymvar's --n sets a learning
+# rate, and its --trials 0 skips the empirical check.
+_COMMAND_RULES = {"synth": {"n": (require_at_least, 1)}, "oracle": {"n": (require_at_least, 1)},
+                  "coverage": {"trials": (require_at_least, 1)},
+                  "asymvar": {"trials": (require_at_least, 0), "n": (require_at_least, 2)}}
 
 
 def _check_flags(args) -> None:
-    """Refuse, before any input is read, a value that fails its flag's rule (``_FLAG_RULES``), a list
-    that does not parse, or a flag that would change nothing in its combination; then fill the
-    defaults of such flags, which are None so that a value given can be told from the default."""
-    rules = _FLAG_RULES | (_ASYMVAR_RULES if args.subcommand == "asymvar" else {})
+    """Refuse, before any input is read, a value that fails its flag's rule (``_FLAG_RULES``, then
+    ``_COMMAND_RULES``), a list that does not parse, or a flag that would change nothing in its
+    combination; then fill the defaults of such flags, which are None so that a value given can be
+    told from the default. The library refuses the rest after numpy loads: ``coverage``/``bench
+    --n`` (its least value depends on ``--methods``), the ``--tracked`` range and ``--methods``."""
+    rules = _FLAG_RULES | _COMMAND_RULES.get(args.subcommand, {})
     for attr, (rule, *k) in rules.items():
         if (value := getattr(args, attr, None)) is not None:
             rule("--" + attr.replace("_", "-"), value, *k)

@@ -1,4 +1,4 @@
-"""Desk-scale experiment drivers: coverage sweeps, timing bench, limit checks.
+"""Desk-scale experiment drivers: coverage sweeps, timing bench.
 
 Each trial owns a derived random stream keyed by its index, and aggregation
 runs in trial order, so results are reproducible. Wall clocks are measured
@@ -14,11 +14,11 @@ from functools import partial
 import numpy as np
 
 from .bootstrap import bootstrap_run
-from .core import Dataset, EigenSystem, SeedLabel, SeedSpec, sin2
+from .core import Dataset, SeedLabel, SeedSpec, sin2
 from .defaults import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_DELTA, DEFAULT_LAW, DEFAULT_LEVEL,
                        DEFAULT_METHODS, DEFAULT_TRACKED, PAPER_M1, require_at_least, require_open_unit)
 from .inference import CoverageReport, band_hits, build_ci
-from .oja import gaussian_unit, learning_rate, oja_boosted, oja_kernel, oja_run, require_regime
+from .oja import gaussian_unit, learning_rate, oja_boosted, oja_run, require_regime
 from .synth import build_sigma, sample
 from .varest import VarEstResult, batch_variance, median_of_means, ojavarest, plan_schedule
 from .workers import cpu_ranges, run_parts
@@ -235,32 +235,3 @@ def run_bench(
                         "estimate_ms": (t2 - t1) * 1e3, "total_ms": (t2 - t0) * 1e3})
     return records
 
-
-# Trials per kernel call in residual_trials; its buffers hold twice this many datasets.
-_TRIAL_CHUNK = 128
-
-
-def residual_trials(
-    root: np.ndarray,
-    eigen: EigenSystem,
-    n: int,
-    trials: int,
-    seed: SeedSpec = SeedSpec(0),
-) -> np.ndarray:
-    """Draw (trials, d) residuals of fresh streaming runs against the truth.
-
-    Each row is v_est - (v1 . v_est) v1 for one independent dataset and
-    initial vector, at the step of ``DEFAULT_ALPHA``; used by the
-    concentration and limit-distribution checks.
-    """
-    gap = eigen.require_gap()
-    eta_n = learning_rate(n, gap, DEFAULT_ALPHA)
-    v1 = eigen.leading
-    rows = np.empty((trials, eigen.d))
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        streams = [seed.child(t) for t in range(lo, min(lo + _TRIAL_CHUNK, trials))]
-        data = np.stack([sample(root, n, st.child(SeedLabel.DATA).rng()).samples for st in streams])
-        starts = np.array([gaussian_unit(st.child(SeedLabel.START).rng(), eigen.d) for st in streams])
-        v, _ = oja_kernel(data, eta_n, starts)
-        rows[lo : lo + len(streams)] = v - (v @ v1)[:, None] * v1
-    return rows

@@ -83,8 +83,10 @@ def sample(root: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
 def vector_sampler(root: np.ndarray):
     """Sampler callable (rng, m) -> (m, d) rows for the moment estimators.
 
-    One product per draw, not :func:`sample`'s blocks: the two can differ in the
-    last bit once m exceeds a block, and the moment estimates keep these bits.
+    One product per draw, not :func:`sample`'s blocks, and no Dataset check, which costs
+    :func:`sample` 10-15% on 2,000 draws of 4000 x 5 rows (asymvar's trials at d = 5,
+    n = 4000) with one BLAS thread. The rows are :func:`sample`'s bit for bit, but where m is
+    one past whole blocks: that last row, multiplied as a vector there, can differ in its last bit.
     """
     root = np.asarray(root, dtype=np.float64)
 

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import settings
 
 from ojainfer import SeedSpec, build_r0_v, build_sigma, estimate_mtilde
-from ojainfer.experiments import residual_trials
 from ojainfer.synth import vector_sampler
+
+from checks import residual_trials
 
 
 @pytest.fixture(scope="session")

@@ -28,11 +28,11 @@ from ojainfer import (
     sin2,
 )
 from ojainfer.experiments import run_bench, run_coverage_experiment
-from ojainfer.inference import check_clt
 from ojainfer.io import write_results
 from ojainfer.oja import gaussian_unit, oja_kernel
 from ojainfer.synth import sample, vector_sampler
 
+from checks import check_clt
 from conftest import random_unit
 
 COVERAGE_SEED = 42

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ojainfer import (PAPER_M1, Dataset, SeedSpec, __version__, asymvar, build_ci, build_sigma, cli,
-                      estimate_mtilde, experiments, learning_rate, plan_schedule)
+                      estimate_mtilde, experiments, learning_rate, plan_schedule, sample)
 from ojainfer import io as oio
 from ojainfer.asymvar import moments_and_trials
 from ojainfer.bootstrap import bootstrap_run
@@ -392,7 +392,8 @@ def _eigen3():
     return build_sigma(3, 1.0)[1]
 
 
-# (flag, argv, a library call that the rule behind the flag refuses)
+# (flag, argv, a library call that the rule behind the flag refuses[, the case's id where an
+# earlier case checks the same flag])
 RULE_CASES = [
     ("--alpha", ["oja", "--input", "nope.csv", "--alpha", "0.5"], lambda: learning_rate(100, 1.0, 0.5)),
     ("--gap", ["oja", "--input", "nope.csv", "--gap", "0"], lambda: learning_rate(100, 0.0, 2.0)),
@@ -408,10 +409,16 @@ RULE_CASES = [
     ("--trials", ["asymvar", "--d", "3", "--n", "10", "--trials", "-1"],
      lambda: moments_and_trials(None, _eigen3(), 200, SeedSpec(0), 10, 0.01, -1, SeedSpec(1))),
     ("--n", ["asymvar", "--d", "3", "--n", "1"], lambda: learning_rate(1, 1.0, 2.0)),
+    ("--d", ["synth", "--n", "10", "--d", "1"], lambda: build_sigma(1, 1.0)),
+    ("--n", ["synth", "--n", "0", "--d", "3"], lambda: sample(np.eye(3), 0, SeedSpec(0).rng()),
+     "synth --n"),
+    ("--trials", ["coverage", "--n", "300", "--d", "4", "--trials", "0"],
+     lambda: experiments.run_coverage_experiment(300, 4, 1.0, 0), "coverage --trials"),
 ]
 
 
-@pytest.mark.parametrize("flag, argv, refuse", [pytest.param(*case, id=case[0]) for case in RULE_CASES])
+@pytest.mark.parametrize("flag, argv, refuse", [pytest.param(flag, argv, refuse, id=ident[0] if ident else flag)
+                                                for flag, argv, refuse, *ident in RULE_CASES])
 def test_parser_and_library_refuse_with_one_text(tmp_path, capsys, flag, argv, refuse):
     # One rule of ojainfer.defaults refuses both: the parser names the flag, the library its parameter.
     name = flag[2:].replace("-", "_")

@@ -5,16 +5,10 @@ import pytest
 
 from ojainfer import ConfidenceBand, SeedSpec, build_ci, median_of_means, normal_quantile
 from ojainfer.experiments import method_variance
-from ojainfer.inference import (
-    AD_CRITICAL,
-    anderson_darling,
-    band_hits,
-    check_clt,
-    check_entrywise_bound,
-    normal_cdf,
-)
+from ojainfer.inference import band_hits
 from ojainfer.oja import learning_rate
 
+from checks import AD_CRITICAL, anderson_darling, check_clt, check_entrywise_bound, normal_cdf
 from conftest import random_unit
 
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from ojainfer import Dataset, SeedSpec, bootstrap, bootstrap_run, oja_run, ojavarest
 from ojainfer.bootstrap import _CHUNK, _multipliers
-from ojainfer.experiments import residual_trials
 from ojainfer.oja import _block_size, gaussian_unit, learning_rate, oja_kernel
 from ojainfer.synth import sample
 from ojainfer.varest import batch_variance
 
+from checks import residual_trials
 from oracle import oja_loop
 
 TOL = 1e-12

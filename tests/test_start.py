@@ -59,8 +59,10 @@ def default_pool_threads(**env) -> int:
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["varest", "--help"], 0),
                                         (["synth", "--n", "10"], 1),
                                         (["varest", "--input", "nope.csv", "--alpha", "0.5",
-                                          "--out", "x"], 1)],
-                         ids=["help", "varest-help", "usage-error", "out-of-range"])
+                                          "--out", "x"], 1),
+                                        (["synth", "--n", "0", "--d", "561", "--out", "x"], 1)],
+                         ids=["help", "varest-help", "usage-error", "out-of-range",
+                              "synth-out-of-range"])
 def test_parse_runs_before_numpy(entry, argv, code):
     assert json.loads(python(entry, *argv).splitlines()[-1]) == [code, False]
 

@@ -89,6 +89,14 @@ class TestSample:
         stacked = sample_blocks(root, n, SeedSpec(162).rng())
         assert data.samples.tobytes() == stacked.tobytes()
 
+    def test_vector_sampler_draws_the_rows_of_sample(self, synth5):
+        # One BLAS thread (conftest.py), 5000 rows: past one 4096-row block, and a last block
+        # of more than one row.
+        sigma, eigen, root = synth5
+        data = sample(root, 5000, SeedSpec(163).rng())
+        rows = synth.vector_sampler(root)(SeedSpec(163).rng(), 5000)
+        assert data.samples.tobytes() == rows.tobytes()
+
     def test_n_floor(self, synth3):
         sigma, eigen, root = synth3
         with pytest.raises(ValueError):
